@@ -51,7 +51,7 @@ if not any(Path(p).name == "src" for p in sys.path):
 from calibration import calibration_ops_per_second, normalized_score  # noqa: E402
 
 from repro.engine import EngineConfig, StreamEngine  # noqa: E402
-from repro.experiments.bundles import fig6_bundle  # noqa: E402
+from repro.workloads.bundles import fig6_bundle  # noqa: E402
 from repro.scenarios import Scenario, expand_grid, run_scenarios  # noqa: E402
 
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_engine.json"

@@ -6,7 +6,7 @@ The same run is measured (without pytest-benchmark) by
 """
 
 from repro.engine import EngineConfig, StreamEngine
-from repro.experiments.bundles import fig6_bundle
+from repro.workloads.bundles import fig6_bundle
 
 
 def test_bench_engine_run(benchmark):

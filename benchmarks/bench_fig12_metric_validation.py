@@ -1,7 +1,7 @@
 """Fig. 12: OF and IC as predictors of tentative-output accuracy (Q1, Q2)."""
 
 from repro.experiments.accuracy import fig12
-from repro.experiments.bundles import q1_bundle, q2_bundle
+from repro.workloads.bundles import q1_bundle, q2_bundle
 
 from benchmarks.conftest import record_figure
 

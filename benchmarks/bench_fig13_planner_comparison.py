@@ -1,7 +1,7 @@
 """Fig. 13: DP vs SA vs Greedy — plan OF and measured tentative accuracy."""
 
 from repro.experiments.accuracy import fig13
-from repro.experiments.bundles import q1_bundle
+from repro.workloads.bundles import q1_bundle
 
 from benchmarks.conftest import record_figure
 

@@ -15,7 +15,7 @@ from repro.core import (
     worst_case_fidelity,
 )
 from repro.experiments.accuracy import measured_accuracy, run_baseline, settings_for
-from repro.experiments.bundles import q2_bundle
+from repro.workloads.bundles import q2_bundle
 
 
 def main():

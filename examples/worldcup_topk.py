@@ -9,7 +9,7 @@ Run:  python examples/worldcup_topk.py
 
 from repro.core import StructureAwarePlanner, budget_from_fraction, worst_case_fidelity
 from repro.experiments.accuracy import measured_accuracy, run_baseline, settings_for
-from repro.experiments.bundles import q1_bundle
+from repro.workloads.bundles import q1_bundle
 
 
 def main():

@@ -27,36 +27,9 @@ from typing import Sequence
 
 from repro.chaos.inject import run_chaos
 from repro.chaos.schedule import ChaosError, ChaosEvent, ChaosSchedule
-from repro.errors import ScenarioError
+from repro.scenarios.grid import load_json, scenarios_from_document
 from repro.scenarios.session import GridReport
 from repro.scenarios.sinks import sink_for_path
-from repro.scenarios.spec import Scenario
-
-
-def _load_json(path: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path!r} is not valid JSON: {exc}") from None
-
-
-def _load_scenarios(path: str) -> list[Scenario]:
-    from repro.scenarios.grid import expand_grid
-
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ScenarioError("a grid JSON document must be an object")
-    if "scenarios" in data:
-        return [Scenario.from_dict(s) for s in data["scenarios"]]
-    if "base" in data:
-        base = Scenario.from_dict(data["base"])
-        axes = data.get("axes") or {}
-        return expand_grid(base, axes) if axes else [base]
-    raise ScenarioError(
-        "a grid JSON document needs either 'scenarios' or 'base' (+ 'axes')"
-    )
 
 
 def _timed_event(action: str, text: str) -> ChaosEvent:
@@ -74,8 +47,7 @@ def _timed_event(action: str, text: str) -> ChaosEvent:
 
 def _schedule_from_args(args: argparse.Namespace) -> ChaosSchedule:
     if args.schedule:
-        data = _load_json(args.schedule)
-        return ChaosSchedule.from_dict(data)
+        return ChaosSchedule.from_dict(load_json(args.schedule))
     events: list[ChaosEvent] = []
     for action in ("kill", "pause", "resume", "crash"):
         for text in getattr(args, action) or ():
@@ -160,7 +132,7 @@ def chaos_main(argv: Sequence[str]) -> int:
                         help="print the report + fault tallies as JSON")
     args = parser.parse_args(argv)
 
-    scenarios = _load_scenarios(args.file)
+    scenarios = scenarios_from_document(load_json(args.file))
     schedule = _schedule_from_args(args)
     sink = sink_for_path(args.output) if args.output else None
 

@@ -9,8 +9,8 @@ Three pieces, all routed through ``repro-experiments``:
 * :func:`add_cluster_arguments` — the ``--cluster-*`` / ``--ssh-*``
   option group shared by ``grid --backend cluster`` and
   ``serve --backend cluster``.
-* :func:`cluster_backend_from_args` — builds the
-  :class:`~repro.cluster.backend.ClusterBackend` those flags describe.
+* :func:`backend_from_args` — builds the execution backend that
+  ``--backend``/``--max-workers`` and those flags describe.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from typing import Sequence
 
 from repro.cluster.backend import ClusterBackend
 from repro.cluster.worker import ClusterWorkerAgent
+from repro.errors import ScenarioError
 from repro.resilience import RetryPolicy
+from repro.scenarios.backends import EXECUTION_BACKENDS, ExecutionBackend
 
 
 def worker_main(argv: Sequence[str]) -> int:
@@ -118,18 +120,27 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
                             "timeout)")
 
 
-def cluster_backend_from_args(args: argparse.Namespace,
-                              max_workers: int | None = None) \
-        -> ClusterBackend:
-    """The :class:`ClusterBackend` described by parsed cluster arguments.
+def backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
+    """The backend ``--backend``, ``--max-workers`` and the cluster flags name.
 
-    ``max_workers`` (the generic pool-width flag) doubles as the local
-    fleet size when ``--cluster-local`` was not given, so
-    ``--backend cluster --max-workers 3`` does the obvious thing.
+    For the cluster backend ``--max-workers`` (the generic pool-width
+    flag) doubles as the local fleet size when ``--cluster-local`` was
+    not given, so ``--backend cluster --max-workers 3`` does the obvious
+    thing.
     """
+    if args.backend != "cluster":
+        factory = EXECUTION_BACKENDS.get(args.backend)
+        if args.max_workers is None:
+            return factory()
+        try:
+            return factory(max_workers=args.max_workers)
+        except TypeError:
+            raise ScenarioError(
+                f"backend {args.backend!r} does not take --max-workers"
+            ) from None
     local = args.cluster_local
-    if local is None and max_workers is not None:
-        local = max_workers
+    if local is None:
+        local = args.max_workers
     fallback = args.cluster_fallback
     if fallback in ("none", ""):
         fallback = None

@@ -1,9 +1,10 @@
 """The cluster coordinator: TCP front end over the cell ledger.
 
-:class:`ClusterCoordinator` mirrors the sweep server's transport shape —
-a ``ThreadingTCPServer`` whose handler threads read each worker's
-requests while a dedicated writer thread drains that worker's outbound
-queue — but serves the *worker-facing* side of the fabric: workers dial
+:class:`ClusterCoordinator` runs on the same
+:class:`~repro.fabric.transport.PeerServer` as the sweep server — handler
+threads read each worker's requests while a dedicated writer thread
+drains that worker's outbound queue — but serves the *worker-facing*
+side of the fabric: workers dial
 in, register a capacity, and leased cells flow back down the same
 socket.  All scheduling decisions live in the
 :class:`~repro.cluster.ledger.CellLedger`; the coordinator contributes
@@ -22,173 +23,19 @@ exactly three things:
 
 from __future__ import annotations
 
-import queue
-import socket
-import socketserver
 import threading
 from typing import Any, Sequence
 
 from repro.cluster.journal import LedgerJournal
 from repro.cluster.ledger import CellLedger
-from repro.cluster.protocol import (
-    CLUSTER_PROTOCOL_VERSION,
-    dump_message,
-    outcome_from_wire,
-    parse_message,
-)
+from repro.cluster.protocol import CLUSTER_PROTOCOL_VERSION
 from repro.errors import ClusterError, ServiceError
+from repro.fabric.transport import PeerServer, PeerStream
 from repro.scenarios.spec import Scenario
-
-#: Writer-queue sentinel: close the connection after flushing.
-_CLOSE = object()
+from repro.service.protocol import outcome_from_wire
 
 
-class _WorkerStream:
-    """One connected worker's outbound message queue + writer thread."""
-
-    def __init__(self, worker_id: str, wfile, connection, *,
-                 wire_faults=None):
-        self.worker_id = worker_id
-        self.wfile = wfile
-        self.connection = connection
-        self.wire_faults = wire_faults
-        self.outbound: "queue.SimpleQueue[object]" = queue.SimpleQueue()
-        self.gone = threading.Event()
-        self.writer = threading.Thread(target=self._write_loop,
-                                       name=f"cluster-writer-{worker_id}",
-                                       daemon=True)
-        self.writer.start()
-
-    def send(self, message: dict) -> None:
-        if not self.gone.is_set():
-            self.outbound.put(message)
-
-    def close(self) -> None:
-        self.outbound.put(_CLOSE)
-
-    def disconnect(self) -> None:
-        """Force the socket shut (unblocks the handler's read loop).
-
-        ``shutdown`` before ``close``: the handler's ``rfile``/``wfile``
-        still hold references to this fd, so a bare ``close()`` is
-        deferred and never sends FIN — the worker (and the handler's own
-        blocked read) would wait forever.  ``shutdown(SHUT_RDWR)`` tears
-        the connection down immediately regardless.
-        """
-        self.gone.set()
-        try:
-            self.connection.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass  # already disconnected
-        try:
-            self.connection.close()
-        except OSError:  # pragma: no cover - racing close
-            pass
-
-    def _write_loop(self) -> None:
-        while True:
-            message = self.outbound.get()
-            if message is _CLOSE:
-                break
-            deliveries = [message]
-            if self.wire_faults is not None:
-                # Chaos injection happens here, on the per-worker writer
-                # thread, so delays never block the ledger lock.
-                deliveries = self.wire_faults.apply(
-                    "out", self.worker_id, message)
-            try:
-                for delivery in deliveries:
-                    self.wfile.write(dump_message(delivery).encode("utf-8"))
-                    self.wfile.flush()
-            except (OSError, ValueError):
-                # Worker went away mid-write; EOF handling cleans up.
-                self.gone.set()
-                break
-
-
-class _WorkerHandler(socketserver.StreamRequestHandler):
-    """Reads one worker's requests; leases ride the worker's stream."""
-
-    server: "_ClusterTCPServer"
-
-    def handle(self) -> None:
-        coordinator = self.server.coordinator
-        stream: _WorkerStream | None = None
-        try:
-            for raw in self.rfile:
-                try:
-                    message = parse_message(raw.decode("utf-8"))
-                except (ServiceError, UnicodeDecodeError):
-                    break  # framing is broken; drop the connection
-                op = message.get("op")
-                if stream is None:
-                    if op != "register":
-                        self.wfile.write(dump_message(
-                            {"type": "error", "op": op,
-                             "message": "first message must be 'register'"}
-                        ).encode("utf-8"))
-                        break
-                    protocol = message.get("protocol",
-                                           CLUSTER_PROTOCOL_VERSION)
-                    if protocol != CLUSTER_PROTOCOL_VERSION:
-                        self.wfile.write(dump_message(
-                            {"type": "error", "op": "register",
-                             "code": "protocol-mismatch",
-                             "message": f"protocol {protocol} unsupported "
-                                        f"(coordinator speaks "
-                                        f"{CLUSTER_PROTOCOL_VERSION})"}
-                        ).encode("utf-8"))
-                        break
-                    try:
-                        # _register enqueues the welcome itself, *before*
-                        # the ledger starts leasing — so the worker always
-                        # sees welcome first on the wire.
-                        stream = coordinator._register(
-                            str(message.get("worker") or "worker"),
-                            int(message.get("capacity") or 1),
-                            self.wfile, self.connection,
-                            resume=message.get("resume"))
-                    except ClusterError as exc:
-                        self.wfile.write(dump_message(
-                            {"type": "error", "op": "register",
-                             "message": str(exc)}).encode("utf-8"))
-                        break
-                    continue
-                if op == "heartbeat":
-                    coordinator.ledger.heartbeat(stream.worker_id)
-                elif op == "result":
-                    deliveries = [message]
-                    if coordinator.wire_faults is not None:
-                        deliveries = coordinator.wire_faults.apply(
-                            "in", stream.worker_id, message)
-                    for delivery in deliveries:
-                        try:
-                            outcome = outcome_from_wire(
-                                delivery.get("outcome"))
-                            cell_id = int(delivery.get("cell", -1))
-                        except (ServiceError, TypeError, ValueError):
-                            stream.send({"type": "error", "op": "result",
-                                         "message": "malformed result"})
-                            continue
-                        coordinator.ledger.complete(stream.worker_id,
-                                                    cell_id, outcome)
-                elif op == "bye":
-                    break
-                else:
-                    stream.send({"type": "error", "op": op,
-                                 "message": f"unknown op {op!r}"})
-        finally:
-            if stream is not None:
-                coordinator._deregister(stream)
-
-
-class _ClusterTCPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    coordinator: "ClusterCoordinator"
-
-
-class ClusterCoordinator:
+class ClusterCoordinator(PeerServer):
     """Leases grid cells to remote workers and collects their results.
 
     Typically owned by a
@@ -209,6 +56,12 @@ class ClusterCoordinator:
     production.
     """
 
+    name = "cluster"
+    hello_op = "register"
+    protocol = CLUSTER_PROTOCOL_VERSION
+    speaker = "coordinator"
+    mismatch_fields = {"code": "protocol-mismatch"}
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  heartbeat_timeout: float = 10.0,
                  tick_interval: float = 0.25,
@@ -218,41 +71,27 @@ class ClusterCoordinator:
             journal = LedgerJournal(journal)
         self.journal = journal
         self.wire_faults = wire_faults
-        self.ledger = CellLedger(self._publish,
+        super().__init__(host, port)
+        self.ledger = CellLedger(self.publish,
                                  heartbeat_timeout=heartbeat_timeout,
                                  journal=journal)
         #: Cells re-admitted from the journal at construction (0 = clean).
         self.restored_cells = self.ledger.restore_from_journal()
-        self._streams: dict[str, _WorkerStream] = {}
-        self._streams_lock = threading.Lock()
         self._issued_ids: set[str] = set()
         self._worker_seq = 0
-        self._tcp = _ClusterTCPServer((host, port), _WorkerHandler,
-                                      bind_and_activate=True)
-        self._tcp.coordinator = self
         self._tick_interval = tick_interval
         self._stopping = threading.Event()
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          name="cluster-monitor", daemon=True)
-        self._serve_thread: threading.Thread | None = None
         self._started = False
 
     # -- lifecycle -------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """The actually-bound ``(host, port)``."""
-        host, port = self._tcp.server_address[:2]
-        return str(host), int(port)
-
     def start(self) -> "ClusterCoordinator":
         """Accept workers and start the liveness monitor."""
         if self._started:
             return self
         self._started = True
-        self._serve_thread = threading.Thread(
-            target=self._tcp.serve_forever, name="cluster-acceptor",
-            kwargs={"poll_interval": 0.1}, daemon=True)
-        self._serve_thread.start()
+        self.listen()
         self._monitor.start()
         return self
 
@@ -261,16 +100,10 @@ class ClusterCoordinator:
         if self._stopping.is_set():
             return
         self._stopping.set()
-        with self._streams_lock:
-            streams = list(self._streams.values())
-        for stream in streams:
+        for stream in self.streams():
             stream.send({"type": "shutdown"})
             stream.close()
-        if self._started:
-            self._tcp.shutdown()
-        self._tcp.server_close()
-        if self.journal is not None:
-            self.journal.close()
+        self._close()
 
     def crash(self) -> None:
         """Die like a SIGKILL: drop every socket, no goodbyes, no cleanup.
@@ -282,15 +115,12 @@ class ClusterCoordinator:
         the same journal path replays it and finishes the batch.
         """
         self._stopping.set()
-        with self._streams_lock:
-            streams = list(self._streams.values())
-            self._streams.clear()
-        for stream in streams:
-            stream.disconnect()
-            stream.close()
-        if self._started:
-            self._tcp.shutdown()
-        self._tcp.server_close()
+        for stream in self.streams():
+            self.evict(stream.peer_id)
+        self._close()
+
+    def _close(self) -> None:
+        self.unlisten()
         if self.journal is not None:
             self.journal.close()
 
@@ -313,20 +143,13 @@ class ClusterCoordinator:
     def _monitor_loop(self) -> None:
         while not self._stopping.wait(self._tick_interval):
             for worker_id in self.ledger.tick():
-                with self._streams_lock:
-                    stream = self._streams.pop(worker_id, None)
-                if stream is not None:
-                    stream.disconnect()
-                    stream.close()
+                self.evict(worker_id)
 
-    def _publish(self, worker_id: str, message: dict) -> None:
-        with self._streams_lock:
-            stream = self._streams.get(worker_id)
-        if stream is not None:
-            stream.send(message)
-
-    def _register(self, requested: str, capacity: int, wfile,
-                  connection, *, resume: object = None) -> _WorkerStream:
+    # -- transport hooks -------------------------------------------------
+    def admit(self, message: dict, handler) -> PeerStream:
+        requested = str(message.get("worker") or "worker")
+        capacity = int(message.get("capacity") or 1)
+        resume = message.get("resume")
         # The stream must be routable *before* the ledger admits the
         # worker — leases are published the moment registration lands —
         # so ids are uniquified here (against every id ever issued, in
@@ -341,19 +164,16 @@ class ClusterCoordinator:
                 stale = self._streams.get(worker_id)
                 if stale is not None:
                     # A half-open leftover of the same worker: supersede
-                    # it.  _deregister sees it is no longer current and
+                    # it.  Its handler sees it is no longer current and
                     # leaves the ledger entry (and its leases) alone.
                     stale.disconnect()
-                    stale.close()
             else:
                 worker_id = requested
                 if worker_id in self._issued_ids:
                     self._worker_seq += 1
                     worker_id = f"{requested}#{self._worker_seq}"
             self._issued_ids.add(worker_id)
-            stream = _WorkerStream(worker_id, wfile, connection,
-                                   wire_faults=self.wire_faults)
-            self._streams[worker_id] = stream
+            stream = self.attach(worker_id, handler)
         # Welcome is enqueued before the ledger admits the worker: the
         # ledger leases queued cells the instant registration lands, and
         # the worker expects welcome as the first line on the wire.
@@ -370,19 +190,34 @@ class ClusterCoordinator:
             raise
         return stream
 
-    def _deregister(self, stream: _WorkerStream) -> None:
-        with self._streams_lock:
-            current = self._streams.get(stream.worker_id)
-            if current is stream:
-                del self._streams[stream.worker_id]
-            else:
-                # Superseded by a resumed connection (or already torn
-                # down): the id's ledger state belongs to someone else.
-                stream.close()
-                return
-        self.ledger.remove_worker(stream.worker_id,
-                                  reason="connection closed")
-        stream.close()
+    def dispatch(self, stream: PeerStream, op: str | None,
+                 message: dict) -> None:
+        if op == "heartbeat":
+            self.ledger.heartbeat(stream.peer_id)
+        elif op == "result":
+            deliveries = [message]
+            if self.wire_faults is not None:
+                deliveries = self.wire_faults.apply("in", stream.peer_id,
+                                                    message)
+            for delivery in deliveries:
+                try:
+                    outcome = outcome_from_wire(delivery.get("outcome"))
+                    cell_id = int(delivery.get("cell", -1))
+                except (ServiceError, TypeError, ValueError):
+                    stream.send({"type": "error", "op": "result",
+                                 "message": "malformed result"})
+                    continue
+                self.ledger.complete(stream.peer_id, cell_id, outcome)
+        else:
+            raise ClusterError(f"unknown op {op!r}")
+
+    def dropped(self, stream: PeerStream) -> None:
+        self.ledger.remove_worker(stream.peer_id, reason="connection closed")
+
+    def outbound(self, worker_id: str, message: dict) -> list[dict]:
+        if self.wire_faults is None:
+            return [message]
+        return self.wire_faults.apply("out", worker_id, message)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         host, port = self.address

@@ -1,17 +1,17 @@
 """The coordinator's write-ahead ledger journal: crash-safe batch state.
 
 :class:`LedgerJournal` makes the :class:`~repro.cluster.ledger.CellLedger`
-durable with the same fsync'd, torn-line-tolerant JSONL idiom as the
-sweep service's :class:`~repro.service.journal.SweepJournal`.  Four
-record shapes, one per line, flushed + fsync'd before the action they
-describe takes effect on the wire::
+durable on the same fsync'd, torn-line-tolerant
+:class:`~repro.fabric.journal.Journal` as the sweep service's
+:class:`~repro.service.journal.SweepJournal`.  Three record shapes, one
+per line, flushed + fsync'd before the action they describe takes effect
+on the wire::
 
     {"event": "batch", "runner": SPEC|null, "timeout": T|null,
      "retries": R, "cells": [{"cell": ID, "index": I, "scenario": {...}}]}
     {"event": "lease", "cell": ID, "worker": WID}
     {"event": "done", "cell": ID, "index": I, "attempts": A,
      "outcome": {"result": ...} | {"error": ...}}
-    {"event": "abandon"}
 
 ``batch`` is written at admission (before any lease flows), ``lease``
 before each lease is published (so replayed attempt counts never
@@ -33,14 +33,11 @@ poisoning the resume.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ClusterError
+from repro.fabric.journal import Journal
 from repro.scenarios.spec import Scenario
 
 
@@ -76,21 +73,10 @@ class LedgerReplay:
         return not self.cells
 
 
-class LedgerJournal:
+class LedgerJournal(Journal):
     """Append-only WAL for one :class:`~repro.cluster.ledger.CellLedger`."""
 
-    def __init__(self, path: str | os.PathLike):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._handle: IO[str] | None = None
-        #: Torn/unparsable lines skipped by the last :meth:`replay`.
-        self.corrupt_records = 0
-
-    def _file(self) -> IO[str]:
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        return self._handle
+    error = ClusterError
 
     # -- writes ----------------------------------------------------------
     def record_batch(self, cells: Sequence[tuple[int, int, Scenario]], *,
@@ -98,8 +84,8 @@ class LedgerJournal:
                      retries: int) -> None:
         """A new batch was admitted; resets the file first (one batch/WAL)."""
         with self._lock:
-            self._reset_locked()
-            self._append_locked({
+            self.reset()
+            self.append({
                 "event": "batch", "runner": runner, "timeout": timeout,
                 "retries": retries,
                 "cells": [{"cell": cell_id, "index": index,
@@ -109,36 +95,13 @@ class LedgerJournal:
 
     def record_lease(self, cell_id: int, worker_id: str) -> None:
         """A lease is about to be published (charges a replayed attempt)."""
-        with self._lock:
-            self._append_locked({"event": "lease", "cell": cell_id,
-                                 "worker": worker_id})
+        self.append({"event": "lease", "cell": cell_id, "worker": worker_id})
 
     def record_done(self, cell_id: int, index: int, attempts: int,
                     outcome_wire: Mapping[str, Any]) -> None:
         """A cell retired with ``outcome_wire`` (the NDJSON envelope)."""
-        with self._lock:
-            self._append_locked({"event": "done", "cell": cell_id,
-                                 "index": index, "attempts": attempts,
-                                 "outcome": outcome_wire})
-
-    def reset(self) -> None:
-        """Truncate: the batch completed (or was abandoned); no debt left."""
-        with self._lock:
-            self._reset_locked()
-
-    def _append_locked(self, record: dict) -> None:
-        handle = self._file()
-        handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-    def _reset_locked(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        with open(self.path, "w", encoding="utf-8") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
+        self.append({"event": "done", "cell": cell_id, "index": index,
+                     "attempts": attempts, "outcome": outcome_wire})
 
     # -- replay ----------------------------------------------------------
     def replay(self) -> LedgerReplay:
@@ -147,27 +110,9 @@ class LedgerJournal:
         Must run before this instance has written anything; a missing or
         empty file replays to an empty state.
         """
-        with self._lock:
-            if self._handle is not None:
-                raise ClusterError(
-                    "replay() must run before the journal is written to"
-                )
-            replay = LedgerReplay()
-            self.corrupt_records = 0
-            try:
-                lines = self.path.read_text(encoding="utf-8").splitlines()
-            except FileNotFoundError:
-                return replay
-            for line in lines:
-                if not line.strip():
-                    continue
-                try:
-                    self._fold(replay, json.loads(line))
-                except Exception:
-                    # A torn final line from a hard kill, or skew from an
-                    # older journal format: skip, count, carry on.
-                    self.corrupt_records += 1
-            return replay
+        replay = LedgerReplay()
+        self.scan(lambda record: self._fold(replay, record))
+        return replay
 
     @staticmethod
     def _fold(replay: LedgerReplay, record: Mapping[str, Any]) -> None:
@@ -196,17 +141,5 @@ class LedgerJournal:
             replay.outcomes.append((int(record["index"]),
                                     int(record["attempts"]),
                                     record["outcome"]))
-        elif event == "abandon":
-            replay.cells = {}
-            replay.outcomes = []
         else:
             raise ClusterError(f"unknown journal event {event!r}")
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"LedgerJournal({str(self.path)!r})"

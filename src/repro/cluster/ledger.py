@@ -48,10 +48,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.cluster.journal import LedgerJournal
-from repro.cluster.protocol import outcome_from_wire, outcome_to_wire
 from repro.errors import ClusterError
 from repro.scenarios.backends import CellError
 from repro.scenarios.spec import Scenario
+from repro.service.protocol import outcome_from_wire, outcome_to_wire
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Wire protocol of the cluster fabric: NDJSON over TCP, worker-initiated.
 
 The cluster speaks the same framing as the sweep service
-(:mod:`repro.service.protocol` — one JSON object per line, stdlib only)
-but the roles are inverted: here the *worker* dials the coordinator,
+(:mod:`repro.fabric.transport` — one JSON object per line, stdlib only)
+and the same outcome envelopes (:mod:`repro.service.protocol`), but the
+roles are inverted: here the *worker* dials the coordinator,
 announces a capacity, and the coordinator pushes leased cells down the
 same socket the worker registered on.  Requests flow worker →
 coordinator carrying an ``"op"`` field; everything the coordinator sends
@@ -62,15 +63,6 @@ from importlib import import_module
 from typing import Callable
 
 from repro.errors import ClusterError
-
-# The framing and outcome envelopes are shared with the sweep service on
-# purpose: one NDJSON dialect for the whole codebase.
-from repro.service.protocol import (  # noqa: F401  (re-exported)
-    dump_message,
-    outcome_from_wire,
-    outcome_to_wire,
-    parse_message,
-)
 
 #: Bumped on incompatible message-shape changes; ``register`` carries the
 #: worker's version and the coordinator rejects mismatches loudly.

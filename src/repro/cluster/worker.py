@@ -34,35 +34,23 @@ connection drops unexpectedly and the reconnect budget (if any) runs out.
 from __future__ import annotations
 
 import random
-import socket
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
-from repro.cluster.protocol import (
-    CLUSTER_PROTOCOL_VERSION,
-    dump_message,
-    outcome_to_wire,
-    parse_message,
-    runner_from_wire,
-)
-from repro.errors import ClusterError, ClusterProtocolError, ServiceError
+from repro.cluster.protocol import CLUSTER_PROTOCOL_VERSION, runner_from_wire
+from repro.errors import ClusterError, ClusterProtocolError
+from repro.fabric import transport
 from repro.resilience import RetryPolicy
 from repro.scenarios.backends import CellError, _error_outcome
 from repro.scenarios.spec import Scenario
+from repro.service.protocol import outcome_to_wire
 
 
 def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
     """Coerce ``"host:port"`` (or a pair) into a ``(host, port)`` tuple."""
-    if isinstance(address, str):
-        host, _, port_text = address.rpartition(":")
-        if not host or not port_text.isdigit():
-            raise ClusterError(
-                f"malformed address {address!r}; expected 'host:port'"
-            )
-        return host, int(port_text)
-    return str(address[0]), int(address[1])
+    return transport.parse_address(address, ClusterError)
 
 
 class ClusterWorkerAgent:
@@ -97,9 +85,8 @@ class ClusterWorkerAgent:
         #: Successful (re)connections, for tests and log lines.
         self.sessions = 0
         self._runners: dict[str | None, Callable] = {}
-        self._write_lock = threading.Lock()
         self._stop = threading.Event()
-        self._wfile = None
+        self._connection: transport.Connection | None = None
 
     def run(self) -> int:
         """Serve until the coordinator says ``shutdown``; returns exit code.
@@ -143,33 +130,25 @@ class ClusterWorkerAgent:
         reached or rejects registration; returns ``False`` when an
         established session drops mid-stream (the self-healing case).
         """
-        try:
-            sock = socket.create_connection(self.address,
-                                            timeout=self.connect_timeout)
-        except OSError as exc:
-            raise ClusterError(
-                f"cannot connect to cluster coordinator at "
-                f"{self.address[0]}:{self.address[1]}: {exc}"
-            ) from None
-        sock.settimeout(None)
-        rfile = sock.makefile("r", encoding="utf-8")
+        connection = transport.Connection(
+            self.address, "cluster coordinator", ClusterError,
+            self.connect_timeout)
         clean = False
-        registered = False
         try:
-            with self._write_lock:
-                self._wfile = sock.makefile("w", encoding="utf-8")
             register = {"op": "register", "worker": self.name,
                         "capacity": self.capacity,
                         "protocol": CLUSTER_PROTOCOL_VERSION}
             if resume is not None:
                 register["resume"] = resume
-            self._send(register)
-            welcome = parse_message(rfile.readline() or "null")
-            if welcome.get("type") == "error":
+            # A wire failure before the welcome (a dial racing a
+            # coordinator teardown, say) raises like an unreachable host,
+            # so the reconnect loop backs off; after it, a failure is
+            # just the mid-session drop the self-healing path exists for.
+            welcome = connection.handshake(register)
+            if welcome["type"] == "error":
                 if welcome.get("code") == "protocol-mismatch":
                     raise ClusterProtocolError(
-                        f"coordinator at {self.address[0]}:"
-                        f"{self.address[1]} speaks a different cluster "
+                        f"{connection.peer} speaks a different cluster "
                         f"protocol: {welcome.get('message')}; update this "
                         f"host's repro checkout so both sides agree on "
                         f"CLUSTER_PROTOCOL_VERSION "
@@ -179,20 +158,20 @@ class ClusterWorkerAgent:
                     f"coordinator rejected registration: "
                     f"{welcome.get('message')}"
                 )
-            if welcome.get("type") != "welcome":
-                raise ClusterError(f"expected welcome, got {welcome!r}")
             self.worker_id = str(welcome.get("worker"))
             self.sessions += 1
-            registered = True
+            self._connection = connection
             heartbeat = threading.Thread(target=self._heartbeat_loop,
                                          name="cluster-heartbeat",
                                          daemon=True)
             heartbeat.start()
-            for line in rfile:
+            while True:
                 try:
-                    message = parse_message(line)
-                except ServiceError:
-                    break  # framing broken; reconnecting won't help
+                    message = connection.read()
+                except ClusterError:
+                    break  # reset, or framing broken: the session is over
+                if message is None:
+                    break
                 kind = message.get("type")
                 if kind == "cell":
                     executor.submit(self._run_cell, message)
@@ -200,27 +179,9 @@ class ClusterWorkerAgent:
                     clean = True
                     break
                 # "error" and unknown types: nothing actionable; keep going
-        except OSError as exc:
-            # A reset (RST instead of FIN) surfaces as a raw socket error
-            # rather than EOF.  Before the welcome it means the dial raced
-            # a coordinator teardown — fail like an unreachable host so
-            # the reconnect loop backs off; after it, it is just the
-            # mid-session drop the self-healing path exists for.
-            if not registered:
-                raise ClusterError(
-                    f"connection to cluster coordinator at "
-                    f"{self.address[0]}:{self.address[1]} lost during "
-                    f"handshake: {exc}"
-                ) from None
         finally:
-            with self._write_lock:
-                wfile, self._wfile = self._wfile, None
-            for handle in (rfile, wfile, sock):
-                try:
-                    if handle is not None:
-                        handle.close()
-                except OSError:
-                    pass
+            self._connection = None
+            connection.close()
         return clean
 
     # -- internals -------------------------------------------------------
@@ -258,16 +219,10 @@ class ClusterWorkerAgent:
                 break  # socket is gone; the read loop is winding down too
 
     def _send(self, message: dict) -> None:
-        with self._write_lock:
-            if self._wfile is None:
-                raise ClusterError("worker is not connected")
-            try:
-                self._wfile.write(dump_message(message))
-                self._wfile.flush()
-            except (OSError, ValueError) as exc:
-                raise ClusterError(
-                    f"connection to coordinator lost: {exc}"
-                ) from None
+        connection = self._connection
+        if connection is None:
+            raise ClusterError("worker is not connected")
+        connection.send(message)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         host, port = self.address

@@ -19,13 +19,6 @@ from repro.experiments.accuracy import (
     run_baseline,
     settings_for,
 )
-from repro.experiments.bundles import (
-    QueryBundle,
-    calibrated_costs,
-    fig6_bundle,
-    q1_bundle,
-    q2_bundle,
-)
 from repro.experiments.checkpoint_cost import checkpoint_cpu_ratio, fig9
 from repro.experiments.claims import claims, sa_vs_greedy_ratio, tentative_speedup
 from repro.experiments.random_topologies import (
@@ -46,6 +39,13 @@ from repro.experiments.recovery import (
     single_failure_latency,
 )
 from repro.experiments.tables import format_table
+from repro.workloads.bundles import (
+    QueryBundle,
+    calibrated_costs,
+    fig6_bundle,
+    q1_bundle,
+    q2_bundle,
+)
 
 __all__ = [
     "AccuracySettings",

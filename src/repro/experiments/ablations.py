@@ -21,7 +21,6 @@ from repro.core.dp import DynamicProgrammingPlanner
 from repro.core.fidelity import worst_case_fidelity
 from repro.engine.config import EngineConfig
 from repro.engine.engine import StreamEngine
-from repro.experiments.bundles import fig6_bundle
 from repro.experiments.recovery import DEFAULT_DURATION, DEFAULT_FAIL_TIME, FigureResult
 from repro.topology.generator import (
     TopologySpec,
@@ -29,6 +28,7 @@ from repro.topology.generator import (
     generate_topology,
 )
 from repro.topology.rates import propagate_rates
+from repro.workloads.bundles import fig6_bundle
 
 
 def _correlated_latency(stagger: bool, *, rate: float, window: float,

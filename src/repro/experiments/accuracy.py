@@ -32,9 +32,9 @@ from repro.engine.config import EngineConfig
 from repro.engine.engine import StreamEngine
 from repro.engine.tuples import KeyedTuple
 from repro.errors import ExperimentError
-from repro.experiments.bundles import QueryBundle, q1_bundle, q2_bundle
 from repro.experiments.recovery import FigureResult
 from repro.topology.operators import TaskId
+from repro.workloads.bundles import QueryBundle, q1_bundle, q2_bundle
 
 DEFAULT_FRACTIONS = (0.2, 0.4, 0.6, 0.8)
 

@@ -17,8 +17,8 @@ from typing import Sequence
 
 from repro.engine.config import EngineConfig
 from repro.engine.engine import StreamEngine
-from repro.experiments.bundles import fig6_bundle
 from repro.experiments.recovery import FigureResult
+from repro.workloads.bundles import fig6_bundle
 
 
 def checkpoint_cpu_ratio(rate: float, interval: float, *,

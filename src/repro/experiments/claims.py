@@ -20,7 +20,6 @@ from typing import Sequence
 
 from repro.engine.config import EngineConfig
 from repro.engine.engine import StreamEngine
-from repro.experiments.bundles import fig6_bundle
 from repro.experiments.random_topologies import BASE_SPEC, sweep_planner_fidelity
 from repro.experiments.recovery import (
     DEFAULT_DURATION,
@@ -29,6 +28,7 @@ from repro.experiments.recovery import (
     half_subtree_plan,
 )
 from repro.topology.generator import WeightSkew
+from repro.workloads.bundles import fig6_bundle
 
 
 def tentative_speedup(rate: float = 2000.0, checkpoint_interval: float = 30.0,

@@ -88,12 +88,13 @@ from repro.scenarios import (
     Scenario,
     ScenarioCache,
     ScenarioResult,
-    expand_grid,
     run_scenario,
     sink_for_path,
 )
+from repro.scenarios.grid import load_json, scenarios_from_document
 from repro.topology.operators import TaskId
 from repro.workloads.bundles import q1_bundle, q2_bundle
+
 
 def _fast_q1():
     return q1_bundle(window_seconds=20.0, pages=400, tuple_scale=8.0)
@@ -222,15 +223,6 @@ def _force_recovery(scenario: Scenario, scheme: str) -> Scenario:
     return scenario.with_overrides(**overrides)
 
 
-def _load_json(path: str) -> Any:
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path!r} is not valid JSON: {exc}") from None
-
-
 def _scenario_main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments scenario",
@@ -247,7 +239,7 @@ def _scenario_main(argv: Sequence[str]) -> int:
                         help="print the full ScenarioResult as JSON")
     args = parser.parse_args(argv)
 
-    data = _load_json(args.file)
+    data = load_json(args.file)
     if not isinstance(data, dict):
         raise ScenarioError(
             f"a scenario JSON document must be an object, got "
@@ -302,9 +294,6 @@ def _grid_main(argv: Sequence[str]) -> int:
                              f"{', '.join(RECOVERY_SCHEMES.names())})")
     parser.add_argument("--max-workers", type=int, default=None,
                         help="pool width for the threads/processes backends")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="deprecated: like --backend processes "
-                             "--max-workers N")
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="stream outcomes into a .jsonl or .sqlite file "
                              "instead of keeping them in memory")
@@ -325,26 +314,12 @@ def _grid_main(argv: Sequence[str]) -> int:
                         help="print every outcome as a JSON array")
     # Imported lazily (like serve/submit/status): plain grid runs should
     # not pay for — or be able to break on — the cluster stack.
-    from repro.cluster.cli import add_cluster_arguments, \
-        cluster_backend_from_args
+    from repro.cluster.cli import add_cluster_arguments, backend_from_args
 
     add_cluster_arguments(parser)
     args = parser.parse_args(argv)
 
-    data = _load_json(args.file)
-    if not isinstance(data, dict):
-        raise ScenarioError("a grid JSON document must be an object")
-    if "scenarios" in data:
-        scenarios = [Scenario.from_dict(s) for s in data["scenarios"]]
-    elif "base" in data:
-        base = Scenario.from_dict(data["base"])
-        axes = data.get("axes") or {}
-        scenarios = expand_grid(base, axes) if axes else [base]
-    else:
-        raise ScenarioError(
-            "a grid JSON document needs either 'scenarios' or 'base' (+ 'axes')"
-        )
-
+    scenarios = scenarios_from_document(load_json(args.file))
     _check_names(scenarios, args.recovery or ())
     if args.recovery:
         schemes = list(dict.fromkeys(args.recovery))
@@ -358,30 +333,7 @@ def _grid_main(argv: Sequence[str]) -> int:
                 for s in scenarios for scheme in schemes
             ]
 
-    backend_name, max_workers = args.backend, args.max_workers
-    if args.workers is not None:
-        print("note: --workers is deprecated; use --backend processes "
-              "[--max-workers N]", file=sys.stderr)
-        if backend_name == "serial":
-            backend_name = "processes"
-        if max_workers is None:
-            max_workers = args.workers
-    if backend_name == "cluster":
-        # The cluster backend has its own topology flags; --max-workers
-        # doubles as the local fleet size for symmetry with the pools.
-        backend = cluster_backend_from_args(args, max_workers)
-    else:
-        factory = EXECUTION_BACKENDS.get(backend_name)
-        if max_workers is None:
-            backend = factory()
-        else:
-            try:
-                backend = factory(max_workers=max_workers)
-            except TypeError:
-                raise ScenarioError(
-                    f"backend {backend_name!r} does not take --max-workers"
-                ) from None
-
+    backend = backend_from_args(args)
     if args.resume and not args.output:
         raise ScenarioError("--resume needs --output (a file to resume from)")
     sink = sink_for_path(args.output) if args.output else None

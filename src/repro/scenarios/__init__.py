@@ -55,6 +55,7 @@ from repro.engine.recovery import (
     RecoveryScheme,
     create_scheme,
 )
+from repro.registry import Registry
 from repro.scenarios import catalog as _catalog  # populate the registries
 from repro.scenarios.backends import (
     EXECUTION_BACKENDS,
@@ -81,7 +82,7 @@ from repro.scenarios.prebuilt import (
     run_scenario_prebuilt,
     workload_key,
 )
-from repro.scenarios.registry import FAILURE_MODELS, PLANNERS, WORKLOADS, Registry
+from repro.scenarios.registry import FAILURE_MODELS, PLANNERS, WORKLOADS
 from repro.scenarios.runner import (
     RecoveryOutcome,
     ScenarioResult,

@@ -8,9 +8,7 @@ is either a :class:`~repro.scenarios.runner.ScenarioResult` or a structured
 worker forced a retry).  Triples may arrive in any order (parallel backends
 yield in completion order, like ``as_completed``);
 :class:`~repro.scenarios.session.GridSession` reorders them before results
-reach a sink, so every backend produces byte-identical output.  Legacy
-external backends that yield bare ``(index, outcome)`` pairs are still
-accepted by the session, which then falls back to ``CellError.attempts``.
+reach a sink, so every backend produces byte-identical output.
 
 Backends are registry-backed like planners and workloads
 (:data:`EXECUTION_BACKENDS`): ``"serial"`` runs in-process, ``"threads"``
@@ -49,7 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import ScenarioError
-from repro.scenarios.registry import Registry
+from repro.registry import Registry
 from repro.scenarios.runner import ScenarioResult, run_scenario
 from repro.scenarios.spec import Scenario, _check_keys
 

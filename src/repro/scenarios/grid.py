@@ -18,14 +18,13 @@ deterministic discrete-event simulation — so a grid run with
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import warnings
+import json
+from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ScenarioError
 from repro.scenarios.backends import ExecutionBackend
 from repro.scenarios.cache import ScenarioCache
-from repro.scenarios.runner import ScenarioResult, run_scenario
 from repro.scenarios.session import GridSession, ProgressEvent
 from repro.scenarios.sinks import ResultSink
 from repro.scenarios.spec import Scenario
@@ -75,19 +74,45 @@ def expand_grid(base: Scenario,
     return scenarios
 
 
-def _run_with_pool_shim(scenarios: list[Scenario], workers: int) -> list[ScenarioResult]:
-    """The deprecated ``workers=`` fan-out (kept for API compatibility).
+def load_json(path: str) -> Any:
+    """The parsed JSON document at ``path`` (:class:`ScenarioError` if not)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path!r} is not valid JSON: {exc}") from None
 
-    Uses chunked ``imap`` rather than ``pool.map`` so huge grids stream
-    results back instead of pickling them all at once.
+
+def scenarios_from_document(
+        document: Any, what: str = "a grid JSON document") -> list[Scenario]:
+    """The scenarios a grid document names.
+
+    A grid document is either an explicit ``{"scenarios": [...]}`` list or
+    a ``{"base": {...}, "axes": {...}}`` cross product (``axes`` optional).
+    It is what ``grid``/``submit``/``chaos`` files hold and what a sweep
+    ``submit`` message carries; ``what`` names the offender in errors.
+
+    >>> doc = {"base": {"duration": 10.0}, "axes": {"budget": [0, 2]}}
+    >>> [s.budget for s in scenarios_from_document(doc)]
+    [0, 2]
     """
-    if workers == 1 or len(scenarios) == 1:
-        return [run_scenario(s) for s in scenarios]
-    n = min(workers, len(scenarios))
-    # ~4 chunks per worker balances scheduling slack against IPC overhead.
-    chunksize = max(1, len(scenarios) // (n * 4))
-    with multiprocessing.Pool(processes=n) as pool:
-        return list(pool.imap(run_scenario, scenarios, chunksize=chunksize))
+    if not isinstance(document, Mapping):
+        raise ScenarioError(f"{what} must be an object")
+    if "scenarios" in document:
+        raw = document["scenarios"]
+        if not isinstance(raw, list) or not raw:
+            raise ScenarioError(
+                "'scenarios' must be a non-empty list of scenario objects"
+            )
+        return [Scenario.from_dict(item) for item in raw]
+    if "base" in document:
+        base = Scenario.from_dict(document["base"])
+        axes = document.get("axes") or {}
+        return expand_grid(base, axes) if axes else [base]
+    raise ScenarioError(
+        f"{what} needs either 'scenarios' or 'base' (+ 'axes')"
+    )
 
 
 def run_scenarios(scenarios: Sequence[Scenario], *,
@@ -98,8 +123,7 @@ def run_scenarios(scenarios: Sequence[Scenario], *,
                   retries: int = 1,
                   progress: Callable[[ProgressEvent], None] | None = None,
                   resume: bool = False,
-                  strict: bool = True,
-                  workers: int | None = None) -> list:
+                  strict: bool = True) -> list:
     """Execute ``scenarios`` in order; outcomes line up with the input.
 
     ``backend`` selects the execution strategy (``"serial"`` by default,
@@ -115,9 +139,6 @@ def run_scenarios(scenarios: Sequence[Scenario], *,
     returned list as structured
     :class:`~repro.scenarios.backends.CellError`\\ s.
 
-    ``workers=`` is the deprecated spelling of the old multiprocessing
-    fan-out; prefer ``backend="processes"``.
-
     Worker processes see the built-in registries automatically.  Custom
     ``register()`` entries must live in an importable module for the
     processes backend to be portable: on platforms whose multiprocessing
@@ -125,33 +146,6 @@ def run_scenarios(scenarios: Sequence[Scenario], *,
     rather than inheriting the parent's memory, so registrations made only
     in a ``__main__`` script are not visible there.
     """
-    scenarios = list(scenarios)
-    if workers is not None:
-        # Validated before the empty-grid early return so a bad value is
-        # reported even when there is nothing to run.
-        if workers < 1:
-            raise ScenarioError(f"workers must be >= 1, got {workers}")
-        if backend is not None:
-            raise ScenarioError("pass backend= or the deprecated workers=, "
-                                "not both")
-        dropped = [label for label, given in (
-            ("sink", sink is not None), ("cache", cache is not None),
-            ("timeout", timeout is not None), ("retries", retries != 1),
-            ("progress", progress is not None), ("resume", resume),
-            ("strict=False", not strict),
-        ) if given]
-        if dropped:
-            raise ScenarioError(
-                f"the deprecated workers= shim does not support "
-                f"{', '.join(dropped)}; use backend='processes' instead"
-            )
-        warnings.warn(
-            "run_scenarios(workers=...) is deprecated; use "
-            "backend='processes' (optionally ProcessBackend(max_workers=N))",
-            DeprecationWarning, stacklevel=2)
-        if not scenarios:
-            return []
-        return _run_with_pool_shim(scenarios, workers)
     session = GridSession(backend=backend, sink=sink, cache=cache,
                           timeout=timeout, retries=retries, progress=progress,
                           resume=resume, strict=strict)
@@ -166,14 +160,13 @@ def run_grid(base: Scenario, axes: Mapping[str, Sequence[Any]] | None = None, *,
              retries: int = 1,
              progress: Callable[[ProgressEvent], None] | None = None,
              resume: bool = False,
-             strict: bool = True,
-             workers: int | None = None) -> list:
+             strict: bool = True) -> list:
     """Expand ``base`` over ``axes`` and execute every combination.
 
     With ``axes=None``, runs just ``base``.  See :func:`expand_grid` for the
     axis syntax and :func:`run_scenarios` for the execution keywords
     (``backend``/``sink``/``cache``/``timeout``/``retries``/``progress``/
-    ``resume``/``strict``, plus the deprecated ``workers``)::
+    ``resume``/``strict``)::
 
         run_grid(base, {"budget": [0, 2, 4]},
                  backend="processes",
@@ -183,4 +176,4 @@ def run_grid(base: Scenario, axes: Mapping[str, Sequence[Any]] | None = None, *,
     scenarios = expand_grid(base, axes) if axes else [base]
     return run_scenarios(scenarios, backend=backend, sink=sink, cache=cache,
                          timeout=timeout, retries=retries, progress=progress,
-                         resume=resume, strict=strict, workers=workers)
+                         resume=resume, strict=strict)

@@ -18,15 +18,14 @@ True
 The generic :class:`~repro.registry.Registry` class lives at the package
 root (:mod:`repro.registry`) so lower layers — notably the engine's
 :data:`~repro.engine.recovery.RECOVERY_SCHEMES` — can define registries
-without importing the scenario package; it is re-exported here for
-backwards compatibility.
+without importing the scenario package.
 """
 
 from __future__ import annotations
 
 from repro.registry import Registry
 
-__all__ = ["FAILURE_MODELS", "PLANNERS", "Registry", "WORKLOADS"]
+__all__ = ["FAILURE_MODELS", "PLANNERS", "WORKLOADS"]
 
 #: Planner factories: ``fn(objective, **planner_params) -> Planner``.
 PLANNERS: Registry = Registry("planner")

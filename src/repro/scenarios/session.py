@@ -261,16 +261,9 @@ class GridSession:
             # order is backend-dependent, input order is restored on write.
             representatives = sorted(slots[0] for slots in pending.values())
             to_run = [scenarios[i] for i in representatives]
-            for item in self.backend.execute(
+            for position, outcome, attempts in self.backend.execute(
                     to_run, self.runner,
                     timeout=self.timeout, retries=self.retries):
-                if len(item) == 3:
-                    position, outcome, attempts = item
-                else:
-                    # Legacy external backend yielding bare (index, outcome)
-                    # pairs: the only attempt record is on the error itself.
-                    position, outcome = item
-                    attempts = getattr(outcome, "attempts", 1)
                 cell_retries = max(0, attempts - 1)
                 retries += cell_retries
                 if position in getattr(self.backend, "degraded_positions", ()):

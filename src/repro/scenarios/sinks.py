@@ -32,7 +32,7 @@ from typing import Any, Iterable
 
 from repro.errors import ScenarioError
 from repro.scenarios.backends import CellError
-from repro.scenarios.registry import Registry
+from repro.registry import Registry
 from repro.scenarios.runner import ScenarioResult
 
 

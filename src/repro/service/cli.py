@@ -26,22 +26,11 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.errors import ScenarioError, ServiceError
-from repro.scenarios import EXECUTION_BACKENDS, Scenario, ScenarioResult
+from repro.errors import ServiceError
+from repro.scenarios import EXECUTION_BACKENDS, ScenarioResult
+from repro.scenarios.grid import load_json, scenarios_from_document
 from repro.service.client import SweepClient
 from repro.service.server import SweepServer
-
-
-def _build_backend(name: str, max_workers: int | None):
-    factory = EXECUTION_BACKENDS.get(name)
-    if max_workers is None:
-        return factory()
-    try:
-        return factory(max_workers=max_workers)
-    except TypeError:
-        raise ScenarioError(
-            f"backend {name!r} does not take --max-workers"
-        ) from None
 
 
 def serve_main(argv: Sequence[str]) -> int:
@@ -80,18 +69,13 @@ def serve_main(argv: Sequence[str]) -> int:
                              "scripts that need the OS-assigned port)")
     # Lazy, like the route in repro.experiments.cli: only a serve that
     # can pick --backend cluster should load the cluster stack.
-    from repro.cluster.cli import add_cluster_arguments, \
-        cluster_backend_from_args
+    from repro.cluster.cli import add_cluster_arguments, backend_from_args
 
     add_cluster_arguments(parser)
     args = parser.parse_args(argv)
 
-    if args.backend == "cluster":
-        backend = cluster_backend_from_args(args, args.max_workers)
-    else:
-        backend = _build_backend(args.backend, args.max_workers)
     server = SweepServer(args.host, args.port,
-                         backend=backend,
+                         backend=backend_from_args(args),
                          cache=args.cache_dir, journal=args.journal,
                          timeout=args.timeout, retries=args.retries,
                          batch_cells=args.batch_cells)
@@ -122,18 +106,6 @@ def serve_main(argv: Sequence[str]) -> int:
     return 0
 
 
-def _load_grid(path: str) -> dict:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path!r} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ScenarioError("a grid JSON document must be an object")
-    return data
-
-
 def submit_main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments submit",
@@ -159,23 +131,9 @@ def submit_main(argv: Sequence[str]) -> int:
                         help="print every outcome as a JSON array")
     args = parser.parse_args(argv)
 
-    data = _load_grid(args.file)
+    scenarios = scenarios_from_document(load_json(args.file))
     client_id = args.client or Path(args.file).stem
     with SweepClient(args.address, client_id=client_id) as client:
-        message_scenarios = None
-        base = axes = None
-        if "scenarios" in data:
-            message_scenarios = [Scenario.from_dict(s)
-                                 for s in data["scenarios"]]
-        elif "base" in data:
-            base = Scenario.from_dict(data["base"])
-            axes = data.get("axes") or None
-        else:
-            raise ScenarioError(
-                "a grid JSON document needs either 'scenarios' or "
-                "'base' (+ 'axes')"
-            )
-
         progress = None
         if args.progress:
             def progress(event):  # noqa: ANN001 - progress message dict
@@ -187,8 +145,7 @@ def submit_main(argv: Sequence[str]) -> int:
                       f"({event.get('source')}{note})", file=sys.stderr)
 
         try:
-            job = client.submit(message_scenarios, base=base, axes=axes,
-                                job=args.job,
+            job = client.submit(scenarios, job=args.job,
                                 results=not args.no_results)
             outcome = client.wait(job, progress=progress)
         except ServiceError as exc:

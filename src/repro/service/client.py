@@ -21,21 +21,16 @@ wherever they land.
 from __future__ import annotations
 
 import random
-import socket
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ScenarioError, ServiceError
+from repro.fabric.transport import Connection, parse_address
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.scenarios.backends import CellError
 from repro.scenarios.runner import ScenarioResult
 from repro.scenarios.spec import Scenario
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    dump_message,
-    outcome_from_wire,
-    parse_message,
-)
+from repro.service.protocol import PROTOCOL_VERSION, outcome_from_wire
 
 
 @dataclass
@@ -95,14 +90,7 @@ class SweepClient:
                  retry: RetryPolicy | None = None,
                  breaker: CircuitBreaker | None = None,
                  rng: random.Random | None = None):
-        if isinstance(address, str):
-            host, _, port_text = address.rpartition(":")
-            if not host or not port_text.isdigit():
-                raise ServiceError(
-                    f"malformed address {address!r}; expected 'host:port'"
-                )
-            address = (host, int(port_text))
-        self.address = (str(address[0]), int(address[1]))
+        self.address = parse_address(address)
         self.connect_timeout = connect_timeout
         self.retry = retry
         self.breaker = breaker
@@ -116,8 +104,8 @@ class SweepClient:
         self.draining = False
         self._connect()
 
-    def _dial(self) -> socket.socket:
-        """One socket-level connection attempt, breaker-guarded."""
+    def _dial(self) -> Connection:
+        """One connection attempt, breaker-guarded."""
         if self.breaker is not None and not self.breaker.allow():
             raise ServiceError(
                 f"circuit open for sweep server at {self.address[0]}:"
@@ -125,38 +113,30 @@ class SweepClient:
                 f"for {self.breaker.reset_timeout:g}s"
             )
         try:
-            sock = socket.create_connection(self.address,
-                                            timeout=self.connect_timeout)
-        except OSError as exc:
+            connection = Connection(self.address, "sweep server",
+                                    ServiceError, self.connect_timeout)
+        except ServiceError:
             if self.breaker is not None:
                 self.breaker.record_failure()
-            raise ServiceError(
-                f"cannot connect to sweep server at "
-                f"{self.address[0]}:{self.address[1]}: {exc}"
-            ) from None
+            raise
         if self.breaker is not None:
             self.breaker.record_success()
-        return sock
+        return connection
 
     def _connect(self) -> None:
         """Dial (retrying transient failures) and run the hello handshake."""
         if self.retry is not None:
-            self._sock = self.retry.call(self._dial,
-                                         retry_on=(ServiceError,),
-                                         rng=self.rng)
+            self._connection = self.retry.call(self._dial,
+                                               retry_on=(ServiceError,),
+                                               rng=self.rng)
         else:
-            self._sock = self._dial()
-        self._sock.settimeout(None)
-        self._rfile = self._sock.makefile("r", encoding="utf-8")
-        self._wfile = self._sock.makefile("w", encoding="utf-8")
+            self._connection = self._dial()
         # Handshake rejections are semantic, never retried.
-        self._send({"op": "hello", "client": self._requested_id,
-                    "protocol": PROTOCOL_VERSION})
-        welcome = self._read()
-        if welcome.get("type") == "error":
+        welcome = self._connection.handshake(
+            {"op": "hello", "client": self._requested_id,
+             "protocol": PROTOCOL_VERSION})
+        if welcome["type"] == "error":
             raise ServiceError(f"server rejected hello: {welcome.get('message')}")
-        if welcome.get("type") != "welcome":
-            raise ServiceError(f"expected welcome, got {welcome!r}")
         #: The server-side id (uniquified on collision) used in accounting.
         self.client_id = str(welcome.get("client"))
 
@@ -169,14 +149,10 @@ class SweepClient:
 
     def close(self) -> None:
         try:
-            self._send({"op": "bye"})
-        except (OSError, ServiceError):
+            self._connection.send({"op": "bye"})
+        except ServiceError:
             pass
-        for handle in (self._rfile, self._wfile, self._sock):
-            try:
-                handle.close()
-            except OSError:
-                pass
+        self._connection.close()
 
     # -- requests --------------------------------------------------------
     def submit(self, scenarios: Sequence[Scenario] | None = None, *,
@@ -206,9 +182,7 @@ class SweepClient:
         else:
             raise ScenarioError("submit needs scenarios= or base=")
         try:
-            self._send(message)
-            while not self._accepted:
-                self._pump()
+            self._request(message, self._accepted)
         except ServiceError:
             if self.retry is None or self.draining \
                     or any(not state.done for state in self._jobs.values()):
@@ -216,9 +190,7 @@ class SweepClient:
             # Transient drop with no stream state at stake (e.g. the
             # server restarted between jobs): reconnect and resend.
             self._reconnect()
-            self._send(message)
-            while not self._accepted:
-                self._pump()
+            self._request(message, self._accepted)
         accepted = self._accepted.pop(0)
         job_id = str(accepted["job"])
         state = self._jobs[job_id]
@@ -251,46 +223,34 @@ class SweepClient:
 
     def status(self) -> dict[str, Any]:
         """Aggregate + per-client counters and queue depths."""
-        self._send({"op": "status"})
-        while not self._status:
-            self._pump()
+        self._request({"op": "status"}, self._status)
         return self._status.pop(0)
 
     def drain_server(self) -> None:
         """Ask the server to drain (the remote spelling of SIGTERM)."""
-        self._send({"op": "drain"})
+        self._connection.send({"op": "drain"})
 
     # -- plumbing --------------------------------------------------------
+    def _request(self, message: dict, replies: list) -> None:
+        """Send ``message`` and pump until its reply lands in ``replies``."""
+        self._connection.send(message)
+        while not replies:
+            self._pump()
+
     def _reconnect(self) -> None:
         """Tear down the dead connection and re-run the handshake."""
-        for handle in (self._rfile, self._wfile, self._sock):
-            try:
-                handle.close()
-            except OSError:
-                pass
+        self._connection.close()
         self._connect()
         self.reconnects += 1
 
-    def _send(self, message: dict) -> None:
-        try:
-            self._wfile.write(dump_message(message))
-            self._wfile.flush()
-        except OSError as exc:
-            raise ServiceError(f"connection to sweep server lost: {exc}") \
-                from None
-
-    def _read(self) -> dict:
-        line = self._rfile.readline()
-        if not line:
+    def _pump(self) -> None:
+        """Read one message and fold it into client state."""
+        message = self._connection.read()
+        if message is None:
             raise ServiceError(
                 "sweep server closed the connection"
                 + (" (draining)" if self.draining else "")
             )
-        return parse_message(line)
-
-    def _pump(self) -> None:
-        """Read one message and fold it into client state."""
-        message = self._read()
         kind = message.get("type")
         if kind == "accepted":
             job_id = str(message["job"])

@@ -13,63 +13,42 @@ graceful drain simply stops executing; no extra bookkeeping is needed at
 shutdown beyond compacting the file.
 
 On restart, :meth:`load_pending` replays the file, compacts it down to the
-still-pending records (atomic rewrite, same write-then-rename discipline
-as the scenario cache) and hands the pending cells back so the broker can
+still-pending records and hands the pending cells back so the broker can
 re-enqueue them under the ``__journal__`` pseudo-client.  Their results
 land in the shared :class:`~repro.scenarios.cache.ScenarioCache`, so the
 original submitters get instant cache hits when they reconnect and
 resubmit.
 
-Records that fail to parse (a torn final line from a hard kill) are
-dropped with a warning count rather than poisoning the resume.
+The file discipline itself — fsync per record, torn-line-tolerant replay,
+atomic rewrite — is the shared :class:`~repro.fabric.journal.Journal`;
+this module adds the two record shapes and the queued-minus-done fold.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-import threading
-from pathlib import Path
-from typing import IO
-
-from repro.errors import ScenarioError, ServiceError
+from repro.errors import ServiceError
+from repro.fabric.journal import Journal
 from repro.scenarios.spec import Scenario
 
 
-class SweepJournal:
+def _queued(digest: str, scenario: Scenario) -> dict:
+    return {"event": "queued", "digest": digest,
+            "scenario": scenario.to_dict()}
+
+
+class SweepJournal(Journal):
     """Append-only queued/done journal backing graceful drain + resume."""
 
-    def __init__(self, path: str | os.PathLike):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._handle: IO[str] | None = None
-        #: Torn/unparsable lines skipped by the last :meth:`load_pending`.
-        self.corrupt_records = 0
-
-    def _file(self) -> IO[str]:
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        return self._handle
+    error = ServiceError
 
     # -- writes ----------------------------------------------------------
     def record_queued(self, digest: str, scenario: Scenario) -> None:
         """A unique cell entered a queue; it is now owed to the future."""
-        self._append({"event": "queued", "digest": digest,
-                      "scenario": scenario.to_dict()})
+        self.append(_queued(digest, scenario))
 
     def record_done(self, digest: str) -> None:
         """The cell's execution finished (in any outcome); debt repaid."""
-        self._append({"event": "done", "digest": digest})
-
-    def _append(self, record: dict) -> None:
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        with self._lock:
-            handle = self._file()
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
+        self.append({"event": "done", "digest": digest})
 
     # -- resume ----------------------------------------------------------
     def load_pending(self) -> list[tuple[str, Scenario]]:
@@ -79,69 +58,24 @@ class SweepJournal:
         Unparsable records (torn writes) are skipped and counted in
         :attr:`corrupt_records`.
         """
+        pending: dict[str, Scenario] = {}
+
+        def fold(record: dict) -> None:
+            event, digest = record["event"], record["digest"]
+            if event == "queued":
+                pending[digest] = Scenario.from_dict(record["scenario"])
+            elif event == "done":
+                pending.pop(digest, None)
+            else:
+                raise ServiceError(f"unknown journal event {event!r}")
+
         with self._lock:
-            if self._handle is not None:
-                raise ServiceError(
-                    "load_pending() must run before the journal is written to"
-                )
-            pending: dict[str, Scenario] = {}
-            self.corrupt_records = 0
-            try:
-                lines = self.path.read_text(encoding="utf-8").splitlines()
-            except FileNotFoundError:
-                return []
-            for line in lines:
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    event = record["event"]
-                    digest = record["digest"]
-                    if event == "queued":
-                        pending[digest] = Scenario.from_dict(record["scenario"])
-                    elif event == "done":
-                        pending.pop(digest, None)
-                    else:
-                        self.corrupt_records += 1
-                except (ValueError, KeyError, TypeError, ScenarioError):
-                    self.corrupt_records += 1
+            self.scan(fold)
             items = list(pending.items())
-            self._rewrite(items)
+            self.compact(items)
             return items
 
     def compact(self, pending: list[tuple[str, Scenario]]) -> None:
         """Atomically rewrite the journal to exactly ``pending``."""
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            self._rewrite(pending)
-
-    def _rewrite(self, pending: list[tuple[str, Scenario]]) -> None:
-        fd, tmp_name = tempfile.mkstemp(dir=self.path.parent,
-                                        suffix=".journal.tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for digest, scenario in pending:
-                    handle.write(json.dumps(
-                        {"event": "queued", "digest": digest,
-                         "scenario": scenario.to_dict()},
-                        separators=(",", ":")) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"SweepJournal({str(self.path)!r})"
+        self.rewrite(_queued(digest, scenario)
+                     for digest, scenario in pending)

@@ -1,7 +1,9 @@
 """Wire protocol of the sweep service: newline-delimited JSON messages.
 
 Every message is one JSON object on one line (NDJSON), stdlib only, so any
-language with a socket and a JSON parser can talk to the broker.  Requests
+language with a socket and a JSON parser can talk to the broker; the
+framing itself (:func:`dump_message` / :func:`parse_message`) is the
+shared :mod:`repro.fabric.transport`'s and is importable from here too.  Requests
 flow client → server, carrying an ``"op"`` field; everything the server
 sends carries a ``"type"`` field.  One TCP connection is one client: the
 server pushes events for that client's jobs down the same socket the
@@ -47,10 +49,10 @@ contract.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Mapping
 
 from repro.errors import ServiceError
+from repro.fabric.transport import dump_message, parse_message  # noqa: F401
 from repro.scenarios.backends import CellError
 from repro.scenarios.runner import ScenarioResult
 
@@ -58,29 +60,6 @@ from repro.scenarios.runner import ScenarioResult
 #: client's version and the server rejects mismatches loudly rather than
 #: mis-parsing silently.
 PROTOCOL_VERSION = 1
-
-
-def dump_message(message: Mapping[str, Any]) -> str:
-    """One NDJSON line (including the trailing newline) for ``message``."""
-    return json.dumps(message, separators=(",", ":")) + "\n"
-
-
-def parse_message(line: str) -> dict[str, Any]:
-    """Parse one NDJSON line into a message dict.
-
-    Raises :class:`ServiceError` for anything that is not a JSON object —
-    the connection is then poisoned and should be dropped, because framing
-    can no longer be trusted.
-    """
-    try:
-        message = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ServiceError(f"undecodable message line: {exc}") from None
-    if not isinstance(message, dict):
-        raise ServiceError(
-            f"a message must be a JSON object, got {type(message).__name__}"
-        )
-    return message
 
 
 def outcome_to_wire(outcome: object) -> dict[str, Any]:

@@ -2,10 +2,11 @@
 
 :class:`SweepServer` wires the pieces together:
 
-* a ``ThreadingTCPServer`` speaking the NDJSON protocol of
-  :mod:`repro.service.protocol` — one handler thread reads each client's
-  requests while a dedicated writer thread drains that client's outbound
-  queue, so server-pushed events never block on a slow reader elsewhere;
+* the shared :class:`~repro.fabric.transport.PeerServer` speaking the
+  NDJSON protocol of :mod:`repro.service.protocol` — one handler thread
+  reads each client's requests while a dedicated writer thread drains
+  that client's outbound queue, so server-pushed events never block on a
+  slow reader elsewhere;
 * one **dispatcher** thread pulling fair-scheduled batches out of the
   :class:`~repro.service.broker.SweepBroker` and running them through a
   single shared :class:`~repro.scenarios.backends.ExecutionBackend`
@@ -23,136 +24,20 @@ clients' hands.
 
 from __future__ import annotations
 
-import queue
-import socketserver
 import threading
 
-from repro.errors import ReproError, ServiceError
+from repro.errors import ServiceError
+from repro.fabric.transport import PeerServer, PeerStream
 from repro.scenarios.backends import ExecutionBackend, resolve_backend
 from repro.scenarios.cache import ScenarioCache
-from repro.scenarios.grid import expand_grid
+from repro.scenarios.grid import scenarios_from_document
 from repro.scenarios.prebuilt import run_scenario_prebuilt
-from repro.scenarios.spec import Scenario
 from repro.service.broker import JOURNAL_CLIENT, SweepBroker
 from repro.service.journal import SweepJournal
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    dump_message,
-    parse_message,
-)
-
-#: Writer-queue sentinel: close the connection after flushing.
-_CLOSE = object()
+from repro.service.protocol import PROTOCOL_VERSION
 
 
-class _ClientStream:
-    """One connected client's outbound message queue + writer thread."""
-
-    def __init__(self, client_id: str, wfile):
-        self.client_id = client_id
-        self.wfile = wfile
-        self.outbound: "queue.SimpleQueue[object]" = queue.SimpleQueue()
-        self.gone = threading.Event()
-        self.writer = threading.Thread(target=self._write_loop,
-                                       name=f"sweep-writer-{client_id}",
-                                       daemon=True)
-        self.writer.start()
-
-    def send(self, message: dict) -> None:
-        if not self.gone.is_set():
-            self.outbound.put(message)
-
-    def close(self) -> None:
-        self.outbound.put(_CLOSE)
-
-    def _write_loop(self) -> None:
-        while True:
-            message = self.outbound.get()
-            if message is _CLOSE:
-                break
-            try:
-                self.wfile.write(dump_message(message).encode("utf-8"))
-                self.wfile.flush()
-            except (OSError, ValueError):
-                # Peer went away mid-write; drop the rest silently.
-                self.gone.set()
-                break
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    """Reads one client's requests; replies ride the client's stream."""
-
-    server: "_TCPServer"
-
-    def handle(self) -> None:
-        sweep = self.server.sweep
-        stream: _ClientStream | None = None
-        try:
-            for raw in self.rfile:
-                try:
-                    message = parse_message(raw.decode("utf-8"))
-                except (ServiceError, UnicodeDecodeError):
-                    break  # framing is broken; drop the connection
-                op = message.get("op")
-                if stream is None:
-                    if op != "hello":
-                        self.wfile.write(dump_message(
-                            {"type": "error", "op": op,
-                             "message": "first message must be 'hello'"}
-                        ).encode("utf-8"))
-                        break
-                    protocol = message.get("protocol", PROTOCOL_VERSION)
-                    if protocol != PROTOCOL_VERSION:
-                        self.wfile.write(dump_message(
-                            {"type": "error", "op": "hello",
-                             "message": f"protocol {protocol} unsupported "
-                                        f"(server speaks {PROTOCOL_VERSION})"}
-                        ).encode("utf-8"))
-                        break
-                    stream = sweep._register(str(
-                        message.get("client") or "client"), self.wfile)
-                    stream.send({"type": "welcome",
-                                 "client": stream.client_id,
-                                 "protocol": PROTOCOL_VERSION,
-                                 "server": "repro-sweep"})
-                    if sweep.broker.draining:
-                        stream.send({"type": "draining"})
-                    continue
-                if op == "bye":
-                    break
-                try:
-                    self._dispatch(sweep, stream, op, message)
-                except ReproError as exc:
-                    stream.send({"type": "error", "op": op,
-                                 "message": str(exc)})
-        finally:
-            if stream is not None:
-                sweep._unregister(stream)
-
-    def _dispatch(self, sweep: "SweepServer", stream: _ClientStream,
-                  op: str | None, message: dict) -> None:
-        if op == "submit":
-            scenarios = sweep._parse_submission(message)
-            sweep.broker.submit(
-                stream.client_id, scenarios,
-                job=message.get("job"),
-                stream_results=bool(message.get("results", True)))
-        elif op == "status":
-            stream.send({"type": "status", **sweep.broker.status()})
-        elif op == "drain":
-            stream.send({"type": "draining"})
-            sweep.drain()
-        else:
-            raise ServiceError(f"unknown op {op!r}")
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    sweep: "SweepServer"
-
-
-class SweepServer:
+class SweepServer(PeerServer):
     """A persistent grid broker serving many concurrent sweep clients.
 
     Parameters
@@ -177,6 +62,11 @@ class SweepServer:
         larger ones amortise pool startup on the processes backend.
     """
 
+    name = "sweep"
+    hello_op = "hello"
+    protocol = PROTOCOL_VERSION
+    speaker = "server"
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  backend: "str | ExecutionBackend | None" = None,
                  cache: "ScenarioCache | str | None" = None,
@@ -196,38 +86,25 @@ class SweepServer:
         self.timeout = timeout
         self.retries = retries
         self.batch_cells = batch_cells
+        super().__init__(host, port)
         self.broker = SweepBroker(cache=self.cache, journal=self.journal,
-                                  publish=self._publish)
-        self._streams: dict[str, _ClientStream] = {}
-        self._streams_lock = threading.Lock()
+                                  publish=self.publish)
         self._client_seq = 0
-        self._tcp = _TCPServer((host, port), _Handler, bind_and_activate=True)
-        self._tcp.sweep = self
         self._dispatcher = threading.Thread(target=self._dispatch_loop,
                                             name="sweep-dispatcher",
                                             daemon=True)
-        self._serve_thread: threading.Thread | None = None
         self._drained = threading.Event()
         self._started = False
         self.resumed = 0
 
     # -- lifecycle -------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """The actually-bound ``(host, port)``."""
-        host, port = self._tcp.server_address[:2]
-        return str(host), int(port)
-
     def start(self) -> "SweepServer":
         """Bind, resume the journal, and serve in background threads."""
         if self._started:
             return self
         self._started = True
         self.resumed = self.broker.resume_from_journal()
-        self._serve_thread = threading.Thread(
-            target=self._tcp.serve_forever, name="sweep-acceptor",
-            kwargs={"poll_interval": 0.1}, daemon=True)
-        self._serve_thread.start()
+        self.listen()
         self._dispatcher.start()
         return self
 
@@ -243,9 +120,7 @@ class SweepServer:
         Safe to call from a signal handler or any thread; idempotent.
         """
         self.broker.drain()
-        with self._streams_lock:
-            streams = list(self._streams.values())
-        for stream in streams:
+        for stream in self.streams():
             stream.send({"type": "draining"})
 
     def wait_drained(self, timeout: float | None = None) -> bool:
@@ -258,8 +133,7 @@ class SweepServer:
         if self._started:
             self._drained.wait(30.0)
         self.broker.stop()
-        self._tcp.shutdown()
-        self._tcp.server_close()
+        self.unlisten()
         if self.journal is not None:
             self.journal.compact(self.broker.pending_scenarios())
             self.journal.close()
@@ -268,10 +142,9 @@ class SweepServer:
         close = getattr(self.backend, "close", None)
         if callable(close):
             close()
-        with self._streams_lock:
-            streams = list(self._streams.values())
-        for stream in streams:
-            stream.close()
+        # Last, so clients have read every event they are owed: EOF is
+        # what tells one still blocked in wait() that no more will come.
+        self.hang_up()
 
     # -- internals -------------------------------------------------------
     def _dispatch_loop(self) -> None:
@@ -281,14 +154,9 @@ class SweepServer:
                 break
             scenarios = [scenario for _digest, scenario in batch]
             try:
-                for item in self.backend.execute(
+                for position, outcome, attempts in self.backend.execute(
                         scenarios, self.runner,
                         timeout=self.timeout, retries=self.retries):
-                    if len(item) == 3:
-                        position, outcome, attempts = item
-                    else:  # legacy external backend: bare (index, outcome)
-                        position, outcome = item
-                        attempts = getattr(outcome, "attempts", 1)
                     degraded = position in getattr(
                         self.backend, "degraded_positions", ())
                     self.broker.complete(batch[position][0], outcome,
@@ -306,45 +174,38 @@ class SweepServer:
             self.journal.compact(self.broker.pending_scenarios())
         self._drained.set()
 
-    def _publish(self, client_id: str, message: dict) -> None:
-        with self._streams_lock:
-            stream = self._streams.get(client_id)
-        if stream is not None:
-            stream.send(message)
-
-    def _register(self, requested: str, wfile) -> _ClientStream:
+    # -- transport hooks -------------------------------------------------
+    # (No dropped(): a vanished client's queued cells still run — their
+    # results feed the shared cache and cross-client subscribers.)
+    def admit(self, message: dict, handler) -> PeerStream:
+        requested = str(message.get("client") or "client")
         with self._streams_lock:
             self._client_seq += 1
             client_id = requested
             if client_id in self._streams or client_id == JOURNAL_CLIENT:
                 client_id = f"{requested}#{self._client_seq}"
-            stream = _ClientStream(client_id, wfile)
-            self._streams[client_id] = stream
-            return stream
+            stream = self.attach(client_id, handler)
+        stream.send({"type": "welcome", "client": client_id,
+                     "protocol": PROTOCOL_VERSION, "server": "repro-sweep"})
+        if self.broker.draining:
+            stream.send({"type": "draining"})
+        return stream
 
-    def _unregister(self, stream: _ClientStream) -> None:
-        with self._streams_lock:
-            if self._streams.get(stream.client_id) is stream:
-                del self._streams[stream.client_id]
-        stream.close()
-        # Queued cells the client owned still run: their results feed the
-        # shared cache, and cross-client subscribers still get events.
-
-    def _parse_submission(self, message: dict) -> list[Scenario]:
-        if "scenarios" in message:
-            raw = message["scenarios"]
-            if not isinstance(raw, list) or not raw:
-                raise ServiceError(
-                    "'scenarios' must be a non-empty list of scenario objects"
-                )
-            return [Scenario.from_dict(item) for item in raw]
-        if "base" in message:
-            base = Scenario.from_dict(message["base"])
-            axes = message.get("axes") or {}
-            return expand_grid(base, axes) if axes else [base]
-        raise ServiceError(
-            "a submit needs either 'scenarios' or 'base' (+ 'axes')"
-        )
+    def dispatch(self, stream: PeerStream, op: str | None,
+                 message: dict) -> None:
+        if op == "submit":
+            self.broker.submit(
+                stream.peer_id,
+                scenarios_from_document(message, "a submit"),
+                job=message.get("job"),
+                stream_results=bool(message.get("results", True)))
+        elif op == "status":
+            stream.send({"type": "status", **self.broker.status()})
+        elif op == "drain":
+            stream.send({"type": "draining"})
+            self.drain()
+        else:
+            raise ServiceError(f"unknown op {op!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         host, port = self.address

@@ -110,7 +110,7 @@ class TestGridSubcommand:
         spec = tiny_scenario_dict()
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"scenarios": [spec, spec]}))
-        assert main(["grid", str(path), "--workers", "2"]) == 0
+        assert main(["grid", str(path)]) == 0
         assert "grid: 2 scenarios" in capsys.readouterr().out
 
     def test_document_without_base_rejected(self, tmp_path, capsys):

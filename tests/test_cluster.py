@@ -25,14 +25,13 @@ from repro.cluster import (
 )
 from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
-    dump_message,
-    parse_message,
     runner_from_wire,
     runner_to_wire,
 )
 from repro.cluster.worker import parse_address
 from repro.engine import Cluster, NodeKind
 from repro.errors import ClusterError, SimulationError
+from repro.fabric.transport import dump_message, parse_message
 from repro.scenarios import (
     EXECUTION_BACKENDS,
     CellError,

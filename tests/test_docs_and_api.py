@@ -1,7 +1,12 @@
 """API surface checks: docstrings, exports, and the README quickstart."""
 
 import doctest
+import importlib
 import inspect
+import sys
+from pathlib import Path
+
+import pytest
 
 import repro
 import repro.core
@@ -67,3 +72,51 @@ class TestDoctests:
         results = doctest.testmod(builder_module, verbose=False)
         assert results.failed == 0
         assert results.attempted > 0
+
+    def test_fabric_core_doctests(self):
+        import repro.fabric.journal as journal_module
+        import repro.fabric.transport as transport_module
+
+        for module in (journal_module, transport_module):
+            results = doctest.testmod(module, verbose=False)
+            assert results.failed == 0
+            assert results.attempted > 0
+
+
+class TestOneFabricCore:
+    """Structure guards: the fabric mechanisms exist exactly once."""
+
+    def test_disk_and_socket_primitives_each_live_in_one_module(self):
+        source_root = Path(repro.__file__).resolve().parent
+        sources = {path: path.read_text()
+                   for path in source_root.rglob("*.py")}
+        for primitive, home in (("os.fsync", "fabric/journal.py"),
+                                ("socketserver", "fabric/transport.py"),
+                                ("socket.create_connection",
+                                 "fabric/transport.py")):
+            users = [str(path.relative_to(source_root))
+                     for path, text in sources.items() if primitive in text]
+            assert users == [home], (primitive, users)
+
+    def test_deleted_compatibility_modules_stay_deleted(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.experiments.bundles")
+
+    def test_benchmark_probe_targets_still_resolve(self):
+        """A refactor that renames a probed callable must go red here,
+        not silently null a layer metric in the next benchmark run."""
+        repo_root = str(Path(__file__).resolve().parent.parent)
+        if repo_root not in sys.path:
+            sys.path.insert(0, repo_root)
+        from perf.probes import install_fabric_probes
+        from perf.trace import Tracer, resolve
+
+        tracer = Tracer()
+        try:
+            install_fabric_probes(tracer)
+        finally:
+            tracer.unpatch()
+        assert tracer.missing == []
+        for name in ("dump_message", "parse_message",
+                     "outcome_to_wire", "outcome_from_wire"):
+            assert callable(resolve(f"repro.service.protocol:{name}")[2])

@@ -21,7 +21,7 @@ from repro.experiments import (
     sweep_planner_fidelity,
     tentative_speedup,
 )
-from repro.experiments.bundles import fig6_bundle, q2_bundle
+from repro.workloads.bundles import fig6_bundle, q2_bundle
 from repro.experiments.random_topologies import BASE_SPEC, fig14
 from repro.topology import TaskId
 

@@ -3,8 +3,7 @@
 Covers the backend × sink matrix (byte-identical outputs), the
 content-addressed scenario cache (hits skip the engine), resume, the
 structured per-cell error paths (timeout, worker death, runner errors),
-result round-trips, the rack-correlated failure model and the deprecated
-``workers=`` shim.
+result round-trips and the rack-correlated failure model.
 """
 
 import importlib.util
@@ -21,7 +20,6 @@ from repro.scenarios import (
     RESULT_SINKS,
     CellError,
     EdgeDef,
-    ExecutionBackend,
     FailureSpec,
     GridSession,
     JsonlSink,
@@ -706,31 +704,6 @@ class TestRackCorrelated:
 
 
 # ----------------------------------------------------------------------
-class TestWorkersShim:
-    def test_workers_validated_before_empty_early_return(self):
-        with pytest.raises(ScenarioError, match="workers"):
-            run_scenarios([], workers=0)
-
-    def test_workers_deprecated_but_equivalent(self):
-        scenarios = [tiny_scenario(seed=s, duration=12.0) for s in (0, 1, 2)]
-        serial = run_scenarios(scenarios)
-        with pytest.deprecated_call():
-            shimmed = run_scenarios(scenarios, workers=2)
-        assert [r.to_dict() for r in shimmed] == [r.to_dict() for r in serial]
-
-    def test_workers_and_backend_are_exclusive(self):
-        with pytest.raises(ScenarioError, match="not both"):
-            run_scenarios([tiny_scenario()], workers=2, backend="serial")
-
-    def test_workers_rejects_new_api_keywords_loudly(self, tmp_path):
-        with pytest.raises(ScenarioError, match="does not support sink"):
-            run_scenarios([tiny_scenario()], workers=2,
-                          sink=JsonlSink(tmp_path / "x.jsonl"))
-        with pytest.raises(ScenarioError, match="does not support cache"):
-            run_scenarios([tiny_scenario()], workers=2,
-                          cache=ScenarioCache(tmp_path))
-
-
 class TestCacheEviction:
     def _fill(self, cache, n, start=0):
         digests = []
@@ -908,49 +881,6 @@ class TestCacheConcurrency:
         cache.put(digest, result)
         assert digest in cache
         assert cache.get(digest) is not None
-
-
-# ----------------------------------------------------------------------
-class _LegacyPairBackend(ExecutionBackend):
-    """An external-style backend yielding bare ``(index, outcome)`` pairs.
-
-    Backends written against the pre-triple contract never report an
-    attempts count; the session (and the sweep dispatcher) must fall back
-    to the attempt record on the outcome itself.
-    """
-
-    name = "legacy-pairs"
-
-    def execute(self, scenarios, runner, *, timeout=None, retries=1):
-        for index, scenario in enumerate(scenarios):
-            try:
-                yield index, runner(scenario)
-            except Exception as exc:
-                yield index, CellError(scenario, "error", str(exc),
-                                       attempts=retries + 1)
-
-
-class TestLegacyPairBackends:
-    """Bare-pair backends flow through GridSession unchanged."""
-
-    def test_pairs_match_the_serial_baseline(self, tmp_path):
-        grid = tiny_grid()
-        baseline = tmp_path / "serial.jsonl"
-        GridSession("serial", sink=JsonlSink(baseline)).run(grid)
-        legacy = tmp_path / "legacy.jsonl"
-        report = GridSession(_LegacyPairBackend(),
-                             sink=JsonlSink(legacy)).run(grid)
-        assert report.errors == 0
-        assert report.retries == 0  # pairs without errors imply attempts=1
-        assert legacy.read_bytes() == baseline.read_bytes()
-
-    def test_attempts_on_the_outcome_itself_still_count(self):
-        report = GridSession(_LegacyPairBackend(), runner=failing_runner,
-                             retries=1).run([tiny_scenario()])
-        assert report.errors == 1
-        # attempts=2 rode on the CellError, so one retry surfaces.
-        assert report.retries == 1
-        assert isinstance(report.outcomes[0], CellError)
 
 
 # ----------------------------------------------------------------------

@@ -400,13 +400,6 @@ class TestGrid:
         assert len(serial) == len(parallel) == 12
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
-    def test_deprecated_workers_shim_still_works(self):
-        base = tiny_scenario(duration=12.0)
-        serial = run_grid(base, self.AXES)
-        with pytest.deprecated_call():
-            shimmed = run_grid(base, self.AXES, workers=2)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in shimmed]
-
     def test_run_grid_without_axes_runs_base(self):
         results = run_grid(tiny_scenario())
         assert len(results) == 1

@@ -133,7 +133,7 @@ class TestSweepClientHealing:
                 assert isinstance(outcome.outcomes[0], ScenarioResult)
                 # The wire dies between jobs (a server bounce, a cut
                 # VPN): the next submit must heal, not raise.
-                client._sock.shutdown(socket.SHUT_RDWR)
+                client._connection.sock.shutdown(socket.SHUT_RDWR)
                 job = client.submit([cell(2)])
                 outcome = client.wait(job)
             assert isinstance(outcome.outcomes[0], ScenarioResult)
@@ -146,7 +146,7 @@ class TestSweepClientHealing:
         try:
             client = SweepClient(server.address, client_id="brittle")
             with client:
-                client._sock.shutdown(socket.SHUT_RDWR)
+                client._connection.sock.shutdown(socket.SHUT_RDWR)
                 with pytest.raises(ServiceError):
                     client.submit([cell(3)])
             assert client.reconnects == 0
