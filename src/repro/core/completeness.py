@@ -17,10 +17,19 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterable
 
-from repro.core.loss import input_stream_loss, propagate_information_loss
+from repro.core.loss import _loss_program, _LossProgram
 from repro.topology.graph import Topology
 from repro.topology.operators import TaskId
 from repro.topology.rates import StreamRates
+
+
+def _evaluate(program: _LossProgram, loss: list[float], any_failed: bool) -> float:
+    """IC from an initial loss state of ``program`` (propagated in place)."""
+    processed = program.propagate(loss, ignore_correlation=True)
+    total = program.input_total
+    if total <= 0.0:
+        return 1.0 if not any_failed else 0.0
+    return max(0.0, min(1.0, processed / total))
 
 
 def internal_completeness(topology: Topology, rates: StreamRates,
@@ -33,32 +42,16 @@ def internal_completeness(topology: Topology, rates: StreamRates,
     over the whole topology.  Losses are propagated with joins treated as
     independent-input operators, matching [4].
     """
-    loss = propagate_information_loss(topology, rates, failed, ignore_correlation=True)
-    processed = 0.0
-    total = 0.0
-    for name in topology.topological_order():
-        spec = topology.operator(name)
-        if spec.is_source:
-            continue
-        for task in spec.tasks():
-            for stream in topology.input_streams(task):
-                stream_rate = rates.input_stream_rate(task, stream.upstream_operator)
-                total += stream_rate
-                if task in failed:
-                    continue
-                il_in = input_stream_loss(loss, rates, task, stream.substreams)
-                processed += stream_rate * (1.0 - il_in)
-    if total <= 0.0:
-        return 1.0 if not failed else 0.0
-    return max(0.0, min(1.0, processed / total))
+    program = _loss_program(topology, rates)
+    return _evaluate(program, program.failed_state(failed), bool(failed))
 
 
 def worst_case_completeness(topology: Topology, rates: StreamRates,
                             replicated: Iterable[TaskId]) -> float:
     """IC of a plan under the worst-case correlated failure (all others fail)."""
-    alive = set(replicated)
-    failed = frozenset(t for t in topology.tasks() if t not in alive)
-    return internal_completeness(topology, rates, failed)
+    program = _loss_program(topology, rates)
+    loss = program.alive_state(replicated)
+    return _evaluate(program, loss, 1.0 in loss)
 
 
 def single_failure_completeness(topology: Topology, rates: StreamRates,

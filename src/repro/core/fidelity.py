@@ -14,13 +14,36 @@ single evaluation path.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import AbstractSet, Iterable, Sequence
 
-from repro.core.loss import propagate_information_loss
+from repro.core.loss import _loss_program, _LossProgram
 from repro.errors import PlanningError
 from repro.topology.graph import Topology
 from repro.topology.operators import TaskId
 from repro.topology.rates import StreamRates
+
+
+def _evaluate(program: _LossProgram, rates: StreamRates, loss: list[float],
+              any_failed: bool, sink_tasks: Sequence[TaskId] | None = None,
+              ignore_correlation: bool = False) -> float:
+    """Eq. 4 from an initial loss state of ``program`` (propagated in place)."""
+    if sink_tasks is None:
+        sinks, sink_rates, total = program.sinks, program.sink_rates, program.sink_total
+    else:
+        sink_tasks = tuple(sink_tasks)
+        sink_rates = [rates.output_rate(t) for t in sink_tasks]
+        sinks = [program.index[t] for t in sink_tasks]
+        total = sum(sink_rates)
+    if not sinks:
+        raise PlanningError("topology has no sink tasks; output fidelity is undefined")
+    program.propagate(loss, ignore_correlation)
+    if total <= 0.0:
+        # Degenerate: sinks emit nothing even without failures. Treat any
+        # failure-free configuration as fidelity 1 and anything else as 0.
+        return 1.0 if not any_failed else 0.0
+    lost = sum(map(mul, sink_rates, map(loss.__getitem__, sinks)))
+    return max(0.0, min(1.0, 1.0 - lost / total))
 
 
 def output_fidelity(topology: Topology, rates: StreamRates,
@@ -33,19 +56,9 @@ def output_fidelity(topology: Topology, rates: StreamRates,
     pre-failure rates, matching the paper (losses are fractions of the
     original streams).
     """
-    sinks = tuple(sink_tasks) if sink_tasks is not None else topology.sink_tasks()
-    if not sinks:
-        raise PlanningError("topology has no sink tasks; output fidelity is undefined")
-    loss = propagate_information_loss(
-        topology, rates, failed, ignore_correlation=ignore_correlation
-    )
-    total = sum(rates.output_rate(t) for t in sinks)
-    if total <= 0.0:
-        # Degenerate: sinks emit nothing even without failures. Treat any
-        # failure-free configuration as fidelity 1 and anything else as 0.
-        return 1.0 if not failed else 0.0
-    lost = sum(rates.output_rate(t) * loss[t] for t in sinks)
-    return max(0.0, min(1.0, 1.0 - lost / total))
+    program = _loss_program(topology, rates)
+    return _evaluate(program, rates, program.failed_state(failed), bool(failed),
+                     sink_tasks, ignore_correlation)
 
 
 def worst_case_fidelity(topology: Topology, rates: StreamRates,
@@ -55,9 +68,9 @@ def worst_case_fidelity(topology: Topology, rates: StreamRates,
     All tasks outside ``replicated`` are considered failed, including source
     tasks; only completely replicated MC-trees keep contributing output.
     """
-    alive = set(replicated)
-    failed = frozenset(t for t in topology.tasks() if t not in alive)
-    return output_fidelity(topology, rates, failed)
+    program = _loss_program(topology, rates)
+    loss = program.alive_state(replicated)
+    return _evaluate(program, rates, loss, 1.0 in loss)
 
 
 def single_failure_fidelity(topology: Topology, rates: StreamRates, task: TaskId) -> float:

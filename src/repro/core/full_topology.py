@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from repro.core.plans import OF_OBJECTIVE, PlanningContext, PlanObjective
 from repro.core.subplanner import SubTopologyPlanner
+from repro.topology.graph import Topology
 from repro.topology.operators import TaskId
+from repro.topology.rates import StreamRates
 
 
 class FullTopologyPlanner(SubTopologyPlanner):
@@ -24,22 +26,26 @@ class FullTopologyPlanner(SubTopologyPlanner):
 
     def __init__(self, objective: PlanObjective = OF_OBJECTIVE):
         super().__init__(objective)
-        self._delta_cache: dict[tuple[int, frozenset[str]], dict[TaskId, float]] = {}
+        #: (topology, rates, ops, δ) of the context planned last.  Holding the
+        #: objects themselves means a recycled ``id()`` can never be served
+        #: another topology's δ, and new rates on the same topology miss.
+        self._delta_memo: tuple[Topology, StreamRates, frozenset[str],
+                                dict[TaskId, float]] | None = None
 
     # ------------------------------------------------------------------
     def _deltas(self, ctx: PlanningContext) -> dict[TaskId, float]:
-        """δ of every task in the context (cached per topology/mask)."""
-        key = (id(ctx.topology), ctx.ops)
-        cached = self._delta_cache.get(key)
-        if cached is not None:
-            return cached
+        """δ of every task in the context (memoised for the latest context)."""
+        memo = self._delta_memo
+        if (memo is not None and memo[0] is ctx.topology and memo[1] is ctx.rates
+                and memo[2] == ctx.ops):
+            return memo[3]
         deltas: dict[TaskId, float] = {}
         for name in sorted(ctx.ops):
             op_tasks = ctx.topology.tasks_of(name)
             for task in op_tasks:
                 failed = frozenset(t for t in op_tasks if t != task)
                 deltas[task] = self.objective.metric(ctx.topology, ctx.rates, failed)
-        self._delta_cache[key] = deltas
+        self._delta_memo = (ctx.topology, ctx.rates, ctx.ops, deltas)
         return deltas
 
     def _ranked(self, ctx: PlanningContext, name: str) -> list[TaskId]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import AbstractSet, Callable, Iterable
 
 from repro.core.completeness import internal_completeness
@@ -43,7 +44,7 @@ class PlanObjective:
         structure-aware planner scores sub-plans before merging.
         """
         candidates = mask if mask is not None else topology.tasks()
-        failed = frozenset(t for t in candidates if t not in replicated)
+        failed = frozenset(candidates).difference(replicated)
         return self.metric(topology, rates, failed)
 
     def single_failure_value(self, topology: Topology, rates: StreamRates,
@@ -103,7 +104,7 @@ class PlanningContext:
         if not self.ops:
             object.__setattr__(self, "ops", frozenset(self.topology.operator_names))
 
-    @property
+    @cached_property
     def mask_tasks(self) -> frozenset[TaskId]:
         """Tasks eligible to fail/replicate in this context."""
         return frozenset(

@@ -19,6 +19,7 @@ from repro.core.mc_trees import enumerate_mc_trees
 from repro.core.plans import OF_OBJECTIVE, PlanningContext, PlanObjective
 from repro.core.subplanner import SubTopologyPlanner
 from repro.core.units import split_into_units
+from repro.topology.graph import Topology
 from repro.topology.operators import TaskId
 
 _EPSILON = 1e-12
@@ -108,21 +109,22 @@ class StructuredTopologyPlanner(SubTopologyPlanner):
                  segment_limit: int = 50_000):
         super().__init__(objective)
         self.segment_limit = segment_limit
-        self._segment_cache: dict[tuple[int, frozenset[str]],
-                                  list[frozenset[TaskId]]] = {}
+        #: (topology, ops, segments) of the context planned last; holds the
+        #: topology itself so a recycled ``id()`` can never alias.
+        self._segment_memo: tuple[Topology, frozenset[str],
+                                  list[frozenset[TaskId]]] | None = None
 
     def _segments(self, ctx: PlanningContext) -> list[frozenset[TaskId]]:
-        """All segments (unit MC-trees) of the context, cached."""
-        key = (id(ctx.topology), ctx.ops)
-        cached = self._segment_cache.get(key)
-        if cached is not None:
-            return cached
+        """All segments (unit MC-trees) of the context (memoised for the latest)."""
+        memo = self._segment_memo
+        if memo is not None and memo[0] is ctx.topology and memo[1] == ctx.ops:
+            return memo[2]
         segments: list[frozenset[TaskId]] = []
         for unit in split_into_units(ctx.topology, ctx.ops):
             segments.extend(
                 enumerate_mc_trees(ctx.topology, within=unit, limit=self.segment_limit)
             )
-        self._segment_cache[key] = segments
+        self._segment_memo = (ctx.topology, ctx.ops, segments)
         return segments
 
     def _best_candidate(self, ctx: PlanningContext, current: frozenset[TaskId],

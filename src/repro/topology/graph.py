@@ -82,6 +82,9 @@ class Topology:
         self._tasks: tuple[TaskId, ...] = tuple(
             task for name in self._topo_order for task in self._operators[name].tasks()
         )
+        self._sink_tasks: tuple[TaskId, ...] = tuple(
+            t for spec in self.sinks() for t in spec.tasks()
+        )
         self._build_task_adjacency()
 
     # ------------------------------------------------------------------
@@ -224,7 +227,7 @@ class Topology:
 
     def sink_tasks(self) -> tuple[TaskId, ...]:
         """All tasks of all sink operators."""
-        return tuple(t for spec in self.sinks() for t in spec.tasks())
+        return self._sink_tasks
 
     def source_tasks(self) -> tuple[TaskId, ...]:
         """All tasks of all source operators."""

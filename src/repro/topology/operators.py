@@ -127,6 +127,9 @@ class OperatorSpec:
         if any(w < 0.0 for w in weights):
             raise TopologyError(f"operator {self.name!r}: task weights must be non-negative")
         object.__setattr__(self, "task_weights", _normalise(tuple(float(w) for w in weights)))
+        object.__setattr__(
+            self, "_tasks", tuple(TaskId(self.name, i) for i in range(self.parallelism))
+        )
 
     @property
     def is_source(self) -> bool:
@@ -140,7 +143,7 @@ class OperatorSpec:
 
     def tasks(self) -> tuple[TaskId, ...]:
         """All task identifiers of this operator, in index order."""
-        return tuple(TaskId(self.name, i) for i in range(self.parallelism))
+        return self._tasks
 
     def task(self, index: int) -> TaskId:
         """The task identifier at ``index`` (supporting negative indexing)."""

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.core import (
+    OF_OBJECTIVE,
     FullTopologyPlanner,
     GreedyPlanner,
     PlanningContext,
     StructureAwarePlanner,
+    StructuredTopologyPlanner,
+    budget_from_fraction,
     worst_case_fidelity,
 )
+from repro.scenarios import make_bundle, make_planner
 from repro.topology import (
     Partitioning,
     SourceRates,
@@ -160,3 +164,82 @@ class TestStructureAwarePlanner:
         assert worst_case_fidelity(
             join_topology, join_rates, plan.replicated
         ) == pytest.approx(1.0)
+
+
+class TestPlannerInstanceReuse:
+    """One planner instance across topologies and rates plans like fresh ones.
+
+    The δ ranking depends on the rates and the segments on the topology; the
+    memo of either must never be served to a different pair.
+    """
+
+    @staticmethod
+    def _skewed(topology, heavy: int):
+        sources = topology.source_tasks()
+        return propagate_rates(topology, SourceRates(per_task={
+            t: (9.0 if t.index == heavy else 1.0) for t in sources
+        }))
+
+    def test_full_topology_planner(self):
+        chain = linear_chain([2, 2, 1])
+        wide = linear_chain([3, 2, 2])
+        cases = [
+            (chain, self._skewed(chain, 0)),
+            (chain, self._skewed(chain, 1)),  # same topology, new rates
+            (wide, self._skewed(wide, 2)),
+            (chain, self._skewed(chain, 0)),
+        ]
+        shared = FullTopologyPlanner()
+        for topology, rates in cases:
+            for budget in (3, 4):
+                assert shared.plan(topology, rates, budget).replicated == \
+                    FullTopologyPlanner().plan(topology, rates, budget).replicated
+        # The heavy source is the one kept alive, whichever it is.
+        assert TaskId("S", 1) in shared.plan(chain, cases[1][1], 3).replicated
+
+    def test_structured_topology_planner(self):
+        small = linear_chain([4, 2, 1], pattern=Partitioning.MERGE)
+        large = linear_chain([8, 4, 2, 1], pattern=Partitioning.MERGE)
+        cases = [
+            (small, self._skewed(small, 0)),
+            (large, self._skewed(large, 5)),
+            (small, self._skewed(small, 3)),
+        ]
+        shared = StructuredTopologyPlanner()
+        for topology, rates in cases:
+            for budget in (3, 6):
+                assert shared.plan(topology, rates, budget).replicated == \
+                    StructuredTopologyPlanner().plan(topology, rates, budget).replicated
+
+
+class TestFig14Shape:
+    """The paper's Fig. 14 claim on the pool the benchmark's planner sweep uses.
+
+    Random Sec. VI-C topologies (5-10 operators, parallelism 10-20, Zipf task
+    weights), structured and full, with 0 % and 50 % joins; greedy and
+    structure-aware plans at replication fractions 0.1, 0.3 and 0.5.  Summed
+    over the pool, structure-aware keeps at least the fidelity greedy does
+    (single topologies can go either way by a hair), and no plan exceeds its
+    budget.
+    """
+
+    def test_structure_aware_at_least_greedy_in_aggregate(self):
+        of_sum = {"greedy": 0.0, "structure-aware": 0.0}
+        for topology_class in ("structured", "full"):
+            for join_fraction in (0.0, 0.5):
+                bundle = make_bundle(
+                    "zipf", seed=2, n_operators=[5, 10], parallelism=[10, 20],
+                    zipf_s=0.1, topology_class=topology_class,
+                    join_fraction=join_fraction, base_rate=1000.0)
+                for fraction in (0.1, 0.3, 0.5):
+                    budget = budget_from_fraction(bundle.topology, fraction)
+                    for name in of_sum:
+                        plan = make_planner(name, OF_OBJECTIVE).plan(
+                            bundle.topology, bundle.rates, budget)
+                        assert plan.usage <= budget
+                        value = worst_case_fidelity(
+                            bundle.topology, bundle.rates, plan.replicated)
+                        assert 0.0 <= value <= 1.0
+                        of_sum[name] += value
+        assert of_sum["structure-aware"] >= of_sum["greedy"]
+        assert of_sum["structure-aware"] > 0.0
