@@ -51,17 +51,19 @@ def sink_outputs(engine: StreamEngine) -> dict[int, tuple]:
     return {r.index: r.tuples for r in engine.metrics.sink_records}
 
 
-def run_scenario_engine(scenario) -> StreamEngine:
+def run_scenario_engine(scenario, caches=None) -> StreamEngine:
     """Run ``scenario`` through a directly constructed engine.
 
     Mirrors :class:`repro.scenarios.runner.ScenarioRunner` but returns the
     engine itself, so parity tests can fingerprint the raw
     :class:`MetricsCollector` (per-task CPU, recovery records, sink log)
-    rather than the distilled :class:`ScenarioResult`.
+    rather than the distilled :class:`ScenarioResult`.  ``caches`` (a
+    :class:`~repro.scenarios.runner.WorkloadCaches`) shares plans and source
+    batches between runs over one workload, as grid sessions do.
     """
     from repro.scenarios.runner import ScenarioRunner
 
-    runner = ScenarioRunner(scenario)
+    runner = ScenarioRunner(scenario, caches=caches)
     bundle = runner.bundle()
     plan = runner.plan(bundle)
     config = runner.engine_config(bundle)
@@ -69,6 +71,8 @@ def run_scenario_engine(scenario) -> StreamEngine:
     replay_window = scenario.engine.get("source_replay_window_batches")
     if replay_window is not None:
         kwargs["source_replay_window_batches"] = int(replay_window)
+    if caches is not None:
+        kwargs["source_memos"] = caches.source_memos
     engine = StreamEngine(bundle.topology, bundle.make_logic(), config,
                           plan=plan, **kwargs)
     for spec in scenario.failures:

@@ -36,6 +36,8 @@ from repro.scenarios import (
 )
 from repro.topology import TaskId
 
+from repro.scenarios.runner import WorkloadCaches
+
 from tests.engine_helpers import (
     build_engine,
     metrics_fingerprint,
@@ -43,6 +45,7 @@ from tests.engine_helpers import (
     small_logic,
     small_topology,
 )
+from tests.golden.make_scheme_matrix import cell_record, matrix_cells
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "recovery_parity.json").read_text()
@@ -107,6 +110,31 @@ class TestGoldenParity:
         assert scenario_digest(s) != scenario_digest(
             s.with_overrides(recovery="active-standby")
         )
+
+
+MATRIX = json.loads(
+    (Path(__file__).parent / "golden" / "scheme_matrix.json").read_text()
+)
+_MATRIX_CELLS = matrix_cells()
+#: One workload under every cell, so plans and source batches are shared.
+_MATRIX_CACHES = WorkloadCaches()
+
+
+class TestSchemeMatrix:
+    """Every registered scheme x failure case x tentative on/off, by bytes.
+
+    The cells come from ``RECOVERY_SCHEMES.names()`` at collection time: a
+    newly registered built-in without a golden row fails here until
+    ``tests/golden/make_scheme_matrix.py`` is re-run on purpose.
+    """
+
+    @pytest.mark.parametrize("key", list(_MATRIX_CELLS))
+    def test_cell_matches_golden(self, key):
+        assert key in MATRIX, f"no golden row for {key}; see the generator"
+        assert cell_record(_MATRIX_CELLS[key], _MATRIX_CACHES) == MATRIX[key]
+
+    def test_golden_has_no_stale_rows(self):
+        assert set(MATRIX) == set(_MATRIX_CELLS)
 
 
 class TestRegistry:
