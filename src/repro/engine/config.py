@@ -88,10 +88,9 @@ class EngineConfig:
     #: Stagger checkpoints across tasks (checkpoints are asynchronous in a
     #: real cluster, which is what forces recovery synchronisation).
     stagger_checkpoints: bool = True
-    #: Fault-tolerance scheme, by :data:`~repro.engine.recovery.RECOVERY_SCHEMES`
-    #: registry name: ``"ppa"`` (the paper's partially-active replication,
-    #: the default), ``"checkpoint-replay"``, ``"source-replay"``, or
-    #: ``"active-standby"``; custom schemes plug in via the registry.
+    #: Fault-tolerance scheme: any name registered in
+    #: :data:`~repro.engine.recovery.RECOVERY_SCHEMES` (built-in or custom);
+    #: the default ``"ppa"`` is the paper's partially-active replication.
     recovery_scheme: str = "ppa"
     #: Keyword arguments for the scheme factory (e.g. ``{"fidelity_bound":
     #: 0.2}`` for ``approximate-ft``).  Empty for the built-in defaults, and

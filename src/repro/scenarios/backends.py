@@ -351,14 +351,14 @@ class ProcessBackend(_PoolBackend):
       once through the pool initializer (pickle-once);
     * ``spawn``: like forkserver, without the preload.
 
-    ``start_method`` pins a specific ``multiprocessing`` start method;
-    ``prebuild=False`` restores the bare per-cell pool.
+    ``start_method`` pins a specific ``multiprocessing`` start method.  A
+    runner without the ``prebuilt`` marker skips the warm-up on its own.
     """
 
     name = "processes"
 
     def __init__(self, max_workers: int | None = None, *,
-                 start_method: str | None = None, prebuild: bool = True):
+                 start_method: str | None = None):
         super().__init__(max_workers)
         if start_method is not None:
             methods = multiprocessing.get_all_start_methods()
@@ -368,7 +368,6 @@ class ProcessBackend(_PoolBackend):
                     f"supports {methods}"
                 )
         self.start_method = start_method
-        self.prebuild = prebuild
         self._warm_payload: tuple[str, ...] | None = None
 
     def _method(self) -> str | None:
@@ -390,7 +389,7 @@ class ProcessBackend(_PoolBackend):
         from repro.scenarios import prebuilt
 
         self._warm_payload = None
-        if not self.prebuild or not getattr(runner, "prebuilt", False):
+        if not getattr(runner, "prebuilt", False):
             return
         payload = prebuilt.warm_payload(scenarios)
         if len(payload) > prebuilt.CACHE_CAPACITY:

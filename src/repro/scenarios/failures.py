@@ -433,6 +433,26 @@ def detection_jitter(topology: Topology, plan: AbstractSet[TaskId], *,
     return tuple(jittered)
 
 
+def failure_domains(specs: Iterable[object]) -> dict[str, object]:
+    """The node→rack map (and task pins) that ``specs`` kill by.
+
+    The ``placement``/``assignment`` parameters of the first
+    ``rack-correlated`` spec — also when ``detection-jitter`` wraps it — for
+    recovery schemes that place replicas against the same blast radius
+    (:func:`repro.engine.recovery.consumes_failure_domains`).  Empty when
+    no spec kills by a rack map.
+    """
+    for spec in specs:
+        model, params = spec.model, spec.params
+        if model == "detection-jitter":
+            model, params = params.get("base"), params.get("base_params") or {}
+        if (model in ("rack-correlated", "rack_correlated")
+                and "placement" in params):
+            return {key: params[key] for key in ("placement", "assignment")
+                    if key in params}
+    return {}
+
+
 @FAILURE_MODELS.register("unreplicated")
 def unreplicated(topology: Topology, plan: AbstractSet[TaskId], *, seed: int,
                  include_sources: bool = False) -> tuple[TaskId, ...]:

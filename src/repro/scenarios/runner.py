@@ -25,11 +25,16 @@ from repro.core.plans import (
 )
 from repro.engine.config import CostModel, EngineConfig, PassiveStrategy
 from repro.engine.engine import StreamEngine
-from repro.engine.recovery import RECOVERY_SCHEMES
+from repro.engine.recovery import RECOVERY_SCHEMES, consumes_failure_domains
 from repro.engine.routing import Router
 from repro.errors import ScenarioError
 from repro.scenarios import catalog
-from repro.scenarios.failures import FailureWave, as_waves, parse_task_string
+from repro.scenarios.failures import (
+    FailureWave,
+    as_waves,
+    failure_domains,
+    parse_task_string,
+)
 from repro.scenarios.registry import FAILURE_MODELS
 from repro.scenarios.spec import FailureSpec, Scenario, _check_keys, _jsonify
 from repro.topology.operators import TaskId
@@ -530,25 +535,13 @@ class ScenarioRunner:
             )
         params = {**dict(overrides.pop("recovery_params", None) or {}),
                   **self.scenario.recovery_params}
-        if scheme == "k-safe" and "placement" not in params:
-            # Auto-wire the scheme onto the blast-radius map the failure
-            # model will actually kill: reuse the node->rack placement (and
-            # any task pins) of the first rack-correlated failure spec, also
-            # when it is wrapped by detection-jitter.  Without one the
-            # scheme degrades to plain PPA, which is the only sound answer
-            # when no failure-domain map exists.
-            for spec in self.scenario.failures:
-                source = dict(spec.params)
-                if (spec.model == "detection-jitter"
-                        and source.get("base") == "rack-correlated"):
-                    source = dict(source.get("base_params") or {})
-                elif spec.model != "rack-correlated":
-                    continue
-                if "placement" in source:
-                    params["placement"] = source["placement"]
-                    if "assignment" in source:
-                        params.setdefault("assignment", source["assignment"])
-                    break
+        if (scheme is not None and "placement" not in params
+                and consumes_failure_domains(scheme)):
+            # Put the scheme's replicas on the blast-radius map the failure
+            # model will actually kill.  Without one it gets no map, and
+            # degrades to plan placement — the only sound answer when no
+            # failure-domain map exists.
+            params = {**failure_domains(self.scenario.failures), **params}
         if params:
             overrides["recovery_params"] = params
         try:

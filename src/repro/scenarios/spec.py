@@ -235,14 +235,11 @@ class Scenario:
         special keys ``"costs"`` (cost-model overrides) and
         ``"source_replay_window_batches"``.
     recovery:
-        Fault-tolerance scheme, by
-        :data:`~repro.engine.recovery.RECOVERY_SCHEMES` registry name
-        (``"ppa"``, ``"checkpoint-replay"``, ``"source-replay"``,
-        ``"active-standby"``, ``"approximate-ft"``, ``"k-safe"``,
-        ``"adaptive-checkpoint"``, ...).  Empty (the default) keeps the
-        engine's default scheme (``"ppa"``) *and* is omitted from
-        ``to_dict()``, so the scenario digest — and therefore every
-        existing cache entry — is unchanged for scenarios that never
+        Fault-tolerance scheme: any name registered in
+        :data:`~repro.engine.recovery.RECOVERY_SCHEMES`.  Empty (the
+        default) keeps the engine's default scheme (``"ppa"``) *and* is
+        omitted from ``to_dict()``, so the scenario digest — and therefore
+        every existing cache entry — is unchanged for scenarios that never
         select a scheme.
     recovery_params:
         Keyword arguments for the scheme factory (e.g.

@@ -267,6 +267,23 @@ class TestNameValidation:
         data = json.loads(capsys.readouterr().out)
         assert data["scenario"]["recovery_params"] == {"fidelity_bound": 0.5}
 
+    @pytest.mark.parametrize("scheme,params,parameter", [
+        ("approximate-ft", {"fidelity_bound": "abc"}, "fidelity_bound"),
+        ("k-safe", {"placement": "ab"}, "placement"),
+        ("adaptive-checkpoint", {"smoothing": None}, "smoothing"),
+    ])
+    def test_malformed_scheme_parameter_value_reports_error(
+            self, tmp_path, capsys, scheme, params, parameter):
+        spec = tiny_scenario_dict()
+        spec["recovery"] = scheme
+        spec["recovery_params"] = params
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert repr(scheme) in err and parameter in err
+
     def test_scenario_new_schemes_accepted(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(tiny_scenario_dict()))

@@ -22,6 +22,13 @@ PACKAGES = [repro, repro.core, repro.engine, repro.experiments,
             repro.queries, repro.scenarios, repro.topology, repro.workloads]
 
 
+def _perf_importable() -> None:
+    """Put the repo root on ``sys.path`` so ``perf.*`` imports resolve."""
+    repo_root = str(Path(__file__).resolve().parent.parent)
+    if repo_root not in sys.path:
+        sys.path.insert(0, repo_root)
+
+
 class TestApiSurface:
     def test_all_exports_resolve(self):
         for package in PACKAGES:
@@ -105,9 +112,7 @@ class TestOneFabricCore:
     def test_benchmark_probe_targets_still_resolve(self):
         """A refactor that renames a probed callable must go red here,
         not silently null a layer metric in the next benchmark run."""
-        repo_root = str(Path(__file__).resolve().parent.parent)
-        if repo_root not in sys.path:
-            sys.path.insert(0, repo_root)
+        _perf_importable()
         from perf.probes import install_fabric_probes
         from perf.trace import Tracer, resolve
 
@@ -120,3 +125,55 @@ class TestOneFabricCore:
         for name in ("dump_message", "parse_message",
                      "outcome_to_wire", "outcome_from_wire"):
             assert callable(resolve(f"repro.service.protocol:{name}")[2])
+
+
+class TestRecoverySchemesAreTriples:
+    """Structure guards: built-ins are declarations, each step exists once."""
+
+    def test_builtin_schemes_define_no_machinery(self):
+        from repro.engine.recovery import RECOVERY_SCHEMES, RecoveryScheme
+
+        machinery = {name for name, value in vars(RecoveryScheme).items()
+                     if inspect.isfunction(value)}
+        assert {"restore_task", "on_task_failed", "__init__"} <= machinery
+        for name in RECOVERY_SCHEMES.names():
+            cls = RECOVERY_SCHEMES.get(name)
+            assert issubclass(cls, RecoveryScheme)
+            assert not machinery & set(vars(cls)), name
+
+    def test_protocol_steps_exist_once(self):
+        package = Path(repro.engine.recovery.__file__).parent
+        text = "".join(path.read_text()
+                       for path in sorted(package.glob("*.py")))
+        for step in ("restore_task", "restore_source", "serve_replay",
+                     "ensure_recomputed", "on_failure_detected"):
+            assert text.count(f"def {step}(") == 1, step
+        # The checkpoint-load, open-passive-recovery and forge-one-batch
+        # blocks, by the one thing only they touch.
+        for marker in ("per_tuple_load", "restart_delay", "= forged_batch("):
+            assert text.count(marker) == 1, marker
+
+    def test_runner_names_no_scheme_and_no_failure_model(self):
+        import ast
+
+        from repro.engine.recovery import RECOVERY_SCHEMES
+        from repro.scenarios import FAILURE_MODELS, runner
+
+        tree = ast.parse(Path(runner.__file__).read_text())
+        literals = {node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)}
+        names = set(RECOVERY_SCHEMES.names()) | set(FAILURE_MODELS.names())
+        assert not literals & names
+
+    def test_engine_probe_targets_still_resolve(self):
+        _perf_importable()
+        from perf.probes import install_engine_probes
+        from perf.trace import Tracer
+
+        tracer = Tracer()
+        try:
+            install_engine_probes(tracer)
+        finally:
+            tracer.unpatch()
+        assert tracer.missing == []

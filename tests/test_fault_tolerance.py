@@ -27,6 +27,7 @@ from repro.engine import EngineConfig, StreamEngine, create_scheme
 from repro.errors import ScenarioError, SimulationError
 from repro.scenarios import (
     FAILURE_MODELS,
+    FailureSpec,
     GridSession,
     JsonlSink,
     Scenario,
@@ -95,6 +96,30 @@ class TestApproximateFt:
     def test_unknown_parameter_rejected_with_context(self):
         with pytest.raises(SimulationError, match="rejected parameters"):
             create_scheme("approximate-ft", {"bogus": 1})
+
+    def test_unknown_parameter_lists_what_the_policies_accept(self):
+        with pytest.raises(SimulationError) as err:
+            create_scheme("adaptive-checkpoint", {"bogus": 1})
+        for accepted in ("min_interval", "max_interval", "mtbf_prior",
+                         "smoothing"):
+            assert accepted in str(err.value)
+        with pytest.raises(SimulationError, match="accept: none"):
+            create_scheme("ppa", {"fidelity_bound": 0.5})
+
+    @pytest.mark.parametrize("scheme,params,parameter", [
+        ("approximate-ft", {"fidelity_bound": "abc"}, "fidelity_bound"),
+        ("approximate-ft", {"fidelity_bound": None}, "fidelity_bound"),
+        ("k-safe", {"placement": "ab"}, "placement"),
+        ("k-safe", {"placement": {"n0": "r0"}, "assignment": 5},
+         "assignment"),
+        ("adaptive-checkpoint", {"min_interval": "soon"}, "min_interval"),
+    ])
+    def test_malformed_value_names_scheme_and_parameter(self, scheme, params,
+                                                        parameter):
+        with pytest.raises(SimulationError) as err:
+            create_scheme(scheme, params)
+        assert repr(scheme) in str(err.value)
+        assert f"{parameter} must be" in str(err.value)
 
     @pytest.mark.parametrize("bound", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("model,params", [
@@ -192,12 +217,12 @@ class TestKSafePlacement:
         rng = random.Random(seed)
         scenario = _ksafe_scenario(_random_recipe(rng), _random_placement(rng))
         engine, runner, bundle, plan = _build_engine_for(scenario)
-        scheme = engine.scheme
-        assert scheme.name == "k-safe"
-        assert scheme.replica_host, "planner 'all' must yield replicas"
-        for task, replica_node in scheme.replica_host.items():
-            primary_rack = scheme.rack_of[scheme.primary_host[task]]
-            assert scheme.rack_of[replica_node] != primary_rack, (
+        assert engine.scheme.name == "k-safe"
+        placement = engine.scheme.placement
+        assert placement.replica_host, "planner 'all' must yield replicas"
+        for task, replica_node in placement.replica_host.items():
+            primary_rack = placement.rack_of[placement.primary_host[task]]
+            assert placement.rack_of[replica_node] != primary_rack, (
                 f"seed {seed}: {task} and its replica share "
                 f"rack {primary_rack!r}"
             )
@@ -207,9 +232,9 @@ class TestKSafePlacement:
         victims = runner.victims_of(spec, bundle, plan)
         assert victims, "rack0 always hosts at least one node"
         for victim in victims:
-            assert scheme.rack_of[scheme.primary_host[victim]] == "rack0"
-            if victim in scheme.replica_host:  # sources have no standby
-                assert scheme.rack_of[scheme.replica_host[victim]] != "rack0"
+            assert placement.rack_of[placement.primary_host[victim]] == "rack0"
+            if victim in placement.replica_host:  # sources have no standby
+                assert placement.rack_of[placement.replica_host[victim]] != "rack0"
 
     def test_rack_failure_recovers_via_takeover(self):
         """End-to-end: losing one whole rack only triggers ACTIVE takeovers
@@ -228,6 +253,33 @@ class TestKSafePlacement:
         assert replicated
         assert set(replicated.values()) == {"active"}
 
+    def test_runner_hands_the_scheme_the_map_the_failures_kill_by(self):
+        """Plain, under the alias spelling, and wrapped by detection-jitter;
+        an explicit placement wins; other schemes and models get nothing."""
+        placement = {"n0": "r0", "n1": "r0", "n2": "r1", "n3": "r1"}
+        rack = {"placement": placement, "racks": ["r0"],
+                "assignment": {"A[0]": "n2"}}
+
+        def wired(failures, **overrides):
+            scenario = _ksafe_scenario(_RECIPE, placement).with_overrides(
+                failures=tuple(FailureSpec(*f) for f in failures),
+                **overrides)
+            runner = ScenarioRunner(scenario)
+            return runner.engine_config(runner.bundle()).recovery_params
+
+        domains = {"placement": placement, "assignment": {"A[0]": "n2"}}
+        assert wired([("rack-correlated", 8.0, rack)]) == domains
+        assert wired([("rack_correlated", 8.0, rack)]) == domains
+        assert wired([("correlated", 4.0, {}), ("detection-jitter", 8.0, {
+            "base": "rack-correlated", "base_params": rack})]) == domains
+        assert wired([("correlated", 8.0, {})]) == {}
+        assert wired([("detection-jitter", 8.0, {})]) == {}
+        assert wired([("rack-correlated", 8.0, rack)], recovery="ppa") == {}
+        other = {"m0": "x", "m1": "y"}
+        assert wired([("rack-correlated", 8.0, rack)],
+                     recovery_params={"placement": other}) \
+            == {"placement": other}
+
     def test_single_rack_placement_rejected(self):
         placement = {"n0": "r0", "n1": "r0"}
         scenario = _ksafe_scenario(_RECIPE, placement, racks=("r0",))
@@ -242,7 +294,7 @@ class TestKSafePlacement:
         engine = build_engine(
             EngineConfig(recovery_scheme="k-safe"), plan=[TaskId("L1", 0)])
         assert engine.replicated == frozenset({TaskId("L1", 0)})
-        assert not engine.scheme.replica_host
+        assert not engine.scheme.placement.replica_host
 
     def test_replica_loss_demotes_to_passive(self):
         """A second wave that takes out the replica rack too: the scheme
@@ -287,7 +339,7 @@ class TestAdaptiveCheckpoint:
     def test_configured_interval_until_first_measurement(self):
         engine = build_engine(self._config())
         rt = engine.runtimes[TaskId("L0", 0)]
-        assert len(engine.scheme.timings) == 0
+        assert len(engine.scheme.cadence.timings) == 0
         assert (engine.scheme.checkpoint_period(rt)
                 == engine.config.checkpoint_batches)
 
@@ -299,15 +351,15 @@ class TestAdaptiveCheckpoint:
             # The host must come back up before it can flap again.
             engine.schedule_task_restore(at + 4.0, [victim])
         engine.run(40.0)
-        scheme = engine.scheme
+        scheme, cadence = engine.scheme, engine.scheme.cadence
         assert engine.all_recovered()
         # Failure instants 8/16/24 -> mean inter-arrival 8 s.
-        assert scheme.mtbf_estimate() == pytest.approx(8.0)
-        assert len(scheme.timings) > 0
+        assert cadence.mtbf_estimate() == pytest.approx(8.0)
+        assert len(cadence.timings) > 0
         rt = engine.runtimes[TaskId("L0", 0)]
-        delta = scheme.timings.cost_estimate(rt.task)
+        delta = cadence.timings.cost_estimate(rt.task)
         assert delta is not None and delta > 0.0
-        tau = math.sqrt(2.0 * delta * scheme.mtbf_estimate())
+        tau = math.sqrt(2.0 * delta * cadence.mtbf_estimate())
         tau = min(max(tau, 1.0), 64.0)
         expected = max(1, round(tau / engine.config.batch_interval))
         assert scheme.checkpoint_period(rt) == expected

@@ -353,13 +353,6 @@ class TestPrebuiltWorkloads:
         results = run_scenarios(grid, backend=backend)
         assert [r.to_dict() for r in results] == baseline
 
-    def test_prebuild_false_still_matches_serial(self):
-        grid = tiny_grid()[:3]
-        baseline = [r.to_dict() for r in run_scenarios(grid, backend="serial")]
-        backend = ProcessBackend(max_workers=2, prebuild=False)
-        assert [r.to_dict()
-                for r in run_scenarios(grid, backend=backend)] == baseline
-
     def test_unknown_start_method_rejected(self):
         with pytest.raises(ScenarioError, match="start method"):
             ProcessBackend(start_method="teleport")

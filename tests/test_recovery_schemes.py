@@ -23,6 +23,11 @@ from repro.engine import (
     TaskStatus,
     create_scheme,
 )
+from repro.engine.recovery.policies import (
+    PlanPlacement,
+    SkipWithinBound,
+    YoungDalyCadence,
+)
 from repro.errors import ScenarioError, SimulationError
 from repro.scenarios import (
     FailureSpec,
@@ -34,9 +39,8 @@ from repro.scenarios import (
     run_scenarios,
     scenario_digest,
 )
-from repro.topology import TaskId
-
 from repro.scenarios.runner import WorkloadCaches
+from repro.topology import TaskId
 
 from tests.engine_helpers import (
     build_engine,
@@ -192,6 +196,37 @@ class TestRegistry:
             assert modes[TaskId("L0", 0)] is RecoveryMode.CHECKPOINT
         finally:
             RECOVERY_SCHEMES.unregister("sinks-active")
+
+    def test_unregistered_triple_composes(self):
+        """Plan placement + skip-within-bound + Young/Daly cadence: a point
+        of the product space no built-in occupies."""
+        @RECOVERY_SCHEMES.register("ppa-approximate")
+        class PpaApproximate(RecoveryScheme):
+            name = "ppa-approximate"
+            placement = PlanPlacement
+            catch_up = SkipWithinBound
+            cadence = YoungDalyCadence
+
+        try:
+            scenario = _MATRIX_CELLS["ppa/correlated/tentative"] \
+                .with_overrides(recovery="ppa-approximate",
+                                recovery_params={"fidelity_bound": 0.6})
+            engine = run_scenario_engine(scenario, caches=_MATRIX_CACHES)
+        finally:
+            RECOVERY_SCHEMES.unregister("ppa-approximate")
+        assert isinstance(engine.scheme.cadence, YoungDalyCadence)
+        assert len(engine.scheme.cadence.timings) > 0
+        planned = engine.plan.replicated
+        records = engine.metrics.recoveries
+        assert all(r.recovered_time is not None for r in records)
+        passive = [r for r in records if r.task not in planned]
+        assert 0 < len(passive) < len(records)
+        assert {r.mode for r in records if r.task in planned} \
+            == {RecoveryMode.ACTIVE}
+        assert RecoveryMode.APPROXIMATE in {r.mode for r in passive}
+        for record in passive:
+            assert record.fidelity_bound == 0.6
+            assert 0.0 <= record.fidelity_loss <= record.fidelity_bound
 
 
 class TestActiveStandby:
