@@ -1,5 +1,7 @@
 """Smoke tests for the experiment harness (small scales, real pipelines)."""
 
+import json
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -24,6 +26,10 @@ from repro.experiments import (
 from repro.workloads.bundles import fig6_bundle, q2_bundle
 from repro.experiments.random_topologies import BASE_SPEC, fig14
 from repro.topology import TaskId
+
+from tests.golden.make_figures_fast import PATH, golden_keys, golden_section
+
+GOLDEN = json.loads(PATH.read_text())
 
 
 class TestTables:
@@ -171,3 +177,23 @@ class TestClaims:
         speedup = tentative_speedup(rate=500.0, checkpoint_interval=15.0,
                                     window=10.0, tuple_scale=32.0)
         assert speedup > 1.5
+
+
+class TestFastFigureGolden:
+    """Every ``--fast`` figure, ablation and claim, digit for digit.
+
+    The fixture predates the move of Fig. 12/13, the claims and the
+    ablations onto the scenario path; it is only regenerated (see
+    ``tests/golden/make_figures_fast.py``) when the simulation itself
+    changes on purpose.
+    """
+
+    @pytest.mark.parametrize("section,name", golden_keys())
+    def test_matches_golden(self, section, name):
+        expected = GOLDEN[section][name] if name else GOLDEN[section]
+        assert golden_section(section, name) == expected
+
+    def test_golden_has_no_stale_entries(self):
+        keys = golden_keys()
+        for section in ("figures", "ablations"):
+            assert set(GOLDEN[section]) == {n for s, n in keys if s == section}
