@@ -6,8 +6,6 @@ and times one representative cell: a checkpoint-recovery engine run.
 
 from repro.experiments.recovery import (
     DEFAULT_TECHNIQUES,
-    Technique,
-    TechniqueKind,
     fig7,
     single_failure_latency,
 )
@@ -33,7 +31,8 @@ def test_fig7_single_failure(benchmark):
         "longer checkpoint intervals must not recover faster"
     )
 
-    technique = Technique("Checkpoint-15s", TechniqueKind.CHECKPOINT, 15.0)
+    technique = next(t for t in DEFAULT_TECHNIQUES
+                     if t.label == "Checkpoint-15s")
     benchmark.pedantic(
         single_failure_latency,
         kwargs=dict(technique=technique, window=10.0, rate=1000.0,

@@ -2,8 +2,6 @@
 
 from repro.experiments.recovery import (
     DEFAULT_TECHNIQUES,
-    Technique,
-    TechniqueKind,
     correlated_failure_latency,
     fig8,
 )
@@ -25,10 +23,9 @@ def test_fig8_correlated_failure(benchmark):
     # recovery from stale (30 s) checkpoints.
     assert short_window["Storm"] < short_window["Checkpoint-30s"]
 
-    technique = Technique("Active-5s", TechniqueKind.ACTIVE, 5.0)
     benchmark.pedantic(
         correlated_failure_latency,
-        kwargs=dict(technique=technique, window=10.0, rate=1000.0,
+        kwargs=dict(technique=DEFAULT_TECHNIQUES[0], window=10.0, rate=1000.0,
                     tuple_scale=SCALE),
         rounds=1, iterations=1,
     )

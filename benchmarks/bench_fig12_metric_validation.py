@@ -1,24 +1,17 @@
 """Fig. 12: OF and IC as predictors of tentative-output accuracy (Q1, Q2)."""
 
 from repro.experiments.accuracy import fig12
-from repro.workloads.bundles import q1_bundle, q2_bundle
 
 from benchmarks.conftest import record_figure
 
 FRACTIONS = (0.3, 0.6)
-
-
-def _q1():
-    return q1_bundle(window_seconds=20.0, pages=400, tuple_scale=8.0)
-
-
-def _q2():
-    return q2_bundle(window_seconds=20.0, tuple_scale=80.0)
+Q1 = {"window_seconds": 20.0, "pages": 400, "tuple_scale": 8.0}
+Q2 = {"window_seconds": 20.0, "tuple_scale": 80.0}
 
 
 def test_fig12_q1(benchmark):
     result = benchmark.pedantic(
-        fig12, args=("q1",), kwargs=dict(fractions=FRACTIONS, bundle=_q1()),
+        fig12, args=("q1",), kwargs=dict(fractions=FRACTIONS, workload_params=Q1),
         rounds=1, iterations=1,
     )
     record_figure(result)
@@ -30,7 +23,7 @@ def test_fig12_q1(benchmark):
 
 def test_fig12_q2(benchmark):
     result = benchmark.pedantic(
-        fig12, args=("q2",), kwargs=dict(fractions=FRACTIONS, bundle=_q2()),
+        fig12, args=("q2",), kwargs=dict(fractions=FRACTIONS, workload_params=Q2),
         rounds=1, iterations=1,
     )
     record_figure(result)

@@ -1,17 +1,17 @@
 """Fig. 13: DP vs SA vs Greedy — plan OF and measured tentative accuracy."""
 
 from repro.experiments.accuracy import fig13
-from repro.workloads.bundles import q1_bundle
 
 from benchmarks.conftest import record_figure
 
 FRACTIONS = (0.3, 0.6)
+Q1 = {"window_seconds": 20.0, "pages": 400, "tuple_scale": 8.0}
 
 
 def test_fig13_q1(benchmark):
-    bundle = q1_bundle(window_seconds=20.0, pages=400, tuple_scale=8.0)
     result = benchmark.pedantic(
-        fig13, args=("q1",), kwargs=dict(fractions=FRACTIONS, bundle=bundle),
+        fig13, args=("q1",),
+        kwargs=dict(fractions=FRACTIONS, workload_params=Q1),
         rounds=1, iterations=1,
     )
     record_figure(result)

@@ -5,8 +5,9 @@ tasks at once) under each fault-tolerance technique and reports how long
 recovery takes until every task has caught up with its pre-failure progress
 vector — the paper's recovery-latency definition.
 
-Each cell is one declarative scenario: the technique maps to a planner name
-("all" or "none") plus engine overrides, the failure to a FailureSpec, and
+Each cell is one declarative scenario: the technique is a registered recovery
+scheme ("active-standby", "checkpoint-replay", "source-replay") plus engine
+overrides, the failure a FailureSpec, and
 `repro.run_scenarios` fans the whole sweep out over a process pool — the
 engine is deterministic, so the results match a serial run exactly.
 

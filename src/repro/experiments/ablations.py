@@ -19,45 +19,55 @@ from typing import Sequence
 
 from repro.core.dp import DynamicProgrammingPlanner
 from repro.core.fidelity import worst_case_fidelity
-from repro.engine.config import EngineConfig
-from repro.engine.engine import StreamEngine
-from repro.experiments.recovery import DEFAULT_DURATION, DEFAULT_FAIL_TIME, FigureResult
+from repro.experiments.recovery import (
+    DEFAULT_FAIL_TIME,
+    Backend,
+    FigureResult,
+    fig6_scenario,
+    recovery_latency,
+    run_cells,
+)
+from repro.scenarios import FailureSpec, Scenario, ScenarioCache
 from repro.topology.generator import (
     TopologySpec,
     generate_source_rates,
     generate_topology,
 )
 from repro.topology.rates import propagate_rates
-from repro.workloads.bundles import fig6_bundle
 
 
-def _correlated_latency(stagger: bool, *, rate: float, window: float,
-                        interval: float, tuple_scale: float) -> float:
-    bundle = fig6_bundle(rate, window, tuple_scale=tuple_scale)
-    config = EngineConfig(checkpoint_interval=interval,
-                          stagger_checkpoints=stagger, costs=bundle.costs)
-    engine = StreamEngine(bundle.topology, bundle.make_logic(), config)
-    engine.schedule_task_failure(DEFAULT_FAIL_TIME, bundle.synthetic_tasks)
-    engine.run(DEFAULT_DURATION)
-    latency = engine.metrics.max_recovery_latency()
-    if latency is None:
-        raise RuntimeError("correlated recovery incomplete")
-    return latency
+def _correlated_scenario(stagger: bool, *, rate: float, window: float,
+                         interval: float, tuple_scale: float) -> Scenario:
+    """Purely passive recovery of a correlated failure of all 15 tasks."""
+    return fig6_scenario(
+        f"ablation(stagger={stagger},rate={rate:g},scale={tuple_scale:g})",
+        rate=rate, window=window, tuple_scale=tuple_scale,
+        failure=FailureSpec("correlated", at=DEFAULT_FAIL_TIME),
+        planner="none",
+        engine={"checkpoint_interval": interval,
+                "stagger_checkpoints": stagger},
+    )
 
 
 def ablate_checkpoint_stagger(rates: Sequence[float] = (1000.0, 2000.0),
                               interval: float = 15.0, window: float = 30.0,
-                              tuple_scale: float = 16.0) -> FigureResult:
+                              tuple_scale: float = 16.0,
+                              backend: Backend = None,
+                              cache: ScenarioCache | None = None
+                              ) -> FigureResult:
     """Correlated recovery latency with staggered vs aligned checkpoints."""
-    rows: list[list[object]] = []
-    for rate in rates:
-        staggered = _correlated_latency(True, rate=rate, window=window,
-                                        interval=interval,
-                                        tuple_scale=tuple_scale)
-        aligned = _correlated_latency(False, rate=rate, window=window,
-                                      interval=interval,
-                                      tuple_scale=tuple_scale)
-        rows.append([f"{rate:g}t/s", staggered, aligned])
+    labels = {True: "staggered", False: "aligned"}
+    results = run_cells({
+        (rate, stagger): _correlated_scenario(
+            stagger, rate=rate, window=window, interval=interval,
+            tuple_scale=tuple_scale)
+        for rate in rates for stagger in labels
+    }, backend, cache)
+    rows = [
+        [f"{rate:g}t/s"] + [recovery_latency(label, results[(rate, stagger)])
+                            for stagger, label in labels.items()]
+        for rate in rates
+    ]
     return FigureResult(
         "Ablation: asynchronous (staggered) vs aligned checkpoints",
         ["rate", "staggered (s)", "aligned (s)"], rows,
@@ -68,13 +78,17 @@ def ablate_checkpoint_stagger(rates: Sequence[float] = (1000.0, 2000.0),
 
 def ablate_tuple_scale(scales: Sequence[float] = (8.0, 16.0, 32.0),
                        rate: float = 1000.0, window: float = 10.0,
-                       interval: float = 15.0) -> FigureResult:
+                       interval: float = 15.0,
+                       backend: Backend = None,
+                       cache: ScenarioCache | None = None) -> FigureResult:
     """Correlated recovery latency must be invariant to the tuple scale."""
-    rows: list[list[object]] = []
-    for scale in scales:
-        latency = _correlated_latency(True, rate=rate, window=window,
-                                      interval=interval, tuple_scale=scale)
-        rows.append([f"1/{scale:g}", latency])
+    results = run_cells({
+        scale: _correlated_scenario(True, rate=rate, window=window,
+                                    interval=interval, tuple_scale=scale)
+        for scale in scales
+    }, backend, cache)
+    rows = [[f"1/{scale:g}", recovery_latency(f"scale {scale:g}", results[scale])]
+            for scale in scales]
     return FigureResult(
         "Ablation: tuple-scale invariance of the virtual-time results",
         ["tuple scale", "correlated recovery (s)"], rows,

@@ -18,36 +18,34 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.engine.config import EngineConfig
-from repro.engine.engine import StreamEngine
 from repro.experiments.random_topologies import BASE_SPEC, sweep_planner_fidelity
 from repro.experiments.recovery import (
-    DEFAULT_DURATION,
-    DEFAULT_FAIL_TIME,
+    HALF_SUBTREE,
+    Backend,
     FigureResult,
-    half_subtree_plan,
+    ppa_scenario,
+    recovery_latency,
+    run_cells,
 )
+from repro.scenarios import ScenarioCache
 from repro.topology.generator import WeightSkew
-from repro.workloads.bundles import fig6_bundle
 
 
 def tentative_speedup(rate: float = 2000.0, checkpoint_interval: float = 30.0,
-                      window: float = 30.0, tuple_scale: float = 8.0) -> float:
-    """Full-recovery completion time divided by tentative-output resume time."""
-    bundle = fig6_bundle(rate, window, tuple_scale=tuple_scale)
-    plan = half_subtree_plan(bundle)
-    config = EngineConfig(
-        checkpoint_interval=checkpoint_interval, sync_interval=5.0,
-        tentative_outputs=True, costs=bundle.costs,
-    )
-    engine = StreamEngine(bundle.topology, bundle.make_logic(), config, plan=plan)
-    engine.schedule_task_failure(DEFAULT_FAIL_TIME, bundle.synthetic_tasks)
-    engine.run(DEFAULT_DURATION)
-    full = engine.metrics.max_recovery_latency()
-    active = engine.metrics.max_recovery_latency(tasks=plan)
-    if full is None or active is None or active <= 0:
-        raise RuntimeError("recovery did not complete; extend the run")
-    return full / active
+                      window: float = 30.0, tuple_scale: float = 8.0,
+                      backend: Backend = None,
+                      cache: ScenarioCache | None = None) -> float:
+    """Full-recovery completion time divided by tentative-output resume time.
+
+    Both are read off one Fig. 10 PPA-0.5 cell: the slowest recovery of all
+    15 tasks over the slowest recovery within the replicated subtree.
+    """
+    label = "PPA-0.5"
+    result = run_cells({label: ppa_scenario(
+        label, rate=rate, checkpoint_interval=checkpoint_interval,
+        window=window, tuple_scale=tuple_scale)}, backend, cache)[label]
+    return (recovery_latency(label, result)
+            / recovery_latency(label, result, HALF_SUBTREE))
 
 
 def sa_vs_greedy_ratio(fractions: Sequence[float] = (0.1, 0.2, 0.3),
@@ -68,9 +66,10 @@ def sa_vs_greedy_ratio(fractions: Sequence[float] = (0.1, 0.2, 0.3),
     return best, unbounded
 
 
-def claims(n_topologies: int = 30) -> FigureResult:
+def claims(n_topologies: int = 30, backend: Backend = None,
+           cache: ScenarioCache | None = None) -> FigureResult:
     """Both headline claims as one small table."""
-    speedup = tentative_speedup()
+    speedup = tentative_speedup(backend=backend, cache=cache)
     ratio, unbounded = sa_vs_greedy_ratio(n_topologies=n_topologies)
     rows = [
         ["tentative outputs vs full recovery (speedup ×)", speedup,

@@ -60,6 +60,7 @@ when every cell still completed cleanly (see :mod:`repro.chaos`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -72,7 +73,6 @@ from repro.experiments.checkpoint_cost import fig9
 from repro.experiments.claims import claims
 from repro.experiments.random_topologies import fig14
 from repro.experiments.recovery import (
-    DEFAULT_TECHNIQUES,
     FigureResult,
     fig7,
     fig8,
@@ -93,85 +93,50 @@ from repro.scenarios import (
 )
 from repro.scenarios.grid import load_json, scenarios_from_document
 from repro.topology.operators import TaskId
-from repro.workloads.bundles import q1_bundle, q2_bundle
 
 
-def _fast_q1():
-    return q1_bundle(window_seconds=20.0, pages=400, tuple_scale=8.0)
+#: The ``--fast`` sizes of the two real queries (shorter windows, fewer tuples).
+_FAST_Q1 = {"window_seconds": 20.0, "pages": 400, "tuple_scale": 8.0}
+_FAST_Q2 = {"window_seconds": 20.0, "tuple_scale": 80.0}
+#: ... and of every figure on the Fig. 6 workload (one rate, coarser tuples).
+_FAST_FIG6 = {"rates": (1000.0,), "tuple_scale": 16.0}
+
+#: name -> (figure function, keyword arguments of each paper-scale table,
+#: keyword arguments of each ``--fast`` table).
+FIGURES: dict[str, tuple[Callable[..., FigureResult], list[dict], list[dict]]] = {
+    "fig7": (fig7, [{}], [{"windows": (10.0,), **_FAST_FIG6,
+                           "positions": (TaskId("O2", 0),)}]),
+    "fig8": (fig8, [{}], [{"windows": (10.0,), **_FAST_FIG6}]),
+    "fig9": (fig9, [{}], [{"intervals": (1.0, 15.0), **_FAST_FIG6,
+                           "duration": 45.0}]),
+    "fig10": (fig10, [{}], [{"checkpoint_intervals": (15.0,), **_FAST_FIG6}]),
+    "fig12": (fig12, [{"query": "q1"}, {"query": "q2"}],
+              [{"query": "q1", "fractions": (0.3, 0.6),
+                "workload_params": _FAST_Q1},
+               {"query": "q2", "fractions": (0.3, 0.6),
+                "workload_params": _FAST_Q2}]),
+    "fig13": (fig13, [{"query": "q1"}, {"query": "q2"}],
+              [{"query": "q1", "fractions": (0.3, 0.6),
+                "workload_params": _FAST_Q1}]),
+    "fig14": (fig14,
+              [{"variant_key": key} for key in "abcd"],
+              [{"variant_key": "a", "fractions": (0.2, 0.5, 0.8),
+                "n_topologies": 10}]),
+    "claims": (claims, [{}], [{"n_topologies": 10}]),
+    "schemes": (scheme_sweep, [{}],
+                [{"windows": (10.0,), **_FAST_FIG6,
+                  "failure_models": ("correlated",)}]),
+}
 
 
-def _fast_q2():
-    return q2_bundle(window_seconds=20.0, tuple_scale=80.0)
-
-
-def _run_fig7(fast: bool) -> list[FigureResult]:
-    if fast:
-        return [fig7(windows=(10.0,), rates=(1000.0,),
-                     positions=(TaskId("O2", 0),), tuple_scale=16.0)]
-    return [fig7()]
-
-
-def _run_fig8(fast: bool) -> list[FigureResult]:
-    if fast:
-        return [fig8(windows=(10.0,), rates=(1000.0,), tuple_scale=16.0)]
-    return [fig8()]
-
-
-def _run_fig9(fast: bool) -> list[FigureResult]:
-    if fast:
-        return [fig9(intervals=(1.0, 15.0), rates=(1000.0,), duration=45.0,
-                     tuple_scale=16.0)]
-    return [fig9()]
-
-
-def _run_fig10(fast: bool) -> list[FigureResult]:
-    if fast:
-        return [fig10(rates=(1000.0,), checkpoint_intervals=(15.0,),
-                      tuple_scale=16.0)]
-    return [fig10()]
-
-
-def _run_fig12(fast: bool) -> list[FigureResult]:
-    if fast:
-        return [fig12("q1", fractions=(0.3, 0.6), bundle=_fast_q1()),
-                fig12("q2", fractions=(0.3, 0.6), bundle=_fast_q2())]
-    return [fig12("q1"), fig12("q2")]
-
-
-def _run_fig13(fast: bool) -> list[FigureResult]:
-    if fast:
-        return [fig13("q1", fractions=(0.3, 0.6), bundle=_fast_q1())]
-    return [fig13("q1"), fig13("q2")]
-
-
-def _run_fig14(fast: bool) -> list[FigureResult]:
-    n = 10 if fast else 100
-    keys = ("a",) if fast else ("a", "b", "c", "d")
-    fractions = (0.2, 0.5, 0.8) if fast else (0.1, 0.2, 0.4, 0.6, 0.8)
-    return [fig14(key, fractions=fractions, n_topologies=n) for key in keys]
-
-
-def _run_claims(fast: bool) -> list[FigureResult]:
-    return [claims(n_topologies=10 if fast else 30)]
-
-
-def _run_schemes(fast: bool) -> list[FigureResult]:
-    if fast:
-        return [scheme_sweep(windows=(10.0,), rates=(1000.0,),
-                             failure_models=("correlated",), tuple_scale=16.0)]
-    return [scheme_sweep()]
+def run_figure(name: str, fast: bool) -> list[FigureResult]:
+    """Every table of figure ``name``, at paper scale or ``--fast``."""
+    function, full, quick = FIGURES[name]
+    return [function(**kwargs) for kwargs in (quick if fast else full)]
 
 
 RUNNERS: dict[str, Callable[[bool], list[FigureResult]]] = {
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-    "fig9": _run_fig9,
-    "fig10": _run_fig10,
-    "fig12": _run_fig12,
-    "fig13": _run_fig13,
-    "fig14": _run_fig14,
-    "claims": _run_claims,
-    "schemes": _run_schemes,
+    name: functools.partial(run_figure, name) for name in FIGURES
 }
 
 

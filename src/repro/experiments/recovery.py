@@ -15,29 +15,28 @@ depths, as the paper does); Fig. 8 kills every node hosting a synthetic
 task; Fig. 10 repeats the correlated failure under PPA plans replicating
 all / half / none of the tasks.
 
-Every cell executes through the declarative scenario layer
-(:mod:`repro.scenarios`): a technique maps to a planner name plus engine
-overrides, a failure to a :class:`~repro.scenarios.spec.FailureSpec`.  Each
-figure builds its full cell grid up front and hands it to
-:func:`~repro.scenarios.grid.run_scenarios` in one batch, so the whole
-figure can fan out over an execution ``backend`` (``"processes"`` for
-paper-scale runs) and reuse a content-addressed ``cache`` across re-runs —
-re-anchoring a figure that was already simulated costs almost nothing.
+Every figure of the package but Fig. 9 is a *grid plus a pivot*: it spells
+its cells as a ``{key: Scenario}`` mapping (a technique is a registered
+recovery scheme plus engine overrides, a failure a
+:class:`~repro.scenarios.spec.FailureSpec`), hands the whole mapping to
+:func:`run_cells` — one :func:`~repro.scenarios.grid.run_scenarios` batch,
+so the figure fans out over any execution ``backend`` (``"processes"`` for
+paper-scale runs) and reuses a content-addressed ``cache`` across re-runs —
+and pivots the ``{key: ScenarioResult}`` it gets back into table rows.
 """
 
 from __future__ import annotations
 
-import enum
 import statistics
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Any, Collection, Hashable, Mapping, Optional, Sequence, Union
 
 from repro.experiments.tables import format_table
-from repro.scenarios import FailureSpec, Scenario, run_scenarios
+from repro.scenarios import FailureSpec, Scenario, ScenarioResult, run_scenarios
 from repro.scenarios.backends import ExecutionBackend
 from repro.scenarios.cache import ScenarioCache
 from repro.topology.operators import TaskId
-from repro.workloads.bundles import QueryBundle, fig6_bundle
+from repro.workloads.bundles import QueryBundle
 
 #: Default failure-injection time (window filled and every task checkpointed).
 DEFAULT_FAIL_TIME = 45.0
@@ -50,13 +49,55 @@ DEFAULT_POSITIONS = (
     TaskId("O1", 0), TaskId("O2", 0), TaskId("O3", 0), TaskId("O4", 0),
 )
 
+#: What every figure accepts as ``backend=`` (see :func:`run_scenarios`).
+Backend = Optional[Union[str, ExecutionBackend]]
 
-class TechniqueKind(enum.Enum):
-    """Family of a fault-tolerance technique under evaluation."""
 
-    ACTIVE = "active"
-    CHECKPOINT = "checkpoint"
-    STORM = "storm"
+def fig6_scenario(name: str, *, rate: float, window: float, tuple_scale: float,
+                  failure: FailureSpec, duration: float = DEFAULT_DURATION,
+                  **fields: Any) -> Scenario:
+    """One cell on the Fig. 6 workload; ``fields`` are further Scenario fields."""
+    return Scenario(
+        name=name, workload="synthetic",
+        workload_params={"rate_per_source": rate, "window_seconds": window,
+                         "tuple_scale": tuple_scale},
+        failures=(failure,), duration=duration, **fields,
+    )
+
+
+def run_cells(cells: Mapping[Hashable, Scenario], backend: Backend = None,
+              cache: ScenarioCache | None = None
+              ) -> dict[Hashable, ScenarioResult]:
+    """Run a figure's ``{key: Scenario}`` grid as one batch; results by key."""
+    results = run_scenarios(list(cells.values()), backend=backend, cache=cache)
+    return dict(zip(cells, results))
+
+
+def completed_latencies(label: str, result: ScenarioResult,
+                        tasks: Collection[TaskId] | None = None) -> list[float]:
+    """Latencies of the finished recoveries (of ``tasks`` only, when given)."""
+    latencies = [r.latency for r in result.recoveries
+                 if r.latency is not None and (tasks is None or r.task in tasks)]
+    if not latencies:
+        raise RuntimeError(f"{label}: recovery incomplete; extend the run")
+    return latencies
+
+
+def recovery_latency(label: str, result: ScenarioResult,
+                     tasks: Collection[TaskId] | None = None) -> float:
+    """Time until every failed task caught up (the correlated-failure view).
+
+    With ``tasks`` — the replicated subtree of a PPA plan — the time until
+    just those did, i.e. the moment tentative output can resume.
+    """
+    return max(completed_latencies(label, result, tasks))
+
+
+def output_quality(label: str, result: ScenarioResult) -> float:
+    """The cell's measured sink accuracy (its scenario must set ``quality``)."""
+    if result.output_quality is None:
+        raise RuntimeError(f"{label}: no output quality")
+    return result.output_quality
 
 
 @dataclass(frozen=True)
@@ -64,65 +105,37 @@ class Technique:
     """One fault-tolerance configuration (one bar colour in Fig. 7/8)."""
 
     label: str
-    kind: TechniqueKind
-    interval: float = 0.0  # sync interval (active) or checkpoint interval
-    #: Optional recovery-scheme override (a :data:`RECOVERY_SCHEMES` name).
-    #: Empty keeps the engine default, which reproduces the historical
-    #: figures exactly; setting it adds a scheme axis to any figure grid.
-    recovery: str = ""
-
-    def planner_name(self) -> str:
-        """The scenario planner implementing this technique's replication."""
-        return "all" if self.kind is TechniqueKind.ACTIVE else "none"
-
-    def engine_overrides(self, window_seconds: float) -> dict[str, object]:
-        """The scenario engine overrides implementing this technique."""
-        overrides: dict[str, object]
-        if self.kind is TechniqueKind.ACTIVE:
-            overrides = {"checkpoint_interval": None,
-                         "sync_interval": self.interval}
-        elif self.kind is TechniqueKind.CHECKPOINT:
-            overrides = {"checkpoint_interval": self.interval}
-        else:
-            overrides = {"checkpoint_interval": None,
-                         "passive_strategy": "source-replay"}
-        overrides["source_replay_window_batches"] = round(window_seconds)
-        return overrides
+    #: A :data:`~repro.engine.recovery.RECOVERY_SCHEMES` name.
+    recovery: str
+    #: Engine overrides (checkpoint / sync intervals).
+    engine: dict[str, Any] = field(default_factory=dict)
+    #: The plan the scheme's placement amounts to (``"all"`` under
+    #: ``active-standby``), so results report the replicas that really ran.
+    planner: str = "none"
 
     def scenario(self, *, window: float, rate: float, tuple_scale: float,
-                 failure: FailureSpec, duration: float = DEFAULT_DURATION,
-                 planner: str | None = None,
-                 planner_params: dict[str, object] | None = None,
-                 extra_engine: dict[str, object] | None = None) -> Scenario:
-        """One Fig. 6-workload scenario running this technique.
-
-        ``planner``/``planner_params`` override the technique's default plan
-        (used by Fig. 10's PPA-0.5 subtree plans); ``extra_engine`` merges
-        additional engine overrides on top of the technique's.
-        """
-        engine = self.engine_overrides(window)
-        engine.update(extra_engine or {})
-        return Scenario(
-            name=f"{self.label}(win={window:g},rate={rate:g})",
-            workload="synthetic",
-            workload_params={"rate_per_source": rate, "window_seconds": window,
-                             "tuple_scale": tuple_scale},
-            planner=planner if planner is not None else self.planner_name(),
-            planner_params=planner_params or {},
-            engine=engine,
-            recovery=self.recovery,
-            failures=(failure,),
-            duration=duration,
+                 failure: FailureSpec,
+                 duration: float = DEFAULT_DURATION) -> Scenario:
+        """One Fig. 6-workload scenario running this technique."""
+        return fig6_scenario(
+            f"{self.label}(win={window:g},rate={rate:g})",
+            rate=rate, window=window, tuple_scale=tuple_scale,
+            failure=failure, duration=duration,
+            planner=self.planner, recovery=self.recovery,
+            engine={**self.engine,
+                    "source_replay_window_batches": round(window)},
         )
 
 
 DEFAULT_TECHNIQUES = (
-    Technique("Active-5s", TechniqueKind.ACTIVE, 5.0),
-    Technique("Active-30s", TechniqueKind.ACTIVE, 30.0),
-    Technique("Checkpoint-5s", TechniqueKind.CHECKPOINT, 5.0),
-    Technique("Checkpoint-15s", TechniqueKind.CHECKPOINT, 15.0),
-    Technique("Checkpoint-30s", TechniqueKind.CHECKPOINT, 30.0),
-    Technique("Storm", TechniqueKind.STORM),
+    Technique("Active-5s", "active-standby",
+              {"checkpoint_interval": None, "sync_interval": 5.0}, "all"),
+    Technique("Active-30s", "active-standby",
+              {"checkpoint_interval": None, "sync_interval": 30.0}, "all"),
+    Technique("Checkpoint-5s", "checkpoint-replay", {"checkpoint_interval": 5.0}),
+    Technique("Checkpoint-15s", "checkpoint-replay", {"checkpoint_interval": 15.0}),
+    Technique("Checkpoint-30s", "checkpoint-replay", {"checkpoint_interval": 30.0}),
+    Technique("Storm", "source-replay", {"checkpoint_interval": None}),
 )
 
 
@@ -144,21 +157,30 @@ class FigureResult:
         return table
 
 
-def _single_failure_scenarios(technique: Technique, *, window: float,
-                              rate: float, positions: Sequence[TaskId],
-                              tuple_scale: float, fail_time: float,
-                              duration: float) -> list[Scenario]:
-    """One scenario per failed-task position for this technique."""
-    scenarios = []
-    for position in positions:
-        failure = FailureSpec("single-task", at=fail_time,
-                              params={"operator": position.operator,
-                                      "index": position.index})
-        scenarios.append(technique.scenario(
+def _single_failure_cells(technique: Technique, *, window: float, rate: float,
+                          positions: Sequence[TaskId], tuple_scale: float,
+                          fail_time: float = DEFAULT_FAIL_TIME,
+                          duration: float = DEFAULT_DURATION
+                          ) -> dict[TaskId, Scenario]:
+    """One single-task-failure scenario per failed-task position."""
+    return {
+        position: technique.scenario(
             window=window, rate=rate, tuple_scale=tuple_scale,
-            failure=failure, duration=duration,
-        ))
-    return scenarios
+            duration=duration,
+            failure=FailureSpec("single-task", at=fail_time,
+                                params={"operator": position.operator,
+                                        "index": position.index}))
+        for position in positions
+    }
+
+
+def _mean_latency(technique: Technique,
+                  results: Mapping[TaskId, ScenarioResult]) -> float:
+    """Mean recovery latency over the failed-task positions of ``results``."""
+    return statistics.fmean(
+        latency for position, result in results.items()
+        for latency in completed_latencies(
+            f"{technique.label} at {position}", result))
 
 
 def single_failure_latency(technique: Technique, *, window: float, rate: float,
@@ -166,39 +188,29 @@ def single_failure_latency(technique: Technique, *, window: float, rate: float,
                            tuple_scale: float = 8.0,
                            fail_time: float = DEFAULT_FAIL_TIME,
                            duration: float = DEFAULT_DURATION,
-                           backend: "str | ExecutionBackend | None" = None,
+                           backend: Backend = None,
                            cache: ScenarioCache | None = None) -> float:
     """Mean recovery latency over single-task failures at several depths."""
-    scenarios = _single_failure_scenarios(
+    cells = _single_failure_cells(
         technique, window=window, rate=rate, positions=positions,
         tuple_scale=tuple_scale, fail_time=fail_time, duration=duration)
-    latencies: list[float] = []
-    for position, result in zip(positions,
-                                run_scenarios(scenarios, backend=backend,
-                                              cache=cache)):
-        if not result.recovery_latencies:
-            raise RuntimeError(f"{technique.label}: no recovery recorded "
-                               f"for {position}")
-        latencies.extend(result.recovery_latencies)
-    return statistics.fmean(latencies)
+    return _mean_latency(technique, run_cells(cells, backend, cache))
 
 
 def correlated_failure_latency(technique: Technique, *, window: float,
                                rate: float, tuple_scale: float = 8.0,
                                fail_time: float = DEFAULT_FAIL_TIME,
                                duration: float = DEFAULT_DURATION,
-                               backend: "str | ExecutionBackend | None" = None,
+                               backend: Backend = None,
                                cache: ScenarioCache | None = None) -> float:
     """Time to recover *all* synthetic tasks after a correlated failure."""
+    label = technique.label
     scenario = technique.scenario(
         window=window, rate=rate, tuple_scale=tuple_scale,
         failure=FailureSpec("correlated", at=fail_time), duration=duration,
     )
-    result = run_scenarios([scenario], backend=backend, cache=cache)[0]
-    value = result.max_recovery_latency
-    if value is None:
-        raise RuntimeError(f"{technique.label}: correlated recovery incomplete")
-    return value
+    return recovery_latency(
+        label, run_cells({label: scenario}, backend, cache)[label])
 
 
 def fig7(windows: Sequence[float] = (10.0, 30.0),
@@ -206,46 +218,30 @@ def fig7(windows: Sequence[float] = (10.0, 30.0),
          techniques: Sequence[Technique] = DEFAULT_TECHNIQUES,
          positions: Sequence[TaskId] = DEFAULT_POSITIONS,
          tuple_scale: float = 8.0,
-         backend: "str | ExecutionBackend | None" = None,
+         backend: Backend = None,
          cache: ScenarioCache | None = None) -> FigureResult:
     """Fig. 7: recovery latency of single-node failure.
 
-    Builds the full (window × rate × technique × position) cell grid and
-    executes it in one batch, so ``backend="processes"`` parallelises the
-    whole figure and ``cache`` makes re-runs near-free.
+    One cell per (window × rate × technique × position); a table entry is
+    the mean over the positions.
     """
-    cells: list[tuple[float, float, str]] = []
-    scenarios: list[Scenario] = []
-    for window in windows:
-        for rate in rates:
-            for technique in techniques:
-                for scenario in _single_failure_scenarios(
-                        technique, window=window, rate=rate,
-                        positions=positions, tuple_scale=tuple_scale,
-                        fail_time=DEFAULT_FAIL_TIME,
-                        duration=DEFAULT_DURATION):
-                    cells.append((window, rate, technique.label))
-                    scenarios.append(scenario)
-    results = run_scenarios(scenarios, backend=backend, cache=cache)
-
-    latencies: dict[tuple[float, float, str], list[float]] = {}
-    for (window, rate, label), result in zip(cells, results):
-        if not result.recovery_latencies:
-            raise RuntimeError(f"{label}: no recovery recorded for "
-                               f"{result.scenario.name}")
-        latencies.setdefault((window, rate, label), []).extend(
-            result.recovery_latencies)
-
-    headers = ["window", "rate"] + [t.label for t in techniques]
-    rows: list[list[object]] = []
-    for window in windows:
-        for rate in rates:
-            row: list[object] = [f"{window:g}s", f"{rate:g}t/s"]
-            row.extend(statistics.fmean(latencies[(window, rate, t.label)])
-                       for t in techniques)
-            rows.append(row)
+    results = run_cells({
+        (window, rate, technique.label, position): scenario
+        for window in windows for rate in rates for technique in techniques
+        for position, scenario in _single_failure_cells(
+            technique, window=window, rate=rate, positions=positions,
+            tuple_scale=tuple_scale).items()
+    }, backend, cache)
+    rows = [
+        [f"{window:g}s", f"{rate:g}t/s"]
+        + [_mean_latency(t, {position: results[(window, rate, t.label, position)]
+                             for position in positions})
+           for t in techniques]
+        for window in windows for rate in rates
+    ]
     return FigureResult(
-        "Fig. 7: single-node failure recovery latency (s)", headers, rows,
+        "Fig. 7: single-node failure recovery latency (s)",
+        ["window", "rate"] + [t.label for t in techniques], rows,
         notes="mean over failed-task depths " + ", ".join(map(str, positions)),
     )
 
@@ -254,54 +250,68 @@ def fig8(windows: Sequence[float] = (10.0, 30.0),
          rates: Sequence[float] = (1000.0, 2000.0),
          techniques: Sequence[Technique] = DEFAULT_TECHNIQUES,
          tuple_scale: float = 8.0,
-         backend: "str | ExecutionBackend | None" = None,
+         backend: Backend = None,
          cache: ScenarioCache | None = None) -> FigureResult:
     """Fig. 8: recovery latency of a correlated failure (all 15 tasks).
 
-    One scenario per (window × rate × technique) cell, executed as a single
-    batch through the pluggable grid-execution layer.
+    One cell per (window × rate × technique).
     """
-    scenarios: list[Scenario] = []
-    for window in windows:
-        for rate in rates:
-            for technique in techniques:
-                scenarios.append(technique.scenario(
-                    window=window, rate=rate, tuple_scale=tuple_scale,
-                    failure=FailureSpec("correlated", at=DEFAULT_FAIL_TIME),
-                    duration=DEFAULT_DURATION,
-                ))
-    results = iter(run_scenarios(scenarios, backend=backend, cache=cache))
-
-    headers = ["window", "rate"] + [t.label for t in techniques]
-    rows: list[list[object]] = []
-    for window in windows:
-        for rate in rates:
-            row: list[object] = [f"{window:g}s", f"{rate:g}t/s"]
-            for technique in techniques:
-                result = next(results)
-                value = result.max_recovery_latency
-                if value is None:
-                    raise RuntimeError(
-                        f"{technique.label}: correlated recovery incomplete")
-                row.append(value)
-            rows.append(row)
+    failure = FailureSpec("correlated", at=DEFAULT_FAIL_TIME)
+    results = run_cells({
+        (window, rate, technique.label): technique.scenario(
+            window=window, rate=rate, tuple_scale=tuple_scale, failure=failure)
+        for window in windows for rate in rates for technique in techniques
+    }, backend, cache)
+    rows = [
+        [f"{window:g}s", f"{rate:g}t/s"]
+        + [recovery_latency(t.label, results[(window, rate, t.label)])
+           for t in techniques]
+        for window in windows for rate in rates
+    ]
     return FigureResult(
-        "Fig. 8: correlated failure recovery latency (s)", headers, rows,
+        "Fig. 8: correlated failure recovery latency (s)",
+        ["window", "rate"] + [t.label for t in techniques], rows,
         notes="time until every synthetic task caught up (15 tasks killed)",
     )
 
 
-def half_subtree_plan(bundle: QueryBundle) -> frozenset[TaskId]:
-    """The PPA-0.5 plan: the complete half of the aggregation tree.
+#: The PPA-0.5 plan: the complete half of the aggregation tree.  The paper's
+#: PPA-0.5 replicates half of the tasks; because only complete MC-trees
+#: produce tentative output, the sensible half is a full subtree (8 of 15
+#: tasks).
+HALF_SUBTREE = frozenset(
+    [TaskId("O4", 0), TaskId("O3", 0), TaskId("O2", 0), TaskId("O2", 1)]
+    + [TaskId("O1", index) for index in range(4)]
+)
 
-    The paper's PPA-0.5 replicates half of the tasks; because only complete
-    MC-trees produce tentative output, the sensible half is a full subtree:
-    O4[0], O3[0], O2[0..1], O1[0..3] (8 of 15 tasks).
-    """
-    wanted = {("O4", 0), ("O3", 0), ("O2", 0), ("O2", 1),
-              ("O1", 0), ("O1", 1), ("O1", 2), ("O1", 3)}
-    return frozenset(t for t in bundle.synthetic_tasks
-                     if (t.operator, t.index) in wanted)
+#: Fig. 10 plan label -> (planner, planner_params).
+PPA_PLANS: dict[str, tuple[str, dict[str, object]]] = {
+    "PPA-1.0": ("all", {}),
+    "PPA-0.5": ("fixed", {"tasks": [[t.operator, t.index]
+                                    for t in sorted(HALF_SUBTREE)]}),
+    "PPA-0": ("none", {}),
+}
+
+
+def half_subtree_plan(bundle: QueryBundle) -> frozenset[TaskId]:
+    """:data:`HALF_SUBTREE` as tasks of ``bundle`` (a Fig. 6 bundle)."""
+    return frozenset(t for t in bundle.synthetic_tasks if t in HALF_SUBTREE)
+
+
+def ppa_scenario(label: str, *, rate: float, checkpoint_interval: float,
+                 window: float, tuple_scale: float,
+                 fail_time: float = DEFAULT_FAIL_TIME,
+                 duration: float = DEFAULT_DURATION) -> Scenario:
+    """One Fig. 10 cell: a correlated failure under the :data:`PPA_PLANS` plan."""
+    planner, planner_params = PPA_PLANS[label]
+    return fig6_scenario(
+        f"fig10/{label}(rate={rate:g},ckpt={checkpoint_interval:g})",
+        rate=rate, window=window, tuple_scale=tuple_scale,
+        failure=FailureSpec("correlated", at=fail_time), duration=duration,
+        planner=planner, planner_params=planner_params,
+        engine={"checkpoint_interval": checkpoint_interval,
+                "sync_interval": 5.0, "tentative_outputs": True},
+    )
 
 
 def fig10(rates: Sequence[float] = (1000.0, 2000.0),
@@ -309,75 +319,40 @@ def fig10(rates: Sequence[float] = (1000.0, 2000.0),
           window: float = 30.0, tuple_scale: float = 8.0,
           fail_time: float = DEFAULT_FAIL_TIME,
           duration: float = DEFAULT_DURATION,
-          backend: "str | ExecutionBackend | None" = None,
+          backend: Backend = None,
           cache: ScenarioCache | None = None) -> FigureResult:
     """Fig. 10: correlated-failure recovery latency under PPA plans.
 
     PPA-1.0 replicates all 15 synthetic tasks, PPA-0.5 half of them (one
     complete subtree), PPA-0 none; ``PPA-0.5-active`` is the recovery
     completion of just the actively replicated tasks within the PPA-0.5 run
-    (the moment tentative output can resume).  All (rate × interval × plan)
-    cells run as one batch through the grid-execution layer.
+    (the moment tentative output can resume).  One cell per
+    (rate × interval × plan).
     """
-    bundle = fig6_bundle(rates[0] if rates else 1000.0, window,
-                         tuple_scale=tuple_scale)
-    half = half_subtree_plan(bundle)
-    plans: tuple[tuple[str, str, dict[str, object]], ...] = (
-        ("PPA-1.0", "all", {}),
-        ("PPA-0.5", "fixed",
-         {"tasks": [[t.operator, t.index] for t in sorted(half)]}),
-        ("PPA-0", "none", {}),
-    )
+    results = run_cells({
+        (rate, interval, label): ppa_scenario(
+            label, rate=rate, checkpoint_interval=interval, window=window,
+            tuple_scale=tuple_scale, fail_time=fail_time, duration=duration)
+        for rate in rates for interval in checkpoint_intervals
+        for label in PPA_PLANS
+    }, backend, cache)
 
-    cells: list[tuple[float, float, str]] = []
-    scenarios: list[Scenario] = []
-    for rate in rates:
-        for interval in checkpoint_intervals:
-            engine_overrides = {"checkpoint_interval": interval,
-                                "sync_interval": 5.0,
-                                "tentative_outputs": True}
-            for label, planner, planner_params in plans:
-                cells.append((rate, interval, label))
-                scenarios.append(Scenario(
-                    name=f"fig10/{label}(rate={rate:g},ckpt={interval:g})",
-                    workload="synthetic",
-                    workload_params={"rate_per_source": rate,
-                                     "window_seconds": window,
-                                     "tuple_scale": tuple_scale},
-                    planner=planner, planner_params=planner_params,
-                    engine=engine_overrides,
-                    failures=(FailureSpec("correlated", at=fail_time),),
-                    duration=duration,
-                ))
-    results = run_scenarios(scenarios, backend=backend, cache=cache)
+    def latency(rate: float, interval: float, label: str,
+                tasks: Collection[TaskId] | None = None) -> float:
+        return recovery_latency(label, results[(rate, interval, label)], tasks)
 
-    latencies: dict[tuple[float, float, str], float] = {}
-    for (rate, interval, label), result in zip(cells, results):
-        overall = result.max_recovery_latency
-        if overall is None:
-            raise RuntimeError(f"{label}: correlated recovery incomplete")
-        latencies[(rate, interval, label)] = overall
-        if label == "PPA-0.5":
-            active = [r.latency for r in result.recoveries
-                      if r.task in half and r.latency is not None]
-            latencies[(rate, interval, "PPA-0.5-active")] = (
-                max(active) if active else 0.0)
-
-    headers = ["rate", "ckpt interval",
-               "PPA-1.0", "PPA-0.5-active", "PPA-0.5", "PPA-0"]
-    rows: list[list[object]] = []
-    for rate in rates:
-        for interval in checkpoint_intervals:
-            rows.append([
-                f"{rate:g}t/s", f"{interval:g}s",
-                latencies[(rate, interval, "PPA-1.0")],
-                latencies[(rate, interval, "PPA-0.5-active")],
-                latencies[(rate, interval, "PPA-0.5")],
-                latencies[(rate, interval, "PPA-0")],
-            ])
+    rows = [
+        [f"{rate:g}t/s", f"{interval:g}s",
+         latency(rate, interval, "PPA-1.0"),
+         latency(rate, interval, "PPA-0.5", HALF_SUBTREE),
+         latency(rate, interval, "PPA-0.5"),
+         latency(rate, interval, "PPA-0")]
+        for rate in rates for interval in checkpoint_intervals
+    ]
     return FigureResult(
         f"Fig. 10: PPA recovery latency, correlated failure (window {window:g}s)",
-        headers, rows,
+        ["rate", "ckpt interval",
+         "PPA-1.0", "PPA-0.5-active", "PPA-0.5", "PPA-0"], rows,
         notes="PPA-0.5-active = recovery completion of the replicated subtree",
     )
 
@@ -391,7 +366,7 @@ def scheme_sweep(schemes: Sequence[str] | None = None,
                                                   "detection-jitter"),
                  budget_fraction: float = 0.5, tuple_scale: float = 8.0,
                  duration: float = DEFAULT_DURATION,
-                 backend: "str | ExecutionBackend | None" = None,
+                 backend: Backend = None,
                  cache: ScenarioCache | None = None) -> FigureResult:
     """Recovery-scheme sweep: every registered scheme × failure model.
 
@@ -431,22 +406,18 @@ def scheme_sweep(schemes: Sequence[str] | None = None,
             params={"jitter": 2.0}),
     }
 
-    cells: list[tuple[float, float, str, str]] = []
-    scenarios: list[Scenario] = []
+    cells: dict[tuple[float, float, str, str], Scenario] = {}
     for window in windows:
         for rate in rates:
             for model in failure_models:
                 failure = model_failures.get(
                     model, FailureSpec(model, at=duration * 0.75))
                 for scheme in names:
-                    cells.append((window, rate, model, scheme))
-                    scenarios.append(Scenario(
-                        name=f"schemes/{scheme}({model},win={window:g},"
-                             f"rate={rate:g})",
-                        workload="synthetic",
-                        workload_params={"rate_per_source": rate,
-                                         "window_seconds": window,
-                                         "tuple_scale": tuple_scale},
+                    cells[(window, rate, model, scheme)] = fig6_scenario(
+                        f"schemes/{scheme}({model},win={window:g},"
+                        f"rate={rate:g})",
+                        rate=rate, window=window, tuple_scale=tuple_scale,
+                        failure=failure, duration=duration,
                         planner="structure-aware",
                         budget_fraction=budget_fraction,
                         engine={"checkpoint_interval": 15.0,
@@ -454,41 +425,27 @@ def scheme_sweep(schemes: Sequence[str] | None = None,
                                 "tentative_outputs": True,
                                 "source_replay_window_batches": round(window)},
                         recovery=scheme,
-                        failures=(failure,),
                         quality={"measure_from": failure.at},
-                        duration=duration,
-                    ))
-    results = run_scenarios(scenarios, backend=backend, cache=cache)
+                    )
+    results = run_cells(cells, backend, cache)
 
-    latencies: dict[tuple[float, float, str, str], float] = {}
-    qualities: dict[tuple[float, float, str, str], float] = {}
-    for (window, rate, model, scheme), result in zip(cells, results):
-        value = result.max_recovery_latency
-        if value is None:
-            raise RuntimeError(
-                f"scheme {scheme!r} under {model!r}: recovery incomplete")
-        latencies[(window, rate, model, scheme)] = value
-        if result.output_quality is None:
-            raise RuntimeError(
-                f"scheme {scheme!r} under {model!r}: no output quality")
-        qualities[(window, rate, model, scheme)] = result.output_quality
-
-    headers = ["window", "rate", "failure", "metric"] + list(names)
     rows: list[list[object]] = []
     for window in windows:
         for rate in rates:
             for model in failure_models:
-                for metric, values in (("latency", latencies),
-                                       ("quality", qualities)):
+                for metric, read in (("latency", recovery_latency),
+                                     ("quality", output_quality)):
                     row: list[object] = [f"{window:g}s", f"{rate:g}t/s",
                                          model, metric]
-                    row.extend(values[(window, rate, model, scheme)]
-                               for scheme in names)
+                    row.extend(
+                        read(f"scheme {scheme!r} under {model!r}",
+                             results[(window, rate, model, scheme)])
+                        for scheme in names)
                     rows.append(row)
     return FigureResult(
         "Scheme sweep: max recovery latency (s) and output quality "
         "per fault-tolerance scheme",
-        headers, rows,
+        ["window", "rate", "failure", "metric"] + list(names), rows,
         notes=f"structure-aware plan at budget fraction {budget_fraction:g}; "
               f"pure schemes ignore the plan; quality = mean sink accuracy "
               f"vs failure-free baseline from the first failure on",

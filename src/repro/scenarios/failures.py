@@ -13,8 +13,10 @@ Models registered here:
   non-source operators, the paper's worst-case correlated failure);
 * ``"random-k"`` — ``k`` tasks sampled without replacement, deterministic
   in the seed;
-* ``"unreplicated"`` — every task outside the replication plan (the
-  Fig. 12/13 tentative-quality outage);
+* ``"unreplicated"`` — every non-source task outside the replication plan;
+  with ``include_sources: true`` the unplanned sources die too, which is
+  the Fig. 12/13 tentative-quality outage and the failure the plan's
+  ``worst_case_fidelity`` is computed for;
 * ``"rack-correlated"`` (alias ``"rack_correlated"``) — every task placed
   on a node of the failing rack(s), derived from a node→rack placement map
   in ``failure.params`` (the paper's motivating correlated-failure domain:
@@ -456,7 +458,14 @@ def failure_domains(specs: Iterable[object]) -> dict[str, object]:
 @FAILURE_MODELS.register("unreplicated")
 def unreplicated(topology: Topology, plan: AbstractSet[TaskId], *, seed: int,
                  include_sources: bool = False) -> tuple[TaskId, ...]:
-    """Every task outside the plan fails — the worst case the plan defends."""
+    """Every non-source task outside the plan fails.
+
+    The sources are spared unless ``include_sources`` is set.  The worst
+    case a plan is scored against — ``worst_case_fidelity``, the Fig. 12/13
+    outage — loses *everything* outside the plan, so it needs
+    ``include_sources=True``; with the default the surviving sources keep
+    feeding the replicated tasks and the outage is milder than predicted.
+    """
     eligible = (
         topology.tasks() if include_sources else synthetic_tasks(topology)
     )

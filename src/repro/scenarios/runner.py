@@ -36,7 +36,7 @@ from repro.scenarios.failures import (
     parse_task_string,
 )
 from repro.scenarios.registry import FAILURE_MODELS
-from repro.scenarios.spec import FailureSpec, Scenario, _check_keys, _jsonify
+from repro.scenarios.spec import QUALITY_KEYS, FailureSpec, Scenario, _check_keys, _jsonify
 from repro.topology.operators import TaskId
 from repro.workloads.bundles import QueryBundle
 
@@ -661,8 +661,7 @@ class ScenarioRunner:
         the failure run never produced score as fully lost.
         """
         scenario = self.scenario
-        _check_keys("quality", scenario.quality,
-                    ("measure_from", "measure_until"))
+        _check_keys("quality", scenario.quality, QUALITY_KEYS)
         if bundle.sink_task is None or bundle.accuracy_fn is None:
             raise ScenarioError(
                 f"workload {scenario.workload!r} does not support the "

@@ -47,6 +47,10 @@ def _check_keys(kind: str, data: Mapping[str, Any], allowed: Sequence[str]) -> N
         )
 
 
+#: The keys a ``Scenario.quality`` mapping may carry (all in seconds).
+QUALITY_KEYS = ("measure_from", "measure_until")
+
+
 @dataclass(frozen=True)
 class OperatorDef:
     """Serializable description of one operator of a :class:`TopologyRecipe`."""
@@ -314,6 +318,16 @@ class Scenario:
                 f"recovery must be a scheme name string, got "
                 f"{type(self.recovery).__name__}"
             )
+        # Checked here, not only when the runner measures: a misspelt key
+        # would otherwise cost every grid cell its whole simulation first.
+        if self.quality:
+            _check_keys("quality", self.quality, QUALITY_KEYS)
+        for key, value in self.quality.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ScenarioError(
+                    f"quality field {key!r} must be a number of seconds, "
+                    f"got {value!r}"
+                )
 
     # ------------------------------------------------------------------
     # Serialization

@@ -127,6 +127,39 @@ class TestOneFabricCore:
             assert callable(resolve(f"repro.service.protocol:{name}")[2])
 
 
+class TestOneExperimentRunPath:
+    """Structure guards: figures are scenario grids, Fig. 9 the exception."""
+
+    def test_only_fig9_drives_the_engine_directly(self):
+        package = Path(repro.experiments.__file__).parent
+        sources = {path.name: path.read_text()
+                   for path in package.glob("*.py")}
+        assert [name for name, text in sources.items()
+                if "StreamEngine(" in text] == ["checkpoint_cost.py"]
+        assert [name for name, text in sources.items()
+                if "passive_strategy" in text] == []
+
+    def test_second_vocabulary_stays_deleted(self):
+        for name in ("AccuracySettings", "TechniqueKind", "measured_accuracy",
+                     "run_baseline", "settings_for"):
+            assert name not in repro.experiments.__all__
+            assert not hasattr(repro.experiments, name)
+        technique = repro.experiments.DEFAULT_TECHNIQUES[0]
+        assert not hasattr(technique, "planner_name")
+        assert not hasattr(technique, "engine_overrides")
+
+    def test_tentative_lead_probe_target_resolves(self):
+        """``perf/recovery_storm.py`` calls it with no arguments."""
+        _perf_importable()
+        from perf.trace import resolve
+
+        lead = resolve("repro.experiments.claims:tentative_speedup")[2]
+        assert callable(lead)
+        signature = inspect.signature(lead)
+        assert all(parameter.default is not inspect.Parameter.empty
+                   for parameter in signature.parameters.values())
+
+
 class TestRecoverySchemesAreTriples:
     """Structure guards: built-ins are declarations, each step exists once."""
 

@@ -6,28 +6,31 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import (
-    AccuracySettings,
     FigureResult,
     Technique,
-    TechniqueKind,
     checkpoint_cpu_ratio,
     correlated_failure_latency,
     fig9,
+    fig12,
     format_table,
     half_subtree_plan,
-    measured_accuracy,
     q1_bundle,
-    run_baseline,
-    settings_for,
+    quality_scenario,
     single_failure_latency,
     sweep_planner_fidelity,
     tentative_speedup,
 )
+from repro.scenarios import run_scenario
 from repro.workloads.bundles import fig6_bundle, q2_bundle
 from repro.experiments.random_topologies import BASE_SPEC, fig14
 from repro.topology import TaskId
 
-from tests.golden.make_figures_fast import PATH, golden_keys, golden_section
+from tests.golden.make_figures_fast import (
+    PATH,
+    fast_figures,
+    golden_keys,
+    golden_section,
+)
 
 GOLDEN = json.loads(PATH.read_text())
 
@@ -77,7 +80,8 @@ class TestBundles:
 
 
 class TestRecoveryHarness:
-    TECH = Technique("Checkpoint-5s", TechniqueKind.CHECKPOINT, 5.0)
+    TECH = Technique("Checkpoint-5s", "checkpoint-replay",
+                     {"checkpoint_interval": 5.0})
 
     def test_single_failure_latency_positive(self):
         value = single_failure_latency(
@@ -117,35 +121,33 @@ class TestCheckpointCost:
 
 
 class TestAccuracyHarness:
-    def test_settings_for_derives_from_window(self):
-        bundle = q1_bundle(window_seconds=20.0)
-        settings = settings_for(bundle, fail_time=50.0)
-        assert settings.measure_from == 80.0
-        assert settings.duration > settings.measure_from
+    Q1 = {"window_seconds": 8.0, "pages": 100, "rate_per_source": 200.0,
+          "tuple_scale": 4.0}
 
-    def test_settings_validation(self):
-        with pytest.raises(ExperimentError):
-            AccuracySettings(fail_time=10.0, measure_from=5.0, duration=20.0)
+    def test_measurement_starts_after_the_window_turned_over(self):
+        cell = quality_scenario("q1", {"window_seconds": 20.0}, fraction=0.5,
+                                fail_time=50.0)
+        assert cell.quality == {"measure_from": 80.0}
+        assert cell.duration > cell.quality["measure_from"]
+        (failure,) = cell.failures
+        assert (failure.model, failure.at) == ("unreplicated", 50.0)
+        assert failure.params == {"include_sources": True}
+
+    def test_unknown_query_rejected(self):
+        with pytest.raises(ExperimentError, match="q3"):
+            fig12("q3")
 
     def test_full_plan_keeps_accuracy_perfect(self):
-        bundle = q1_bundle(window_seconds=8.0, pages=100, rate_per_source=200.0,
-                           tuple_scale=4.0)
-        settings = AccuracySettings(fail_time=20.0, measure_from=30.0,
-                                    duration=45.0)
-        baseline = run_baseline(bundle, settings)
-        accuracy = measured_accuracy(
-            bundle, bundle.topology.tasks(), baseline, settings
-        )
-        assert accuracy == pytest.approx(1.0)
+        result = run_scenario(quality_scenario(
+            "q1", self.Q1, fraction=1.0, fail_time=20.0, measure_seconds=7.0))
+        assert result.plan.usage == 21 and not result.failed_tasks
+        assert result.output_quality == pytest.approx(1.0)
 
     def test_empty_plan_gives_zero_accuracy(self):
-        bundle = q1_bundle(window_seconds=8.0, pages=100, rate_per_source=200.0,
-                           tuple_scale=4.0)
-        settings = AccuracySettings(fail_time=20.0, measure_from=30.0,
-                                    duration=45.0)
-        baseline = run_baseline(bundle, settings)
-        accuracy = measured_accuracy(bundle, (), baseline, settings)
-        assert accuracy == 0.0
+        result = run_scenario(quality_scenario(
+            "q1", self.Q1, fraction=0.0, fail_time=20.0, measure_seconds=7.0))
+        assert result.plan.usage == 0 and len(result.failed_tasks) == 21
+        assert result.output_quality == 0.0
 
 
 class TestRandomTopologyHarness:
@@ -176,7 +178,44 @@ class TestClaims:
     def test_tentative_speedup_meaningful(self):
         speedup = tentative_speedup(rate=500.0, checkpoint_interval=15.0,
                                     window=10.0, tuple_scale=32.0)
-        assert speedup > 1.5
+        assert speedup >= 3.0
+
+
+def _rows(name: str, table: int = 0) -> list[dict]:
+    """Rows of one ``--fast`` table (shared with the golden test) by header."""
+    result = fast_figures(name)[table]
+    return [dict(zip(result.headers, row)) for row in result.rows]
+
+
+class TestPaperShapes:
+    """The orderings the paper's figures show, on the ``--fast`` rows."""
+
+    def test_fig8_active_beats_checkpoint_and_interval_costs(self):
+        (row,) = _rows("fig8")
+        checkpoint = [row[f"Checkpoint-{s}s"] for s in (5, 15, 30)]
+        assert max(row["Active-5s"], row["Active-30s"]) < checkpoint[0]
+        assert checkpoint[0] < checkpoint[1] < checkpoint[2]
+
+    def test_fig10_more_replication_recovers_sooner(self):
+        for row in _rows("fig10"):
+            assert (row["PPA-1.0"] <= row["PPA-0.5-active"]
+                    <= row["PPA-0.5"] <= row["PPA-0"])
+
+    def test_fig12_q1_accuracy_grows_with_the_budget(self):
+        accuracies = [row["OF-SA-Accuracy"] for row in _rows("fig12", 0)]
+        assert accuracies == sorted(accuracies)
+
+    def test_fig12_q2_ic_promises_more_but_of_delivers(self):
+        # The paper's key result on the join query: the IC-optimised plan
+        # reports a higher metric value yet no better actual accuracy.
+        top = _rows("fig12", 1)[-1]
+        assert top["IC"] >= top["OF"]
+        assert top["OF-SA-Accuracy"] >= top["IC-SA-Accuracy"]
+
+    def test_fig13_sa_tracks_dp_and_greedy_trails(self):
+        for row in _rows("fig13"):
+            assert row["DP-OF"] >= row["SA-OF"] >= row["Greedy-OF"]
+            assert row["SA-Accuracy"] >= row["Greedy-Accuracy"] - 0.05
 
 
 class TestFastFigureGolden:

@@ -589,6 +589,19 @@ class TestQualityAxis:
         with pytest.raises(ScenarioError, match="quality"):
             run_scenario(_tiny_scenario(quality={"bogus": 1.0}))
 
+    def test_quality_keys_checked_at_construction(self):
+        # Before any simulation: a typo must not cost a grid its engine runs.
+        with pytest.raises(ScenarioError,
+                           match=r"unknown quality field\(s\) \['measure_form'\]"):
+            Scenario(quality={"measure_form": 30.0})
+        with pytest.raises(ScenarioError, match="unknown quality field"):
+            Scenario.from_dict({"quality": {"measure_form": 30.0}})
+
+    @pytest.mark.parametrize("value", ["30", None, True, [30.0]])
+    def test_quality_values_must_be_numbers(self, value):
+        with pytest.raises(ScenarioError, match="measure_from.*number"):
+            Scenario(quality={"measure_from": value})
+
     def test_active_standby_quality_is_lossless(self):
         result = run_scenario(_tiny_scenario(
             recovery="active-standby", quality={"measure_from": 12.0}))

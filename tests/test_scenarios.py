@@ -250,6 +250,32 @@ class TestFailureModels:
         plan = frozenset({TaskId("A", 0), TaskId("B", 0)})
         assert set(model(self.topology(), plan, seed=0)) == {TaskId("A", 1)}
 
+    def test_unreplicated_with_sources_is_everything_outside_the_plan(self):
+        model = FAILURE_MODELS.get("unreplicated")
+        topology = self.topology()
+        plan = frozenset({TaskId("A", 0), TaskId("B", 0)})
+        assert model(topology, plan, seed=0, include_sources=True) == tuple(
+            t for t in topology.tasks() if t not in plan)
+
+    @pytest.mark.parametrize("objective", ["OF", "IC"])
+    @pytest.mark.parametrize("planner", ["greedy", "structure-aware", "dp"])
+    def test_unreplicated_with_sources_is_the_predicted_worst_case(
+            self, planner, objective):
+        # The Fig. 12/13 outage: what the plan value assumes is what dies.
+        result = run_scenario(Scenario(
+            workload="worldcup",
+            workload_params={"window_seconds": 5.0, "pages": 100,
+                             "rate_per_source": 200.0},
+            planner=planner, objective=objective, budget_fraction=0.4,
+            engine={"checkpoint_interval": None, "recovery_enabled": False},
+            failures=(FailureSpec("unreplicated", at=2.0,
+                                  params={"include_sources": True}),),
+            duration=4.0,
+        ))
+        assert set(result.failed_tasks).isdisjoint(result.plan.replicated)
+        assert len(result.failed_tasks) + result.plan.usage == 21
+        assert result.failure_fidelity == result.worst_case_fidelity
+
     def test_explicit_tasks_accepts_both_spellings(self):
         model = FAILURE_MODELS.get("tasks")
         victims = model(self.topology(), frozenset(), seed=0,
