@@ -9,6 +9,16 @@ handler thread reads each peer's requests while a dedicated writer
 thread (:class:`PeerStream`) drains that peer's outbound queue, so a
 pushed event never blocks on a slow reader elsewhere.
 
+Both ends set ``TCP_NODELAY``.  Every message is flushed on its own, so
+one request is routinely answered with several small writes (a job's
+``accepted``, then a ``progress`` + ``result`` per cell, then
+``job-done``).  Under Nagle's algorithm the kernel holds the second
+small segment until the first is acknowledged, and the peer — which has
+nothing to send back — delays that ACK by ~40 ms: a fixed stall on every
+job, whatever its size.  A one-message-per-flush protocol has nothing to
+gain from the coalescing Nagle offers, so it is off, here and nowhere
+else.
+
 A fabric subclasses :class:`PeerServer`, names its dialect in class
 attributes and fills in the :meth:`~PeerServer.admit`,
 :meth:`~PeerServer.dispatch` and :meth:`~PeerServer.dropped` hooks; on the
@@ -139,6 +149,7 @@ class PeerStream:
 
 class _Handler(socketserver.StreamRequestHandler):
     server: "_Listener"
+    disable_nagle_algorithm = True  # see the module docstring
 
     def handle(self) -> None:
         self.server.peers._serve(self)
@@ -326,6 +337,7 @@ class Connection:
         except OSError as exc:
             raise error(f"cannot connect to {self.peer}: {exc}") from None
         self.sock.settimeout(None)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self.sock.makefile("r", encoding="utf-8")
         self._wfile = self.sock.makefile("w", encoding="utf-8")
         self._write_lock = threading.Lock()

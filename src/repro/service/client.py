@@ -132,11 +132,18 @@ class SweepClient:
         else:
             self._connection = self._dial()
         # Handshake rejections are semantic, never retried.
-        welcome = self._connection.handshake(
-            {"op": "hello", "client": self._requested_id,
-             "protocol": PROTOCOL_VERSION})
-        if welcome["type"] == "error":
-            raise ServiceError(f"server rejected hello: {welcome.get('message')}")
+        try:
+            welcome = self._connection.handshake(
+                {"op": "hello", "client": self._requested_id,
+                 "protocol": PROTOCOL_VERSION})
+            if welcome["type"] == "error":
+                raise ServiceError(
+                    f"server rejected hello: {welcome.get('message')}")
+        except ServiceError:
+            # The constructor is about to raise: nobody else will hold
+            # this connection, so nobody else can close it.
+            self._connection.close()
+            raise
         #: The server-side id (uniquified on collision) used in accounting.
         self.client_id = str(welcome.get("client"))
 

@@ -100,6 +100,9 @@ class TestOneFabricCore:
         for primitive, home in (("os.fsync", "fabric/journal.py"),
                                 ("socketserver", "fabric/transport.py"),
                                 ("socket.create_connection",
+                                 "fabric/transport.py"),
+                                ("TCP_NODELAY", "fabric/transport.py"),
+                                ("disable_nagle_algorithm",
                                  "fabric/transport.py")):
             users = [str(path.relative_to(source_root))
                      for path, text in sources.items() if primitive in text]

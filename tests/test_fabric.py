@@ -8,6 +8,7 @@ stream class makes true for *both* servers (sockets really close).
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -16,6 +17,7 @@ import pytest
 from repro.cluster.journal import LedgerJournal
 from repro.errors import ClusterError, ServiceError
 from repro.fabric.journal import Journal
+from repro.fabric.transport import Connection, PeerServer
 from repro.scenarios import Scenario, scenario_digest
 from repro.service import SweepClient, SweepJournal, SweepServer
 
@@ -297,3 +299,64 @@ class TestServerStopClosesSockets:
         stopper.start()
         stopper.join(5.0)       # nothing is listening: must not block
         assert not stopper.is_alive()
+
+
+class EchoTwice(PeerServer):
+    """Answers every request with two sends: the write-write-read pattern
+    (what ``accepted`` + ``progress`` is to a ``submit``)."""
+
+    name = "echo"
+
+    def __init__(self):
+        super().__init__("127.0.0.1", 0)
+        self.accepted_nodelay: list[int] = []
+
+    def admit(self, message, handler):
+        self.accepted_nodelay.append(handler.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        with self._streams_lock:
+            stream = self.attach(f"peer-{len(self._streams)}", handler)
+        stream.send({"type": "welcome"})
+        return stream
+
+    def dispatch(self, stream, op, message):
+        stream.send({"type": "first", "round": message["round"]})
+        stream.send({"type": "second", "round": message["round"]})
+
+
+@pytest.fixture
+def echo_peer():
+    server = EchoTwice()
+    server.listen()
+    connection = Connection(server.address, "echo server", ServiceError, 5.0)
+    try:
+        assert connection.handshake(
+            {"op": "hello", "protocol": 1})["type"] == "welcome"
+        yield server, connection
+    finally:
+        connection.close()
+        server.hang_up()
+        server.unlisten()
+
+
+class TestNagleOff:
+    def test_both_ends_of_a_connection_have_tcp_nodelay(self, echo_peer):
+        server, connection = echo_peer
+        assert connection.sock.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        (accepted,) = server.accepted_nodelay
+        assert accepted != 0
+
+    def test_two_writes_answering_one_request_do_not_wait_for_an_ack(
+            self, echo_peer):
+        """The reproduced defect: under Nagle the second small write waits
+        for the reader's delayed ACK, >= 40 ms a round (>= 0.8 s here)."""
+        _server, connection = echo_peer
+        started = time.perf_counter()
+        for round_number in range(20):
+            connection.send({"op": "ask", "round": round_number})
+            assert connection.read() == {"type": "first",
+                                         "round": round_number}
+            assert connection.read() == {"type": "second",
+                                         "round": round_number}
+        assert time.perf_counter() - started < 0.4
