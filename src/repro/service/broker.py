@@ -154,12 +154,6 @@ class SweepBroker:
         scenarios = list(scenarios)
         if not scenarios:
             raise ServiceError("a submission needs at least one scenario")
-        # Digests and cache reads (a file read + JSON decode per hit) run
-        # before the lock: a large warm resubmit must not freeze take(),
-        # complete() and status() for every other client.
-        digests = [scenario_digest(s) for s in scenarios]
-        probed = [self.cache.get(digest) if self.cache is not None else None
-                  for digest in digests]
         with self._work:
             if self._draining:
                 raise ServiceError("server is draining; submission refused")
@@ -174,30 +168,22 @@ class SweepBroker:
                          stream_results=stream_results)
             self._jobs[key] = state
             counters = self.per_client.setdefault(client, SweepCounters())
+            digests = [scenario_digest(s) for s in scenarios]
             self.publish(client, {"type": "accepted", "job": job_id,
                                   "total": len(scenarios),
                                   "digests": digests})
             announce: list[tuple[_Subscriber, object, int]] = []
-            for index, (scenario, digest, hit) in enumerate(
-                    zip(scenarios, digests, probed)):
+            for index, (scenario, digest) in enumerate(zip(scenarios, digests)):
                 counters.submitted += 1
                 self.totals.submitted += 1
-                cell = None
-                if hit is None:
-                    cell = self._by_digest.get(digest)
-                    if cell is None and self.cache is not None \
-                            and digest in self.cache:
-                        # Completed between the unlocked probe and the
-                        # lock (complete() fills the cache before it
-                        # retires the digest): the window costs a stat
-                        # here, never a second execution.
-                        hit = self.cache.get(digest)
+                hit = self.cache.get(digest) if self.cache is not None else None
                 if hit is not None:
                     counters.cache_hits += 1
                     self.totals.cache_hits += 1
                     announce.append((_Subscriber(client, job_id, index,
                                                  scenario, "cache"), hit, 0))
                     continue
+                cell = self._by_digest.get(digest)
                 if cell is not None:
                     counters.deduped += 1
                     self.totals.deduped += 1

@@ -12,7 +12,6 @@ server resumes it into the shared cache.
 
 import os
 import socket
-import sys
 import threading
 import time
 
@@ -243,160 +242,6 @@ class TestBroker:
         assert [d for d, _s in broker.take(5)] == [d for d, _s in batch]
 
 
-class GatedCache(ScenarioCache):
-    """A cache whose ``get`` parks (after its read) until released."""
-
-    def __init__(self, directory):
-        super().__init__(directory)
-        self.gated = False
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def get(self, digest):
-        result = super().get(digest)
-        if self.gated:
-            self.entered.set()
-            assert self.release.wait(10.0)
-        return result
-
-
-def returns_within(seconds, function, *args, **kwargs):
-    """Whether ``function`` came back in time (a deadlock fails the test
-    instead of hanging it)."""
-    thread = threading.Thread(target=function, args=args, kwargs=kwargs,
-                              daemon=True)
-    thread.start()
-    thread.join(seconds)
-    return not thread.is_alive()
-
-
-class TestSubmitReadsTheCacheOutsideTheLock:
-    def parked_submit(self, tmp_path, cached, submitted):
-        """alice's submit of ``submitted``, parked inside its first cache
-        read while bob's cell 50 is in flight."""
-        cache = GatedCache(tmp_path)
-        for scenario in cached:
-            cache.put(scenario_digest(scenario), run_scenario(scenario))
-        broker, log = TestBroker().make(cache=cache)
-        broker.submit("bob", [cell(50)], job="b")
-        (digest, scenario), = broker.take(5)
-        cache.gated = True
-        submit = threading.Thread(
-            target=broker.submit, args=("alice", submitted),
-            kwargs={"job": "a"}, daemon=True)
-        submit.start()
-        assert cache.entered.wait(10.0)
-        return broker, cache, log, submit, digest, scenario
-
-    def test_other_clients_are_served_while_a_submit_reads_the_cache(
-            self, tmp_path):
-        grid = [cell(1), cell(2)]
-        broker, cache, log, submit, digest, scenario = \
-            self.parked_submit(tmp_path, cached=grid, submitted=grid)
-        # The single broker lock is free: status and bob's completion run.
-        assert returns_within(5.0, broker.status)
-        assert returns_within(5.0, broker.complete, digest,
-                              run_scenario(scenario))
-        assert [m["type"] for c, m in log if c == "bob"] == \
-            ["accepted", "progress", "result", "job-done"]
-        assert not [m for c, m in log if c == "alice"]
-
-        cache.gated = False
-        cache.release.set()
-        submit.join(10.0)
-        assert not submit.is_alive()
-        alice = [m for c, m in log if c == "alice"]
-        # accepted still precedes every event; hits are announced in full.
-        assert [m["type"] for m in alice] == \
-            ["accepted", "progress", "result", "progress", "result",
-             "job-done"]
-        assert alice[-1]["cache_hits"] == alice[-1]["total"] == 2
-        assert broker.idle()
-
-    def test_completion_landing_between_probe_and_lock_is_not_re_executed(
-            self, tmp_path):
-        # alice asks for bob's in-flight cell; her unlocked probe misses.
-        broker, cache, log, submit, digest, scenario = \
-            self.parked_submit(tmp_path, cached=[], submitted=[cell(50)])
-        # The cell completes (cache filled, digest retired) in the window.
-        assert returns_within(5.0, broker.complete, digest,
-                              run_scenario(scenario))
-        cache.gated = False
-        cache.release.set()
-        submit.join(10.0)
-        assert not submit.is_alive()
-
-        alice = [m for c, m in log if c == "alice"]
-        assert [m["type"] for m in alice] == \
-            ["accepted", "progress", "result", "job-done"]
-        assert alice[1]["source"] in ("cache", "deduped")
-        assert alice[-1]["executed"] == 0
-        assert broker.idle()
-        assert broker.totals.executed == 1
-
-    def test_racing_submitters_never_execute_a_digest_twice(self, tmp_path):
-        """Stress: six clients submit the same eight cells (each twice)
-        while a dispatcher completes them; whichever side of the window a
-        submit lands on, every digest runs once and every job finishes."""
-        grid = [cell(i) for i in range(8)]
-        results = {scenario_digest(s): run_scenario(s) for s in grid}
-        done = []
-        lock = threading.Lock()
-
-        def publish(client, message):
-            if message["type"] == "job-done":
-                with lock:
-                    done.append(message)
-
-        class SlowProbe(ScenarioCache):
-            def get(self, digest):  # widen the probe-to-lock window
-                result = super().get(digest)
-                time.sleep(0.0005)
-                return result
-
-        broker = SweepBroker(cache=SlowProbe(tmp_path), publish=publish)
-        executed = []
-
-        def dispatcher():
-            while (batch := broker.take(3)) is not None:
-                for digest, _scenario in batch:
-                    executed.append(digest)
-                    broker.complete(digest, results[digest])
-
-        def submitter(name):
-            for round_number in range(2):
-                broker.submit(name, grid, job=f"{name}-{round_number}")
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            worker = threading.Thread(target=dispatcher, daemon=True)
-            worker.start()
-            clients = [threading.Thread(target=submitter, args=(f"c{i}",),
-                                        daemon=True) for i in range(6)]
-            for thread in clients:
-                thread.start()
-            for thread in clients:
-                thread.join(30.0)
-                assert not thread.is_alive()
-            deadline = time.monotonic() + 30.0
-            while not broker.idle():
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            broker.stop()
-            worker.join(10.0)
-            assert not worker.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(executed) == sorted(results)
-        assert len(done) == 12
-        assert all(m["done"] == m["total"] == 8 and m["errors"] == 0
-                   for m in done)
-        assert broker.totals.submitted == 96
-        assert broker.totals.executed == 8
-        assert broker.totals.cache_hits + broker.totals.deduped == 88
-
-
 # ----------------------------------------------------------------------
 def overlapping_grids() -> tuple[list[Scenario], list[Scenario]]:
     """Two 8-cell grids sharing 50% of their digests (seeds 4..7)."""
@@ -608,7 +453,8 @@ class TestServerEndToEnd:
                     assert outcome.tally["cache_hits"] == 1
         finally:
             server.stop()
-        assert sorted(trips)[2] < 0.020
+        # Below the 40 ms stall, with room for a loaded runner's scheduling.
+        assert sorted(trips)[2] < 0.035
 
     @pytest.mark.parametrize("rejection", ["protocol-mismatch", "hang-up"])
     def test_failed_handshake_closes_the_socket(self, tmp_path, monkeypatch,
