@@ -1,10 +1,16 @@
 """Tests for the experiments CLI (figures, scenario and grid subcommands)."""
 
+import functools
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.cli import RUNNERS, main
+from tests.golden.make_cli_golden import PATH as CLI_GOLDEN_PATH
+from tests.golden.make_cli_golden import cli_golden
+
+CLI_GOLDEN = json.loads(Path(CLI_GOLDEN_PATH).read_text())
 
 
 def tiny_scenario_dict() -> dict:
@@ -329,3 +335,30 @@ class TestCacheSubcommand:
     def test_missing_directory_reports_error(self, tmp_path, capsys):
         assert main(["cache", "stats", str(tmp_path / "nope")]) == 2
         assert "not a directory" in capsys.readouterr().err
+
+
+@functools.lru_cache(maxsize=None)
+def _cli_golden_now() -> dict:
+    return cli_golden()
+
+
+class TestCliGolden:
+    """``grid`` / ``submit`` / ``chaos`` stdout bytes and exit codes.
+
+    Regenerate with ``tests/golden/make_cli_golden.py`` only when a
+    command's output or exit contract changes on purpose.
+    """
+
+    @pytest.mark.parametrize("key", sorted(CLI_GOLDEN["exit_codes"]))
+    def test_exit_code(self, key):
+        assert _cli_golden_now()["exit_codes"][key] == \
+            CLI_GOLDEN["exit_codes"][key]
+
+    @pytest.mark.parametrize("key", sorted(CLI_GOLDEN["stdout"]))
+    def test_json_stdout_bytes(self, key):
+        assert _cli_golden_now()["stdout"][key] == CLI_GOLDEN["stdout"][key]
+
+    def test_golden_has_no_stale_entries(self):
+        now = _cli_golden_now()
+        for section in ("exit_codes", "stdout"):
+            assert set(now[section]) == set(CLI_GOLDEN[section])
