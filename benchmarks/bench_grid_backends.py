@@ -1,11 +1,10 @@
-"""Grid execution backends: serial vs threads vs processes on a 64-cell grid.
+"""Grid execution backends: serial vs processes on a 64-cell grid.
 
 Each cell is a small custom-topology engine run (pure CPU, deterministic),
-so the processes backend shows real multi-core speedup while threads mostly
-measure coordination overhead under the GIL.  The benchmark also asserts
-that every backend produces identical results — the ordering-independent
-collection path (and the prebuilt-worker fast path, which is the default
-runner) must not change outcomes.
+so the processes backend shows real multi-core speedup.  The benchmark
+also asserts that every backend produces identical results — the
+ordering-independent collection path (and the prebuilt-worker fast path,
+which is the default runner) must not change outcomes.
 
 Scores are normalized with the same calibration loop as
 ``benchmarks/baseline.py`` (see ``benchmarks/calibration.py``): every
@@ -80,7 +79,7 @@ def serial_baseline() -> list:
     return run_with("serial")
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_grid_backend_throughput(benchmark, backend, serial_baseline,
                                  calibration):
     results = benchmark.pedantic(run_with, args=(backend,),

@@ -7,13 +7,11 @@ leases, heartbeats, result streaming) with zero infrastructure — and the
 results come back digest-identical to a serial run: same sink bytes,
 same report, same cache keys.
 
-To stretch the same grid across machines, keep the script as is and
-point external workers at the printed coordinator address:
+To stretch the same grid across machines, bind the coordinator to a
+routable address (``ClusterBackend(host="0.0.0.0")``) and start a worker
+on each extra host, pointed at the printed coordinator address:
 
     repro-experiments worker --connect HOST:PORT
-
-or let the backend bootstrap them over ssh
-(``ClusterBackend(ssh_hosts=["node1", "node2"], host="0.0.0.0")``).
 
 Run:  python examples/cluster_quickstart.py
 """
@@ -36,7 +34,7 @@ grid = expand_grid(base, {"budget_fraction": [0.0, 0.25, 0.5],
 
 def main():
     # Two local worker agents; the coordinator port is OS-assigned.
-    # The same two lines on a multi-host fleet: ssh_hosts=[...], host="0.0.0.0".
+    # On several hosts: host="0.0.0.0" plus a `worker --connect` per host.
     with ClusterBackend(local_workers=2) as backend:
         host, port = backend.address
         print(f"coordinator on {host}:{port}, "

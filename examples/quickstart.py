@@ -57,11 +57,11 @@ def main():
     budget = repro.budget_from_fraction(topology, 0.4)
     print(f"Replication budget: {budget} of {topology.num_tasks} tasks (40%)\n")
 
-    # Grids run through a pluggable execution backend ("serial", "threads",
-    # or "processes" for real parallelism); results are deterministic and
-    # identical whichever backend executes them.
+    # Grids run through a pluggable execution backend ("serial",
+    # "processes" for real parallelism, or "cluster"); results are
+    # deterministic and identical whichever backend executes them.
     results = repro.run_grid(base, {"planner": ["greedy", "structure-aware"]},
-                             backend="threads")
+                             backend="processes")
     for result in results:
         tasks = ", ".join(str(t) for t in sorted(result.plan.replicated))
         print(f"{result.plan.planner:>7}: OF = {result.worst_case_fidelity:.3f}"

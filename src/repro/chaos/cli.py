@@ -27,7 +27,8 @@ from typing import Sequence
 
 from repro.chaos.inject import run_chaos
 from repro.chaos.schedule import ChaosError, ChaosEvent, ChaosSchedule
-from repro.scenarios.grid import load_json, scenarios_from_document
+from repro.experiments.cli import load_grid
+from repro.scenarios.grid import load_json
 from repro.scenarios.session import GridReport
 from repro.scenarios.sinks import sink_for_path
 
@@ -132,7 +133,7 @@ def chaos_main(argv: Sequence[str]) -> int:
                         help="print the report + fault tallies as JSON")
     args = parser.parse_args(argv)
 
-    scenarios = scenarios_from_document(load_json(args.file))
+    scenarios = load_grid(args.file)
     schedule = _schedule_from_args(args)
     sink = sink_for_path(args.output) if args.output else None
 

@@ -178,8 +178,8 @@ class WireFaults:
 class ChaosController:
     """Executes a schedule's process faults against a running backend.
 
-    The controller addresses workers by *flattened fleet slot* (spawn
-    order across the backend's fleets) and fires each event once at its
+    The controller addresses workers by fleet slot (spawn order in the
+    backend's local fleet) and fires each event once at its
     ``at`` offset from :meth:`start`.  Planned events are logged
     whether or not they could be executed (a kill aimed at a slot the
     fleet never had is a harness error, recorded separately) — the
@@ -240,19 +240,16 @@ class ChaosController:
             if event.action == "crash":
                 self._backend.restart_coordinator()
             else:
-                fleet, slot = self._resolve(event.slot)
-                getattr(fleet, event.action)(slot)
+                getattr(self._fleet(event.slot), event.action)(event.slot)
         except Exception as exc:
             self.log.record_error(f"{event.action}@{event.at:g}: {exc}")
 
-    def _resolve(self, slot: int):
-        """Map a flattened slot index onto (fleet, fleet-local slot)."""
-        offset = slot
-        for fleet in getattr(self._backend, "_fleets", ()):
-            if offset < len(fleet.processes):
-                return fleet, offset
-            offset -= len(fleet.processes)
-        raise ClusterError(f"no fleet worker at flattened slot {slot}")
+    def _fleet(self, slot: int):
+        """The backend's fleet, if it has a worker at ``slot``."""
+        fleet = getattr(self._backend, "_fleet", None)
+        if fleet is None or not 0 <= slot < len(fleet.processes):
+            raise ClusterError(f"no fleet worker at slot {slot}")
+        return fleet
 
 
 def chaos_runner(scenario):

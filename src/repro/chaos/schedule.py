@@ -37,8 +37,8 @@ class ChaosEvent:
     """One scheduled process fault.
 
     ``at`` is seconds after the controller starts; ``action`` is one of
-    :data:`ACTIONS`; ``slot`` addresses a fleet worker (flattened across
-    the backend's fleets, spawn order) and is ignored by ``crash``,
+    :data:`ACTIONS`; ``slot`` addresses a fleet worker (spawn order in
+    the backend's local fleet) and is ignored by ``crash``,
     which SIGKILL-restarts the coordinator on its journal instead.
     """
 

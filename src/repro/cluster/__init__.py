@@ -18,7 +18,7 @@ Layering (mirroring :mod:`repro.service`):
 * :mod:`~repro.cluster.coordinator` — the TCP front end + liveness monitor;
 * :mod:`~repro.cluster.worker` — the agent behind
   ``repro-experiments worker --connect HOST:PORT``;
-* :mod:`~repro.cluster.fleet` — local subprocess fleets and ssh bootstrap;
+* :mod:`~repro.cluster.fleet` — the local subprocess fleet;
 * :mod:`~repro.cluster.backend` — the ``ExecutionBackend`` façade;
 * :mod:`~repro.cluster.cli` — the ``worker`` subcommand and the
   ``--cluster-*`` option group.
@@ -32,7 +32,7 @@ attempt count intact and surfaces as ``GridReport.retries``.
 
 from repro.cluster.backend import ClusterBackend
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.fleet import LocalFleet, SshFleet
+from repro.cluster.fleet import LocalFleet
 from repro.cluster.ledger import CellLedger
 from repro.cluster.worker import ClusterWorkerAgent
 
@@ -42,5 +42,4 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterWorkerAgent",
     "LocalFleet",
-    "SshFleet",
 ]

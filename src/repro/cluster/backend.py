@@ -17,12 +17,10 @@ releases the port; the backend is restartable after a close.
 Topology knobs:
 
 * ``local_workers`` — size of the auto-spawned loopback fleet.  The
-  default (``None``) picks ``min(4, cpu_count)`` local workers when no
-  ssh hosts are given, and 0 when they are; ``local_workers=0`` with no
-  ssh hosts means *externally launched workers only* (start them with
-  ``repro-experiments worker --connect HOST:PORT``).
-* ``ssh_hosts`` / ``ssh_cmd`` — remote bootstrap, see
-  :class:`~repro.cluster.fleet.SshFleet`.
+  default (``None``) picks ``min(4, cpu_count)`` local workers;
+  ``local_workers=0`` means *externally launched workers only* (start
+  them with ``repro-experiments worker --connect HOST:PORT`` on each
+  host, against a coordinator bound with ``host="0.0.0.0"``).
 * ``lease_timeout`` — per-cell lease deadline when ``execute`` gets no
   ``timeout``; hung-but-heartbeating workers forfeit the cell when it
   expires.
@@ -45,7 +43,7 @@ Resilience knobs (all optional):
   re-submitting the identical grid adopts the journal's remnant instead
   of recomputing it.  :meth:`restart_coordinator` is the in-process
   crash-restart (used by the chaos harness).
-* ``respawn`` / ``worker_reconnect`` — the fleets' self-healing: replace
+* ``respawn`` / ``worker_reconnect`` — the fleet's self-healing: replace
   up to N dead workers, and spawn workers that redial a restarted
   coordinator for ``worker_reconnect`` seconds (resuming their prior
   worker id) instead of dying with the connection.
@@ -66,7 +64,7 @@ import time
 from typing import Iterator, Sequence
 
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.fleet import LocalFleet, SshFleet, WorkerFleet
+from repro.cluster.fleet import LocalFleet
 from repro.cluster.journal import LedgerJournal
 from repro.cluster.protocol import runner_to_wire
 from repro.errors import ClusterError
@@ -91,8 +89,6 @@ class ClusterBackend(ExecutionBackend):
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  local_workers: int | None = None,
                  worker_capacity: int = 1,
-                 ssh_hosts: Sequence[str] = (),
-                 ssh_cmd: str | None = None,
                  lease_timeout: float | None = None,
                  heartbeat_timeout: float = 10.0,
                  startup_timeout: float = 30.0,
@@ -125,8 +121,6 @@ class ClusterBackend(ExecutionBackend):
         self.port = port
         self.local_workers = local_workers
         self.worker_capacity = worker_capacity
-        self.ssh_hosts = tuple(ssh_hosts)
-        self.ssh_cmd = ssh_cmd
         self.lease_timeout = lease_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.startup_timeout = startup_timeout
@@ -144,7 +138,7 @@ class ClusterBackend(ExecutionBackend):
         #: ``GridReport.degraded``); empty when the cluster did it all.
         self.degraded_positions: tuple[int, ...] = ()
         self._coordinator: ClusterCoordinator | None = None
-        self._fleets: list[WorkerFleet] = []
+        self._fleet: LocalFleet | None = None
         self._grid_lock = threading.Lock()
         self._lifecycle_lock = threading.Lock()
 
@@ -155,11 +149,6 @@ class ClusterBackend(ExecutionBackend):
         coordinator = self._coordinator
         return coordinator.address if coordinator is not None else None
 
-    def _effective_local_workers(self) -> int:
-        if self.local_workers is not None:
-            return self.local_workers
-        return 0 if self.ssh_hosts else _default_local_workers()
-
     def _ensure_started(self) -> ClusterCoordinator:
         with self._lifecycle_lock:
             if self._coordinator is not None:
@@ -169,27 +158,24 @@ class ClusterBackend(ExecutionBackend):
                 heartbeat_timeout=self.heartbeat_timeout,
                 journal=self.journal,
                 wire_faults=self.wire_faults).start()
-            fleets: list[WorkerFleet] = []
+            n_local = self.local_workers
+            if n_local is None:
+                n_local = _default_local_workers()
+            fleet = None
             try:
-                n_local = self._effective_local_workers()
                 if n_local:
-                    fleets.append(LocalFleet(
-                        coordinator.address, n_local,
-                        capacity=self.worker_capacity,
-                        respawn=self.respawn,
-                        reconnect=self.worker_reconnect).start())
-                if self.ssh_hosts:
-                    fleets.append(SshFleet(
-                        (self.host, coordinator.address[1]), self.ssh_hosts,
-                        ssh_cmd=self.ssh_cmd,
-                        respawn=self.respawn).start())
+                    fleet = LocalFleet(coordinator.address, n_local,
+                                       capacity=self.worker_capacity,
+                                       respawn=self.respawn,
+                                       reconnect=self.worker_reconnect)
+                    fleet.start()
             except Exception:
-                for fleet in fleets:
+                if fleet is not None:
                     fleet.terminate()
                 coordinator.stop()
                 raise
             self._coordinator = coordinator
-            self._fleets = fleets
+            self._fleet = fleet
             atexit.register(self.close)
             return coordinator
 
@@ -226,8 +212,8 @@ class ClusterBackend(ExecutionBackend):
     def close(self) -> None:
         """Shut the fleet and coordinator down (restartable afterwards)."""
         with self._lifecycle_lock:
-            coordinator, fleets = self._coordinator, self._fleets
-            self._coordinator, self._fleets = None, []
+            coordinator, fleet = self._coordinator, self._fleet
+            self._coordinator, self._fleet = None, None
         if coordinator is None:
             return
         try:
@@ -235,7 +221,7 @@ class ClusterBackend(ExecutionBackend):
         except Exception:  # pragma: no cover - interpreter teardown
             pass
         coordinator.stop()
-        for fleet in fleets:
+        if fleet is not None:
             fleet.terminate()
 
     def __enter__(self) -> "ClusterBackend":
@@ -342,7 +328,7 @@ class ClusterBackend(ExecutionBackend):
                     f"{self.startup_timeout:g}s; start workers with "
                     f"'repro-experiments worker --connect "
                     f"{self.host}:{coordinator.address[1]}' or configure "
-                    f"local_workers/ssh_hosts"
+                    f"local_workers"
                 )
             time.sleep(0.05)
 
@@ -361,8 +347,8 @@ class ClusterBackend(ExecutionBackend):
         stuck and no fallback is configured.  ``short_since`` threads
         the caller's below-the-floor timer between sweeps.
         """
-        for fleet in self._fleets:
-            fleet.maintain()
+        if self._fleet is not None:
+            self._fleet.maintain()
         now = time.monotonic()
         alive = coordinator.worker_count()
         coordinator_down = coordinator._stopping.is_set() \
@@ -393,19 +379,16 @@ class ClusterBackend(ExecutionBackend):
 
     def _check_fleet_alive(self) -> None:
         """Fail fast when the backend's own fleet is entirely dead."""
-        if not self._fleets:
+        fleet = self._fleet
+        if fleet is None or fleet.alive():
             return
-        if any(fleet.alive() for fleet in self._fleets):
-            return
-        if any(fleet.respawns_left for fleet in self._fleets):
+        if fleet.respawns_left:
             return  # maintain() will raise replacements next sweep
         raise ClusterError(
             "every spawned cluster worker process has exited; check worker "
-            "stderr above for the crash (runner import failure, bad "
-            "--ssh-cmd, OOM, ...)"
+            "stderr above for the crash (runner import failure, OOM, ...)"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (f"ClusterBackend(local_workers={self.local_workers}, "
-                f"ssh_hosts={list(self.ssh_hosts)}, "
                 f"worker_capacity={self.worker_capacity})")

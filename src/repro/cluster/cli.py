@@ -4,10 +4,9 @@ Three pieces, all routed through ``repro-experiments``:
 
 * :func:`worker_main` — the ``worker`` subcommand: one agent process
   that dials a coordinator and serves cells until told to shut down.
-  This is what the local fleet spawns and what you run (directly or via
-  an ``--ssh-cmd`` template) on every extra host.
-* :func:`add_cluster_arguments` — the ``--cluster-*`` / ``--ssh-*``
-  option group shared by ``grid --backend cluster`` and
+  This is what the local fleet spawns and what you run on every extra
+  host.
+* :func:`add_cluster_arguments` — the ``--cluster-*`` option group shared by ``grid --backend cluster`` and
   ``serve --backend cluster``.
 * :func:`backend_from_args` — builds the execution backend that
   ``--backend``/``--max-workers`` and those flags describe.
@@ -69,8 +68,8 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
         "cluster backend options (with --backend cluster)")
     group.add_argument("--cluster-local", type=int, default=None, metavar="N",
                        help="size of the auto-spawned local worker fleet "
-                            "(default: min(4, cpus) when no --ssh-host is "
-                            "given; 0 = externally launched workers only)")
+                            "(default: min(4, cpus); 0 = externally "
+                            "launched workers only)")
     group.add_argument("--cluster-host", default="127.0.0.1", metavar="HOST",
                        help="coordinator bind address (default 127.0.0.1; "
                             "use 0.0.0.0 to accept remote workers)")
@@ -78,14 +77,6 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
                        help="coordinator port (default 0 = OS-assigned)")
     group.add_argument("--worker-capacity", type=int, default=1, metavar="N",
                        help="concurrent cells per spawned worker (default 1)")
-    group.add_argument("--ssh-host", action="append", default=None,
-                       metavar="HOST",
-                       help="bootstrap a worker on HOST via --ssh-cmd "
-                            "(repeatable)")
-    group.add_argument("--ssh-cmd", default=None, metavar="TEMPLATE",
-                       help="bootstrap command template with {host} and "
-                            "{addr} placeholders (default: 'ssh {host} "
-                            "repro-experiments worker --connect {addr}')")
     group.add_argument("--lease-timeout", type=float, default=None,
                        metavar="S",
                        help="per-cell lease deadline; a hung worker "
@@ -147,8 +138,6 @@ def backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
     return ClusterBackend(host=args.cluster_host, port=args.cluster_port,
                           local_workers=local,
                           worker_capacity=args.worker_capacity,
-                          ssh_hosts=tuple(args.ssh_host or ()),
-                          ssh_cmd=args.ssh_cmd,
                           lease_timeout=args.lease_timeout,
                           journal=args.cluster_journal,
                           respawn=args.cluster_respawn,

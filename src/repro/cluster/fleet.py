@@ -1,49 +1,35 @@
-"""Worker fleets: processes the backend spawns so a cluster "just runs".
+"""The local worker fleet: processes the backend spawns so a cluster "just runs".
 
-Two bootstrap strategies, one tiny interface (``start`` / ``alive`` /
-``terminate``):
+:class:`LocalFleet` runs N ``repro-experiments worker`` subprocesses on
+this host, connected over loopback.  This is how CI and laptops exercise
+the *full* wire path (registration, leases, heartbeats, result
+streaming, death recovery) with zero infrastructure, and how
+``--backend cluster`` works out of the box.  Workers inherit the
+parent's ``sys.path`` via ``PYTHONPATH`` so runner callables defined in
+scripts and test modules resolve in the children.  Workers on other
+hosts are launched by hand (``repro-experiments worker --connect
+HOST:PORT``) against a coordinator bound to a routable address.
 
-* :class:`LocalFleet` — N ``repro-experiments worker`` subprocesses on
-  this host, connected over loopback.  This is how CI and laptops
-  exercise the *full* wire path (registration, leases, heartbeats,
-  result streaming, death recovery) with zero infrastructure, and how
-  ``--backend cluster`` works out of the box.  Workers inherit the
-  parent's ``sys.path`` via ``PYTHONPATH`` so runner callables defined
-  in scripts and test modules resolve in the children.
-* :class:`SshFleet` — one bootstrap subprocess per remote host, built
-  from a ``--ssh-cmd`` template with ``{host}`` and ``{addr}``
-  placeholders (default: ``ssh {host} repro-experiments worker
-  --connect {addr}``).  The template is deliberately dumb — no custom
-  transport, no agent forwarding logic — because every site's ssh
-  wrapper is different; anything that can exec a command with the
-  coordinator's address substituted in can launch a worker (pdsh, a
-  container runtime, a batch scheduler...).
-
-By default fleets never restart dead workers: a worker death is a
+By default the fleet never restarts dead workers: a worker death is a
 *signal* the coordinator handles by requeueing leases, and silently
 respawning would mask systematic crashes (an OOM-looping cell would
 thrash forever).  The opt-in ``respawn=N`` budget relaxes that for
 deployments that expect attrition (and for the chaos harness, which
-kills workers on purpose): :meth:`WorkerFleet.maintain` replaces dead
+kills workers on purpose): :meth:`LocalFleet.maintain` replaces dead
 slots up to N times total, then reverts to the default stance.  A
-*paused* slot (``SIGSTOP``, via :meth:`WorkerFleet.pause`) is alive, not
-dead — maintain never replaces it, so a later :meth:`WorkerFleet.resume`
+*paused* slot (``SIGSTOP``, via :meth:`LocalFleet.pause`) is alive, not
+dead — maintain never replaces it, so a later :meth:`LocalFleet.resume`
 cannot produce a duplicate worker.
 """
 
 from __future__ import annotations
 
 import os
-import shlex
 import signal
 import subprocess
 import sys
-from typing import Sequence
 
 from repro.errors import ClusterError
-
-#: The default ``--ssh-cmd`` template.
-DEFAULT_SSH_CMD = "ssh {host} repro-experiments worker --connect {addr}"
 
 
 def _worker_env() -> dict[str, str]:
@@ -58,37 +44,67 @@ def _worker_env() -> dict[str, str]:
     return env
 
 
-class WorkerFleet:
-    """Common accounting over a list of worker ``Popen`` handles.
+class LocalFleet:
+    """``count`` worker subprocesses connected to ``address`` over loopback.
 
     ``respawn`` is the fleet-wide replacement budget: how many dead
     workers :meth:`maintain` may replace over the fleet's lifetime
     (0 = never, the default).
     """
 
-    def __init__(self, respawn: int = 0) -> None:
+    def __init__(self, address: tuple[str, int], count: int, *,
+                 capacity: int = 1,
+                 heartbeat_interval: float = 1.0,
+                 name_prefix: str = "local",
+                 respawn: int = 0,
+                 reconnect: float = 0.0):
+        if count < 1:
+            raise ClusterError(f"a local fleet needs count >= 1, got {count}")
         if respawn < 0:
             raise ClusterError(f"respawn must be >= 0, got {respawn}")
         self.processes: list[subprocess.Popen] = []
-        self.respawn = respawn
         #: How much of the respawn budget is left.
         self.respawns_left = respawn
         #: Slot indices currently paused with SIGSTOP.
         self._paused: set[int] = set()
-
-    def start(self) -> "WorkerFleet":
-        raise NotImplementedError
+        self.address = address
+        self.count = count
+        self.capacity = capacity
+        self.heartbeat_interval = heartbeat_interval
+        self.name_prefix = name_prefix
+        #: Passed through as the workers' ``--reconnect`` window (seconds;
+        #: 0 = workers die with their connection, the default).
+        self.reconnect = reconnect
+        self._spawned = 0
 
     def _spawn(self, slot: int) -> subprocess.Popen:
-        """Launch the process for one slot (subclasses implement)."""
-        raise NotImplementedError
+        host, port = self.address
+        self._spawned += 1
+        command = [
+            sys.executable, "-m", "repro.experiments", "worker",
+            "--connect", f"{host}:{port}",
+            "--capacity", str(self.capacity),
+            "--heartbeat", str(self.heartbeat_interval),
+            # Respawned slots get a fresh generation suffix so the
+            # coordinator never sees two registrations collide.
+            "--name", f"{self.name_prefix}-{slot}"
+                      + (f"r{self._spawned}" if self._spawned > self.count
+                         else ""),
+        ]
+        if self.reconnect and self.reconnect > 0:
+            command += ["--reconnect", str(self.reconnect)]
+        return subprocess.Popen(command, env=_worker_env(),
+                                stdout=subprocess.DEVNULL)
+
+    def start(self) -> "LocalFleet":
+        """Spawn the workers (stderr inherited, so crashes are visible)."""
+        for i in range(self.count):
+            self.processes.append(self._spawn(i))
+        return self
 
     def alive(self) -> int:
         """How many fleet processes are still running."""
         return sum(1 for p in self.processes if p.poll() is None)
-
-    def pids(self) -> list[int]:
-        return [p.pid for p in self.processes]
 
     def maintain(self) -> int:
         """Replace dead workers while the respawn budget lasts.
@@ -172,97 +188,3 @@ class WorkerFleet:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}(alive={self.alive()})"
-
-
-class LocalFleet(WorkerFleet):
-    """``count`` worker subprocesses connected to ``address`` over loopback."""
-
-    def __init__(self, address: tuple[str, int], count: int, *,
-                 capacity: int = 1,
-                 heartbeat_interval: float = 1.0,
-                 name_prefix: str = "local",
-                 respawn: int = 0,
-                 reconnect: float = 0.0):
-        super().__init__(respawn)
-        if count < 1:
-            raise ClusterError(f"a local fleet needs count >= 1, got {count}")
-        self.address = address
-        self.count = count
-        self.capacity = capacity
-        self.heartbeat_interval = heartbeat_interval
-        self.name_prefix = name_prefix
-        #: Passed through as the workers' ``--reconnect`` window (seconds;
-        #: 0 = workers die with their connection, the default).
-        self.reconnect = reconnect
-        self._spawned = 0
-
-    def _spawn(self, slot: int) -> subprocess.Popen:
-        host, port = self.address
-        self._spawned += 1
-        command = [
-            sys.executable, "-m", "repro.experiments", "worker",
-            "--connect", f"{host}:{port}",
-            "--capacity", str(self.capacity),
-            "--heartbeat", str(self.heartbeat_interval),
-            # Respawned slots get a fresh generation suffix so the
-            # coordinator never sees two registrations collide.
-            "--name", f"{self.name_prefix}-{slot}"
-                      + (f"r{self._spawned}" if self._spawned > self.count
-                         else ""),
-        ]
-        if self.reconnect and self.reconnect > 0:
-            command += ["--reconnect", str(self.reconnect)]
-        return subprocess.Popen(command, env=_worker_env(),
-                                stdout=subprocess.DEVNULL)
-
-    def start(self) -> "LocalFleet":
-        """Spawn the workers (stderr inherited, so crashes are visible)."""
-        for i in range(self.count):
-            self.processes.append(self._spawn(i))
-        return self
-
-
-class SshFleet(WorkerFleet):
-    """One bootstrap subprocess per remote host, from a command template.
-
-    ``ssh_cmd`` may use ``{host}`` (the remote host) and ``{addr}`` (the
-    coordinator's ``host:port`` as workers should dial it — mind that an
-    ``127.0.0.1``-bound coordinator is unreachable from other machines;
-    bind with ``host="0.0.0.0"`` or a routable interface).
-    """
-
-    def __init__(self, address: tuple[str, int], hosts: Sequence[str], *,
-                 ssh_cmd: str | None = None,
-                 respawn: int = 0):
-        super().__init__(respawn)
-        if not hosts:
-            raise ClusterError("an ssh fleet needs at least one host")
-        self.address = address
-        self.hosts = [str(h) for h in hosts]
-        self.ssh_cmd = ssh_cmd or DEFAULT_SSH_CMD
-
-    def render(self, host: str) -> list[str]:
-        """The argv for one host's bootstrap command."""
-        addr = f"{self.address[0]}:{self.address[1]}"
-        try:
-            rendered = self.ssh_cmd.format(host=host, addr=addr)
-        except (KeyError, IndexError) as exc:
-            raise ClusterError(
-                f"bad --ssh-cmd template {self.ssh_cmd!r}: {exc} "
-                f"(known placeholders: {{host}}, {{addr}})"
-            ) from None
-        argv = shlex.split(rendered)
-        if not argv:
-            raise ClusterError(f"--ssh-cmd template rendered empty: "
-                               f"{self.ssh_cmd!r}")
-        return argv
-
-    def _spawn(self, slot: int) -> subprocess.Popen:
-        return subprocess.Popen(self.render(self.hosts[slot]),
-                                env=_worker_env(),
-                                stdout=subprocess.DEVNULL)
-
-    def start(self) -> "SshFleet":
-        for slot in range(len(self.hosts)):
-            self.processes.append(self._spawn(slot))
-        return self

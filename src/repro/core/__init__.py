@@ -8,20 +8,6 @@
 * the planners — Algorithms 1–5 of the paper.
 """
 
-from repro.core.adaptation import (
-    AdaptationDecision,
-    DynamicPlanAdapter,
-    PlanTransition,
-)
-from repro.core.analysis import (
-    MarginalGain,
-    PlanExplanation,
-    TaskCriticality,
-    criticality_report,
-    explain_plan,
-    fidelity_under_failures,
-    marginal_gains,
-)
 from repro.core.completeness import (
     internal_completeness,
     single_failure_completeness,
@@ -60,35 +46,25 @@ from repro.core.structured import StructuredTopologyPlanner, complete_tree
 from repro.core.units import split_into_units, unit_neighbours
 
 __all__ = [
-    "AdaptationDecision",
     "BruteForcePlanner",
-    "DynamicPlanAdapter",
     "DynamicProgrammingPlanner",
     "FullTopologyPlanner",
     "GreedyPlanner",
     "IC_OBJECTIVE",
-    "MarginalGain",
     "OF_OBJECTIVE",
-    "PlanExplanation",
     "PlanObjective",
-    "PlanTransition",
     "Planner",
     "PlanningContext",
     "ReplicationPlan",
     "StructureAwarePlanner",
     "StructuredTopologyPlanner",
     "SubTopology",
-    "TaskCriticality",
     "budget_from_fraction",
     "complete_tree",
     "count_mc_tree_derivations",
-    "criticality_report",
     "decompose",
     "enumerate_mc_trees",
-    "explain_plan",
-    "fidelity_under_failures",
     "internal_completeness",
-    "marginal_gains",
     "minimum_tree_size",
     "output_fidelity",
     "propagate_information_loss",

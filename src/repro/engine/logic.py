@@ -108,7 +108,7 @@ class MemoizedSource(SourceFunction):
                 try:
                     del batches[next(iter(batches))]
                 except (KeyError, StopIteration, RuntimeError):  # pragma: no cover
-                    # Shared memos (grid threads backend) may race on the
+                    # Shared memos (a multi-capacity cluster worker) may race on the
                     # eviction — including a concurrent insert between
                     # iter() and next() ("dictionary changed size during
                     # iteration"); purity makes losing the race harmless.

@@ -30,7 +30,7 @@ suite completes in a couple of minutes; omit it for the paper-scale runs.
 form ``{"base": {...scenario...}, "axes": {"field": [v1, v2], ...}}`` — or an
 explicit ``{"scenarios": [...]}`` list — and executes every combination
 through the pluggable grid-execution layer: ``--backend`` picks the
-execution strategy (serial / threads / processes), ``--output`` streams
+execution strategy (serial / processes / cluster), ``--output`` streams
 outcomes into a JSONL or SQLite sink, ``--cache-dir`` enables the
 content-addressed scenario cache and ``--resume`` skips cells the output
 file already holds, so interrupted sweeps pick up where they stopped.
@@ -46,21 +46,25 @@ interrupted).
 
 ``--backend cluster`` (on both ``grid`` and ``serve``) fans cells out to
 a fleet of worker agents over TCP (see :mod:`repro.cluster`): an
-auto-spawned local fleet by default (``--cluster-local N``), remote
-bootstrap via ``--ssh-host``/``--ssh-cmd``, or externally launched
-``worker`` processes — ``worker --connect HOST:PORT`` is the agent that
-runs on every extra host.
+auto-spawned local fleet by default (``--cluster-local N``) and/or
+externally launched ``worker`` processes — ``worker --connect HOST:PORT``
+is the agent that runs on every extra host, against a coordinator bound
+with ``--cluster-host 0.0.0.0``.
 
 ``chaos`` runs a grid on a local cluster fleet while injecting a seeded
 fault schedule — worker kills/pauses, coordinator crash-restarts on the
 write-ahead journal, wire delays/drops/duplicates — and exits 0 only
 when every cell still completed cleanly (see :mod:`repro.chaos`).
+
+Every subcommand is one entry of :data:`SUBCOMMANDS`, imported only when
+it runs: a figure run never loads the service or cluster stack.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 import time
@@ -93,6 +97,19 @@ from repro.scenarios import (
 )
 from repro.scenarios.grid import load_json, scenarios_from_document
 from repro.topology.operators import TaskId
+
+#: subcommand -> ``"module:function"`` of its ``fn(argv) -> exit code``
+#: entry point, imported on first use.
+SUBCOMMANDS: dict[str, str] = {
+    "scenario": "repro.experiments.cli:scenario_main",
+    "grid": "repro.experiments.cli:grid_main",
+    "cache": "repro.experiments.cli:cache_main",
+    "serve": "repro.service.cli:serve_main",
+    "submit": "repro.service.cli:submit_main",
+    "status": "repro.service.cli:status_main",
+    "worker": "repro.cluster.cli:worker_main",
+    "chaos": "repro.chaos.cli:chaos_main",
+}
 
 
 #: The ``--fast`` sizes of the two real queries (shorter windows, fewer tuples).
@@ -170,6 +187,30 @@ def _check_names(scenarios: Sequence[Scenario],
         )
 
 
+def load_grid(path: str, recovery: Sequence[str] = ()) -> list[Scenario]:
+    """The scenarios of the grid document at ``path``, names checked.
+
+    Shared by ``grid``, ``submit`` and ``chaos``, so all three reject an
+    unregistered scheme or failure model before any work starts.
+    """
+    scenarios = scenarios_from_document(load_json(path))
+    _check_names(scenarios, recovery)
+    return scenarios
+
+
+def outcome_row(outcome: object) -> dict | None:
+    """One cell's ``--json`` row: its result, ``{"error": ...}`` or ``None``.
+
+    ``None`` stands for a cell whose outcome was not streamed back
+    (``submit --no-results``).
+    """
+    if outcome is None:
+        return None
+    if isinstance(outcome, ScenarioResult):
+        return outcome.to_dict()
+    return {"error": outcome.to_dict()}
+
+
 def _force_recovery(scenario: Scenario, scheme: str) -> Scenario:
     """``scenario`` with its fault-tolerance scheme overridden to ``scheme``.
 
@@ -188,7 +229,7 @@ def _force_recovery(scenario: Scenario, scheme: str) -> Scenario:
     return scenario.with_overrides(**overrides)
 
 
-def _scenario_main(argv: Sequence[str]) -> int:
+def scenario_main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments scenario",
         description="Run one declarative scenario from a JSON file.",
@@ -241,7 +282,7 @@ def _grid_rows(results: Sequence[ScenarioResult]) -> str:
     return format_table(headers, rows, title=f"== grid: {len(results)} scenarios ==")
 
 
-def _grid_main(argv: Sequence[str]) -> int:
+def grid_main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments grid",
         description="Expand and run a scenario grid from a JSON file "
@@ -258,7 +299,8 @@ def _grid_main(argv: Sequence[str]) -> int:
                              "add a scheme axis to the grid (registered: "
                              f"{', '.join(RECOVERY_SCHEMES.names())})")
     parser.add_argument("--max-workers", type=int, default=None,
-                        help="pool width for the threads/processes backends")
+                        help="pool width for the processes backend (the "
+                             "local fleet size for --backend cluster)")
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="stream outcomes into a .jsonl or .sqlite file "
                              "instead of keeping them in memory")
@@ -284,8 +326,7 @@ def _grid_main(argv: Sequence[str]) -> int:
     add_cluster_arguments(parser)
     args = parser.parse_args(argv)
 
-    scenarios = scenarios_from_document(load_json(args.file))
-    _check_names(scenarios, args.recovery or ())
+    scenarios = load_grid(args.file, args.recovery or ())
     if args.recovery:
         schemes = list(dict.fromkeys(args.recovery))
         if len(schemes) == 1:
@@ -323,13 +364,7 @@ def _grid_main(argv: Sequence[str]) -> int:
     results = report.results()
     errors = report.cell_errors()
     if args.as_json:
-        rows: list[dict] = []
-        for outcome in report.outcomes:
-            if isinstance(outcome, ScenarioResult):
-                rows.append(outcome.to_dict())
-            else:
-                rows.append({"error": outcome.to_dict()})
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([outcome_row(o) for o in report.outcomes], indent=2))
     else:
         print(_grid_rows(results))
     summary = (f"[grid] {report.total} cells: {report.executed} executed, "
@@ -346,7 +381,7 @@ def _grid_main(argv: Sequence[str]) -> int:
     return 1 if errors else 0
 
 
-def _cache_main(argv: Sequence[str]) -> int:
+def cache_main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments cache",
         description="Inspect or prune a content-addressed scenario cache "
@@ -375,54 +410,36 @@ def _cache_main(argv: Sequence[str]) -> int:
     return 0
 
 
+def resolve_subcommand(name: str) -> Callable[[Sequence[str]], int]:
+    """Import and return the entry point :data:`SUBCOMMANDS` maps ``name`` to."""
+    module, _, function = SUBCOMMANDS[name].partition(":")
+    return getattr(importlib.import_module(module), function)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        if argv and argv[0] == "scenario":
-            return _scenario_main(argv[1:])
-        if argv and argv[0] == "grid":
-            return _grid_main(argv[1:])
-        if argv and argv[0] == "cache":
-            return _cache_main(argv[1:])
-        if argv and argv[0] in ("serve", "submit", "status"):
-            # Imported lazily: figure runs should not pay for (or be able
-            # to break on) the service stack.
-            from repro.service import cli as service_cli
+    if argv and argv[0] in SUBCOMMANDS:
+        try:
+            return resolve_subcommand(argv[0])(argv[1:])
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
-            handler = {"serve": service_cli.serve_main,
-                       "submit": service_cli.submit_main,
-                       "status": service_cli.status_main}[argv[0]]
-            return handler(argv[1:])
-        if argv and argv[0] == "worker":
-            # Lazy for the same reason: the cluster stack rides along
-            # only when a worker agent is actually being started.
-            from repro.cluster.cli import worker_main
-
-            return worker_main(argv[1:])
-        if argv and argv[0] == "chaos":
-            # Lazy too: the chaos harness pulls in the whole cluster
-            # stack and is only for resilience testing.
-            from repro.chaos.cli import chaos_main
-
-            return chaos_main(argv[1:])
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    subcommands = ", ".join(SUBCOMMANDS)
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
+        usage=f"%(prog)s figure [figure ...] [--fast]\n"
+              f"       %(prog)s {{{','.join(SUBCOMMANDS)}}} ...",
         description="Regenerate the figures of the PPA paper (ICDE 2016), "
-                    "run declarative scenarios ('scenario'/'grid'/'cache' "
-                    "subcommands), run the sweep service "
-                    "('serve'/'submit'/'status'), serve as a cluster "
-                    "worker ('worker'), or chaos-test the fabric ('chaos').",
+                    f"or run one of the subcommands {subcommands} "
+                    "(each takes --help).",
     )
     parser.add_argument("figures", nargs="+",
                         choices=sorted(RUNNERS) + ["all"],
                         metavar="figure",
-                        help="figures to regenerate (%(choices)s), or the "
-                             "'scenario'/'grid'/'cache'/'serve'/'submit'/"
-                             "'status'/'worker'/'chaos' subcommands",
+                        help="figures to regenerate (%(choices)s); a first "
+                             f"argument among {subcommands} runs that "
+                             "subcommand instead",
     )
     parser.add_argument("--fast", action="store_true",
                         help="reduced grids/durations for a quick pass")

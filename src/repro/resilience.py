@@ -1,7 +1,7 @@
-"""Shared resilience policies: retries, deadlines, circuit breaking.
+"""Shared resilience policies: retries and deadlines.
 
 Every self-healing component of the execution fabric speaks the same
-three idioms, so they live in one dependency-free module instead of
+two idioms, so they live in one dependency-free module instead of
 being re-derived ad hoc at each call site:
 
 * :class:`RetryPolicy` — bounded exponential backoff with *full jitter*
@@ -16,16 +16,10 @@ being re-derived ad hoc at each call site:
   retries (``RetryPolicy.deadline``) and with blocking waits
   (:meth:`Deadline.clamp`); ``Deadline(None)`` never expires, so call
   sites need no ``if timeout is not None`` forests.
-* :class:`CircuitBreaker` — closed → open → half-open protection for a
-  peer that keeps failing: after ``failure_threshold`` consecutive
-  failures the circuit opens and calls fail fast (no network hammering)
-  until ``reset_timeout`` elapses, when a single probe is let through.
-  :class:`~repro.service.client.SweepClient` arms one around its server
-  connection.
 
-Determinism: both the jittered delays and anything else randomized here
-draw from a caller-suppliable ``random.Random``, so chaos tests can pin
-a seed and replay the exact same schedule.
+Determinism: the jittered delays draw from a caller-suppliable
+``random.Random``, so chaos tests can pin a seed and replay the exact
+same schedule.
 
 >>> from repro.resilience import RetryPolicy
 >>> policy = RetryPolicy(max_attempts=3, base_delay=1.0, jitter="none")
@@ -188,70 +182,3 @@ class Deadline:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Deadline(seconds={self.seconds}, remaining={self.remaining()})"
-
-
-class CircuitBreaker:
-    """Closed → open → half-open protection for a repeatedly failing peer.
-
-    While *closed*, calls flow and consecutive failures are counted;
-    at ``failure_threshold`` the circuit *opens* and :meth:`allow`
-    answers ``False`` (fail fast, no network attempt) until
-    ``reset_timeout`` seconds pass.  Then one probe call is allowed
-    (*half-open*): success closes the circuit, failure re-opens it for
-    another full ``reset_timeout``.  Thread-compatible for the fabric's
-    usage (single caller thread per breaker); not locked.
-    """
-
-    def __init__(self, failure_threshold: int = 5,
-                 reset_timeout: float = 30.0, *,
-                 clock: Callable[[], float] = time.monotonic):
-        if failure_threshold < 1:
-            raise ResilienceError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_timeout <= 0:
-            raise ResilienceError(
-                f"reset_timeout must be > 0, got {reset_timeout}"
-            )
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self._clock = clock
-        self._failures = 0
-        self._opened_at: float | None = None
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"`` or ``"half-open"``."""
-        if self._opened_at is None:
-            return "closed"
-        if self._clock() - self._opened_at >= self.reset_timeout:
-            return "half-open"
-        return "open"
-
-    def allow(self) -> bool:
-        """Whether a call may proceed right now (may consume the probe)."""
-        state = self.state
-        if state == "closed":
-            return True
-        if state == "half-open" and not self._probing:
-            self._probing = True
-            return True
-        return False
-
-    def record_success(self) -> None:
-        self._failures = 0
-        self._opened_at = None
-        self._probing = False
-
-    def record_failure(self) -> None:
-        self._failures += 1
-        if self._opened_at is not None or \
-                self._failures >= self.failure_threshold:
-            # Re-open (a failed probe) or first trip: restart the clock.
-            self._opened_at = self._clock()
-            self._probing = False
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (f"CircuitBreaker(state={self.state!r}, "
-                f"failures={self._failures})")

@@ -27,12 +27,12 @@ in with a ``register()`` decorator without touching the core:
   (``"ppa"``, ``"checkpoint-replay"``, ``"source-replay"``,
   ``"active-standby"``), selected per scenario via the ``recovery`` field;
 * :data:`EXECUTION_BACKENDS` — how grids execute (``"serial"``,
-  ``"threads"``, ``"processes"`` with work stealing, per-scenario timeouts
-  and retry-on-worker-death, ``"cluster"`` across worker agents on many
-  hosts — see :mod:`repro.cluster`);
+  ``"processes"`` with work stealing, per-scenario timeouts and
+  retry-on-worker-death, ``"cluster"`` across worker agents on many hosts
+  — see :mod:`repro.cluster`);
 * :data:`RESULT_SINKS` — where outcomes go (``"memory"``, ``"jsonl"``,
-  ``"sqlite"``, ``"parquet"``), streamed incrementally so huge grids never
-  materialise one giant list.
+  ``"sqlite"``), streamed incrementally so huge grids never materialise
+  one giant list.
 
 :func:`run_grid` expands parameter grids over a base scenario and executes
 them through a :class:`GridSession`, which can also consult a
@@ -63,7 +63,6 @@ from repro.scenarios.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.scenarios.cache import CacheStats, ScenarioCache, scenario_digest
@@ -94,7 +93,6 @@ from repro.scenarios.sinks import (
     RESULT_SINKS,
     JsonlSink,
     MemorySink,
-    ParquetSink,
     ResultSink,
     SqliteSink,
     resolve_sink,
@@ -125,7 +123,6 @@ __all__ = [
     "NullPlanner",
     "OperatorDef",
     "PLANNERS",
-    "ParquetSink",
     "ProcessBackend",
     "ProgressEvent",
     "RECOVERY_SCHEMES",
@@ -142,7 +139,6 @@ __all__ = [
     "ScenarioRunner",
     "SerialBackend",
     "SqliteSink",
-    "ThreadBackend",
     "TopologyRecipe",
     "WORKLOADS",
     "as_waves",

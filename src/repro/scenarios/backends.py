@@ -11,20 +11,19 @@ yield in completion order, like ``as_completed``);
 reach a sink, so every backend produces byte-identical output.
 
 Backends are registry-backed like planners and workloads
-(:data:`EXECUTION_BACKENDS`): ``"serial"`` runs in-process, ``"threads"``
-fans out over a thread pool, ``"processes"`` over a
-``ProcessPoolExecutor`` with work stealing (a sliding submission window —
-each free worker picks up the next pending cell), per-scenario timeouts and
-retry-once semantics when a worker process dies, and ``"cluster"`` over a
-fleet of (possibly remote) worker agents speaking NDJSON over TCP — see
-:mod:`repro.cluster`, loaded lazily so the scenario layer stays light.
+(:data:`EXECUTION_BACKENDS`): ``"serial"`` runs in-process,
+``"processes"`` fans out over a ``ProcessPoolExecutor`` with work stealing
+(a sliding submission window — each free worker picks up the next pending
+cell), per-scenario timeouts and retry-once semantics when a worker process
+dies, and ``"cluster"`` over a fleet of (possibly remote) worker agents
+speaking NDJSON over TCP — see :mod:`repro.cluster`, loaded lazily so the
+scenario layer stays light.
 
 Timeout semantics differ by necessity: the serial backend cannot preempt a
-cell, so it flags the overrun after the fact; the pool backends abandon the
-cell and replace the pool so remaining cells keep full parallelism — the
-processes backend force-kills the stuck workers, while an abandoned thread
-(unkillable) runs on to completion with its result discarded.  Unaffected
-in-flight cells are resubmitted on the fresh pool.
+cell, so it flags the overrun after the fact; the processes backend
+force-kills the stuck workers and replaces the pool so remaining cells keep
+full parallelism.  Unaffected in-flight cells are resubmitted on the fresh
+pool.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from concurrent.futures import (
     Executor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass
@@ -164,170 +162,7 @@ class SerialBackend(ExecutionBackend):
                 yield index, result, 1
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared machinery for the thread- and process-pool backends.
-
-    Cells are submitted through a sliding window of at most ``max_workers``
-    in-flight futures — completed futures immediately free a slot for the
-    next pending cell (work stealing), and results are yielded in
-    completion order.  Per-cell deadlines are measured from submission,
-    which coincides with start because the window never exceeds the pool
-    width.
-    """
-
-    #: Poll interval while waiting with deadlines armed (seconds).
-    _TICK = 0.05
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers < 1:
-            raise ScenarioError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
-        self.max_workers = max_workers
-
-    # -- subclass hooks -------------------------------------------------
-    def _make_executor(self, width: int) -> Executor:
-        raise NotImplementedError
-
-    def _prepare(self, scenarios: Sequence[Scenario], runner: Runner) -> None:
-        """Pre-execution hook (the processes backend prebuilds workloads)."""
-
-    def _discard_executor(self, executor: Executor) -> None:
-        """Tear an executor down without waiting for stuck cells."""
-        executor.shutdown(wait=False, cancel_futures=True)
-
-    #: Whether a timeout discards the pool.  Both pool backends do: a
-    #: timed-out cell still occupies its real worker (thread or process),
-    #: so keeping the pool would silently shrink the window and arm later
-    #: cells' deadlines while they queue behind the stuck worker — one hung
-    #: cell would cascade into spurious timeouts for every cell after it.
-    #: A fresh pool restores full width; in-flight siblings are resubmitted
-    #: without being charged an attempt.
-    _rebuild_on_timeout = True
-
-    # -------------------------------------------------------------------
-    def execute(self, scenarios: Sequence[Scenario], runner: Runner, *,
-                timeout: float | None = None,
-                retries: int = 1) -> Iterator[tuple[int, object, int]]:
-        """Yield outcomes in completion order over a worker pool."""
-        scenarios = list(scenarios)
-        if not scenarios:
-            return
-        self._prepare(scenarios, runner)
-        width = self.max_workers or min(32, (os.cpu_count() or 2))
-        width = max(1, min(width, len(scenarios)))
-        pending: deque[tuple[int, Scenario, int]] = deque(
-            (i, s, 1) for i, s in enumerate(scenarios)
-        )
-        in_flight: dict[Future, tuple[int, Scenario, int, float | None]] = {}
-        executor = self._make_executor(width)
-        try:
-            while pending or in_flight:
-                # Top the window up (work stealing: any free slot takes the
-                # next pending cell, whatever its grid position).
-                while pending and len(in_flight) < width:
-                    index, scenario, attempt = pending.popleft()
-                    try:
-                        future = executor.submit(runner, scenario)
-                    except BrokenExecutor:
-                        # The pool broke between completions; recreate it
-                        # and charge no attempt to this innocent cell.
-                        pending.appendleft((index, scenario, attempt))
-                        self._discard_executor(executor)
-                        executor = self._make_executor(width)
-                        continue
-                    deadline = (time.monotonic() + timeout
-                                if timeout is not None else None)
-                    in_flight[future] = (index, scenario, attempt, deadline)
-
-                done, _ = wait(
-                    in_flight, return_when=FIRST_COMPLETED,
-                    timeout=self._TICK if timeout is not None else None,
-                )
-                broke = False
-                for future in done:
-                    index, scenario, attempt, _deadline = in_flight.pop(future)
-                    try:
-                        yield index, future.result(), attempt
-                    except BrokenExecutor as exc:
-                        broke = True
-                        if attempt <= retries:
-                            pending.append((index, scenario, attempt + 1))
-                        else:
-                            yield index, CellError(
-                                scenario, "worker-death",
-                                f"worker died running this cell "
-                                f"({type(exc).__name__}: {exc})",
-                                attempt), attempt
-                    except Exception as exc:
-                        yield index, _error_outcome(scenario, exc,
-                                                    attempt), attempt
-                if broke:
-                    # A dead worker poisons every in-flight future of the
-                    # pool; resubmit them (their attempt counts too — the
-                    # culprit cannot be told apart) on a fresh pool.
-                    for future, (index, scenario, attempt, _dl) in list(
-                            in_flight.items()):
-                        if attempt <= retries:
-                            pending.append((index, scenario, attempt + 1))
-                        else:
-                            yield index, CellError(
-                                scenario, "worker-death",
-                                "worker pool died (retry budget exhausted)",
-                                attempt), attempt
-                    in_flight.clear()
-                    self._discard_executor(executor)
-                    executor = self._make_executor(width)
-                    continue
-
-                if timeout is None:
-                    continue
-                now = time.monotonic()
-                expired = [f for f, (_i, _s, _a, dl) in in_flight.items()
-                           if dl is not None and now >= dl and not f.done()]
-                for future in expired:
-                    index, scenario, attempt, _dl = in_flight.pop(future)
-                    future.cancel()
-                    yield index, CellError(
-                        scenario, "timeout",
-                        f"cell exceeded the {timeout:g}s timeout",
-                        attempt), attempt
-                if expired and self._rebuild_on_timeout:
-                    # Reclaim the stuck workers; in-flight siblings were not
-                    # at fault, so they are resubmitted without charge.
-                    for future, (index, scenario, attempt, _dl) in list(
-                            in_flight.items()):
-                        pending.append((index, scenario, attempt))
-                    in_flight.clear()
-                    self._discard_executor(executor)
-                    executor = self._make_executor(width)
-        finally:
-            self._discard_executor(executor)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"{type(self).__name__}(max_workers={self.max_workers})"
-
-
-class ThreadBackend(_PoolBackend):
-    """Fan cells out over a thread pool.
-
-    Engine runs are pure Python and GIL-bound, so threads mostly help when
-    the runner releases the GIL or blocks on I/O; the backend mainly exists
-    as the cheap-to-spawn middle ground and for exercising the concurrent
-    collection path.  Timed-out cells are abandoned: the worker thread runs
-    on to completion in a discarded pool (threads cannot be killed), but
-    its result is dropped and a fresh pool keeps the remaining cells at
-    full parallelism.
-    """
-
-    name = "threads"
-
-    def _make_executor(self, width: int) -> Executor:
-        return ThreadPoolExecutor(max_workers=width,
-                                  thread_name_prefix="repro-grid")
-
-
-class ProcessBackend(_PoolBackend):
+class ProcessBackend(ExecutionBackend):
     """Fan cells out over a prebuilt-worker ``ProcessPoolExecutor``.
 
     True parallelism for CPU-bound engine runs.  A worker death (segfault,
@@ -336,6 +171,13 @@ class ProcessBackend(_PoolBackend):
     ``"worker-death"`` :class:`CellError`.  Timeouts kill the stuck pool to
     reclaim its workers.  Runner callables and custom registry entries must
     be importable in worker processes (see :func:`run_scenarios`).
+
+    Cells are submitted through a sliding window of at most ``max_workers``
+    in-flight futures — a completed future immediately frees a slot for
+    the next pending cell (work stealing) — and results are yielded in
+    completion order.  Per-cell deadlines are measured from submission,
+    which coincides with start because the window never exceeds the pool
+    width.
 
     **Prebuilt workers.**  When the runner resolves workloads through the
     prebuilt memo (the default — see :mod:`repro.scenarios.prebuilt`), the
@@ -357,9 +199,16 @@ class ProcessBackend(_PoolBackend):
 
     name = "processes"
 
+    #: Poll interval while waiting with deadlines armed (seconds).
+    _TICK = 0.05
+
     def __init__(self, max_workers: int | None = None, *,
                  start_method: str | None = None):
-        super().__init__(max_workers)
+        if max_workers is not None and max_workers < 1:
+            raise ScenarioError(
+                f"max_workers must be >= 1, got {max_workers}"
+            )
+        self.max_workers = max_workers
         if start_method is not None:
             methods = multiprocessing.get_all_start_methods()
             if start_method not in methods:
@@ -403,7 +252,7 @@ class ProcessBackend(_PoolBackend):
             # here once and the pool initializer below finds only hits.
             prebuilt.warm(scenarios)
 
-    def _make_executor(self, width: int) -> Executor:
+    def _new_pool(self, width: int) -> Executor:
         method = self._method()
         context = (multiprocessing.get_context(method)
                    if method is not None else None)
@@ -418,7 +267,7 @@ class ProcessBackend(_PoolBackend):
         return ProcessPoolExecutor(max_workers=width, mp_context=context,
                                    **kwargs)
 
-    def _discard_executor(self, executor: Executor) -> None:
+    def _discard_pool(self, executor: Executor) -> None:
         """Shut down without waiting, force-killing stuck workers."""
         executor.shutdown(wait=False, cancel_futures=True)
         # Workers stuck in a timed-out cell would otherwise keep the
@@ -429,6 +278,107 @@ class ProcessBackend(_PoolBackend):
                 process.kill()
             except (OSError, ValueError):  # pragma: no cover - racing exit
                 pass
+
+    def execute(self, scenarios: Sequence[Scenario], runner: Runner, *,
+                timeout: float | None = None,
+                retries: int = 1) -> Iterator[tuple[int, object, int]]:
+        """Yield outcomes in completion order over the process pool."""
+        scenarios = list(scenarios)
+        if not scenarios:
+            return
+        self._prepare(scenarios, runner)
+        width = self.max_workers or min(32, (os.cpu_count() or 2))
+        width = max(1, min(width, len(scenarios)))
+        pending: deque[tuple[int, Scenario, int]] = deque(
+            (i, s, 1) for i, s in enumerate(scenarios)
+        )
+        in_flight: dict[Future, tuple[int, Scenario, int, float | None]] = {}
+        executor = self._new_pool(width)
+        try:
+            while pending or in_flight:
+                # Top the window up (work stealing: any free slot takes the
+                # next pending cell, whatever its grid position).
+                while pending and len(in_flight) < width:
+                    index, scenario, attempt = pending.popleft()
+                    try:
+                        future = executor.submit(runner, scenario)
+                    except BrokenExecutor:
+                        # The pool broke between completions; recreate it
+                        # and charge no attempt to this innocent cell.
+                        pending.appendleft((index, scenario, attempt))
+                        self._discard_pool(executor)
+                        executor = self._new_pool(width)
+                        continue
+                    deadline = (time.monotonic() + timeout
+                                if timeout is not None else None)
+                    in_flight[future] = (index, scenario, attempt, deadline)
+
+                done, _ = wait(
+                    in_flight, return_when=FIRST_COMPLETED,
+                    timeout=self._TICK if timeout is not None else None,
+                )
+                broke = False
+                for future in done:
+                    index, scenario, attempt, _deadline = in_flight.pop(future)
+                    try:
+                        yield index, future.result(), attempt
+                    except BrokenExecutor as exc:
+                        broke = True
+                        if attempt <= retries:
+                            pending.append((index, scenario, attempt + 1))
+                        else:
+                            yield index, CellError(
+                                scenario, "worker-death",
+                                f"worker died running this cell "
+                                f"({type(exc).__name__}: {exc})",
+                                attempt), attempt
+                    except Exception as exc:
+                        yield index, _error_outcome(scenario, exc,
+                                                    attempt), attempt
+                if broke:
+                    # A dead worker poisons every in-flight future of the
+                    # pool; resubmit them (their attempt counts too — the
+                    # culprit cannot be told apart) on a fresh pool.
+                    for future, (index, scenario, attempt, _dl) in list(
+                            in_flight.items()):
+                        if attempt <= retries:
+                            pending.append((index, scenario, attempt + 1))
+                        else:
+                            yield index, CellError(
+                                scenario, "worker-death",
+                                "worker pool died (retry budget exhausted)",
+                                attempt), attempt
+                    in_flight.clear()
+                    self._discard_pool(executor)
+                    executor = self._new_pool(width)
+                    continue
+
+                if timeout is None:
+                    continue
+                now = time.monotonic()
+                expired = [f for f, (_i, _s, _a, dl) in in_flight.items()
+                           if dl is not None and now >= dl and not f.done()]
+                for future in expired:
+                    index, scenario, attempt, _dl = in_flight.pop(future)
+                    future.cancel()
+                    yield index, CellError(
+                        scenario, "timeout",
+                        f"cell exceeded the {timeout:g}s timeout",
+                        attempt), attempt
+                if expired:
+                    # Reclaim the stuck workers; in-flight siblings were not
+                    # at fault, so they are resubmitted without charge.
+                    for future, (index, scenario, attempt, _dl) in list(
+                            in_flight.items()):
+                        pending.append((index, scenario, attempt))
+                    in_flight.clear()
+                    self._discard_pool(executor)
+                    executor = self._new_pool(width)
+        finally:
+            self._discard_pool(executor)
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return f"{type(self).__name__}(max_workers={self.max_workers})"
 
 
 def _make_cluster_backend(**kwargs: Any) -> ExecutionBackend:
@@ -445,7 +395,6 @@ def _make_cluster_backend(**kwargs: Any) -> ExecutionBackend:
 #: Execution-backend factories: ``fn() -> ExecutionBackend``.
 EXECUTION_BACKENDS: Registry = Registry("execution backend")
 EXECUTION_BACKENDS.register("serial")(SerialBackend)
-EXECUTION_BACKENDS.register("threads")(ThreadBackend)
 EXECUTION_BACKENDS.register("processes")(ProcessBackend)
 EXECUTION_BACKENDS.register("cluster")(_make_cluster_backend)
 

@@ -4,7 +4,7 @@
 of scenarios; :func:`run_scenarios` and :func:`run_grid` are thin façades
 over :class:`~repro.scenarios.session.GridSession`, which wires an
 :class:`~repro.scenarios.backends.ExecutionBackend` (``"serial"``,
-``"threads"``, ``"processes"``), a :class:`~repro.scenarios.sinks.ResultSink`
+``"processes"``, ``"cluster"``), a :class:`~repro.scenarios.sinks.ResultSink`
 (``"memory"``, JSONL, SQLite) and an optional content-addressed
 :class:`~repro.scenarios.cache.ScenarioCache` together.
 
@@ -127,8 +127,8 @@ def run_scenarios(scenarios: Sequence[Scenario], *,
     """Execute ``scenarios`` in order; outcomes line up with the input.
 
     ``backend`` selects the execution strategy (``"serial"`` by default,
-    ``"threads"``, or ``"processes"`` for a work-stealing process pool with
-    per-scenario ``timeout`` and ``retries``-on-worker-death); ``sink``
+    ``"processes"`` for a work-stealing process pool with per-scenario
+    ``timeout`` and ``retries``-on-worker-death, or ``"cluster"``); ``sink``
     streams outcomes incrementally (memory, JSONL, SQLite) and ``cache``
     skips already-simulated cells by content digest.  Because runs are
     deterministic, the results do not depend on the backend.

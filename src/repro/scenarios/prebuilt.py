@@ -83,9 +83,9 @@ def prebuilt_workload(scenario: Scenario
 
     The :class:`~repro.scenarios.runner.WorkloadCaches` carry the
     per-workload memoized plans, objective values and shared source batches.
-    Thread-safe (the threads backend runs cells concurrently); the build
-    itself happens under the lock, which is fine because builds are rare —
-    one per distinct workload per process.
+    Thread-safe (a cluster worker agent runs ``capacity`` cells on a
+    thread pool); the build itself happens under the lock, which is fine
+    because builds are rare — one per distinct workload per process.
 
     A hit is only served while the workload's registry entry is still the
     factory that built it; re-registering the workload name rebuilds.  (A

@@ -55,7 +55,7 @@ class WorkloadCaches:
     workload by :mod:`repro.scenarios.prebuilt` — memoizes all three, so a
     sweep pays for each distinct (planner, budget) and each distinct
     failure set once instead of once per cell.  Everything stored is frozen
-    or append-only, so sharing across cells (and backend threads) cannot
+    or append-only, so sharing across cells (and worker threads) cannot
     change results.
     """
 

@@ -140,8 +140,9 @@ class GridSession:
     Parameters
     ----------
     backend:
-        Execution strategy — a registry name (``"serial"``, ``"threads"``,
-        ``"processes"``) or an :class:`ExecutionBackend` instance.
+        Execution strategy — a registry name (``"serial"``,
+        ``"processes"``, ``"cluster"``) or an :class:`ExecutionBackend`
+        instance.
     sink:
         Where outcomes go — a :class:`ResultSink` instance, ``"memory"``,
         or ``None`` for a fresh in-memory sink.

@@ -4,16 +4,14 @@ A :class:`ResultSink` receives every grid cell's outcome — a
 :class:`~repro.scenarios.runner.ScenarioResult` or a structured
 :class:`~repro.scenarios.backends.CellError` — one at a time and in input
 order, so a million-cell grid never materialises one giant in-memory list.
-Four sinks ship in the :data:`RESULT_SINKS` registry:
+Three sinks ship in the :data:`RESULT_SINKS` registry:
 
 * ``"memory"`` — collects outcomes in a list (the default, and the old
   ``run_grid`` behaviour);
 * ``"jsonl"`` — appends one canonical JSON object per line; the same grid
   produces byte-identical files whatever the execution backend;
 * ``"sqlite"`` — one row per cell in a ``results`` table, queryable with
-  plain SQL;
-* ``"parquet"`` — columnar rows for analysis at cluster-grid scale
-  (requires ``pyarrow``; the constructor says so when it is missing).
+  plain SQL.
 
 File-backed sinks support *resume*: :meth:`ResultSink.start` with
 ``resume=True`` reports the digests of cells already persisted so
@@ -311,163 +309,22 @@ class SqliteSink(ResultSink):
         return f"SqliteSink({str(self.path)!r})"
 
 
-def _load_pyarrow():
-    """Import pyarrow, or explain exactly what to do about its absence."""
-    try:
-        import pyarrow
-        import pyarrow.parquet  # noqa: F401 - submodule import required
-    except ImportError:
-        raise ScenarioError(
-            "the 'parquet' result sink needs pyarrow, which is not "
-            "installed; run 'pip install pyarrow' or pick a stdlib-only "
-            "sink ('jsonl' or 'sqlite', e.g. --output results.jsonl)"
-        ) from None
-    return pyarrow
-
-
-class ParquetSink(ResultSink):
-    """One row per cell in a Parquet file, for columnar analysis at scale.
-
-    Schema mirrors :class:`SqliteSink`: ``idx`` (int64), ``digest``,
-    ``name``, ``status`` (``"result"`` or the error kind) and ``payload``
-    (the canonical JSON document) — so pandas/duckdb queries over
-    million-cell cluster grids read only the columns they touch.
-
-    Parquet files are written in row groups of ``batch_rows`` as cells
-    stream in and closed at :meth:`finish` — an interrupted run loses at
-    most the current group (unlike the per-line JSONL sink, which loses
-    at most one row; pick the format to match the failure budget).
-    Parquet cannot append, so a resumed run reloads the previous rows and
-    rewrites them through the new file.
-
-    Requires ``pyarrow`` (the only optional-dependency sink); the
-    constructor fails with install instructions when it is missing, and
-    the registry entry exists either way so ``--output results.parquet``
-    degrades into that message rather than an unknown-extension error.
-    """
-
-    name = "parquet"
-
-    def __init__(self, path: str | os.PathLike, *, batch_rows: int = 1024):
-        if batch_rows < 1:
-            raise ScenarioError(f"batch_rows must be >= 1, got {batch_rows}")
-        self._pa = _load_pyarrow()
-        self.path = Path(path)
-        self.batch_rows = batch_rows
-        self._writer: Any = None
-        self._rows: list[tuple[int, str, str, str, str]] = []
-
-    def _schema(self):
-        pa = self._pa
-        return pa.schema([("idx", pa.int64()), ("digest", pa.string()),
-                          ("name", pa.string()), ("status", pa.string()),
-                          ("payload", pa.string())])
-
-    def start(self, *, resume: bool = False) -> dict[str, object]:
-        """Open the writer; on resume, previous rows are carried over."""
-        import pyarrow.parquet as pq
-
-        persisted: dict[str, object] = {}
-        carried: list[tuple[int, str, str, str, str]] = []
-        if resume and self.path.exists():
-            for idx, digest, name, status, payload in self._read_rows():
-                carried.append((idx, digest, name, status, payload))
-                if status == "result":
-                    persisted[digest] = ScenarioResult.from_dict(
-                        json.loads(payload))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._writer = pq.ParquetWriter(self.path, self._schema())
-        self._rows = carried
-        if len(self._rows) >= self.batch_rows:
-            self._flush()
-        return persisted
-
-    def write(self, index: int, digest: str, outcome: object) -> None:
-        """Buffer one cell row; full row groups flush to disk."""
-        if self._writer is None:  # pragma: no cover - misuse guard
-            raise ScenarioError("ParquetSink.write() before start()")
-        if isinstance(outcome, ScenarioResult):
-            status, name = "result", outcome.scenario.name
-        elif isinstance(outcome, CellError):
-            status, name = outcome.kind, outcome.scenario.name
-        else:
-            raise ScenarioError(
-                f"sinks accept ScenarioResult or CellError, got "
-                f"{type(outcome).__name__}"
-            )
-        payload = json.dumps(outcome.to_dict(), sort_keys=True)
-        self._rows.append((index, digest, name, status, payload))
-        if len(self._rows) >= self.batch_rows:
-            self._flush()
-
-    def _flush(self) -> None:
-        if not self._rows:
-            return
-        pa = self._pa
-        columns = list(zip(*self._rows))
-        table = pa.table({"idx": list(columns[0]),
-                          "digest": list(columns[1]),
-                          "name": list(columns[2]),
-                          "status": list(columns[3]),
-                          "payload": list(columns[4])},
-                         schema=self._schema())
-        self._writer.write_table(table)
-        self._rows = []
-
-    def finish(self) -> None:
-        """Flush the tail row group and close the file."""
-        if self._writer is not None:
-            self._flush()
-            self._writer.close()
-            self._writer = None
-
-    def _read_rows(self) -> Iterable[tuple[int, str, str, str, str]]:
-        import pyarrow.parquet as pq
-
-        table = pq.read_table(self.path)
-        for row in table.to_pylist():
-            yield (int(row["idx"]), str(row["digest"]), str(row["name"]),
-                   str(row["status"]), str(row["payload"]))
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> list[object]:
-        """Reload a file's outcomes (latest row wins per cell)."""
-        _load_pyarrow()
-        sink = cls.__new__(cls)  # bypass __init__: read-only access
-        sink._pa = _load_pyarrow()
-        sink.path = Path(path)
-        parsed: list[tuple[str, object]] = []
-        for _idx, digest, _name, status, payload in sink._read_rows():
-            data = json.loads(payload)
-            if status == "result":
-                parsed.append((digest, ScenarioResult.from_dict(data)))
-            else:
-                parsed.append((digest, CellError.from_dict(data)))
-        return _dedupe_outcomes(parsed)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"ParquetSink({str(self.path)!r})"
-
-
 #: Result-sink factories: ``fn(*args) -> ResultSink``.
 RESULT_SINKS: Registry = Registry("result sink")
 RESULT_SINKS.register("memory")(MemorySink)
 RESULT_SINKS.register("jsonl")(JsonlSink)
 RESULT_SINKS.register("sqlite")(SqliteSink)
-RESULT_SINKS.register("parquet")(ParquetSink)
 
 #: File extensions the CLI maps onto sink registry names.
 _EXTENSION_SINKS = {".jsonl": "jsonl", ".ndjson": "jsonl", ".json": "jsonl",
-                    ".sqlite": "sqlite", ".sqlite3": "sqlite", ".db": "sqlite",
-                    ".parquet": "parquet"}
+                    ".sqlite": "sqlite", ".sqlite3": "sqlite", ".db": "sqlite"}
 
 
 def sink_for_path(path: str | os.PathLike) -> ResultSink:
     """The file-backed sink matching ``path``'s extension.
 
     ``.jsonl``/``.ndjson``/``.json`` map to :class:`JsonlSink`;
-    ``.sqlite``/``.sqlite3``/``.db`` to :class:`SqliteSink`; ``.parquet``
-    to :class:`ParquetSink` (which needs pyarrow and says so otherwise).
+    ``.sqlite``/``.sqlite3``/``.db`` to :class:`SqliteSink`.
     """
     suffix = Path(path).suffix.lower()
     try:

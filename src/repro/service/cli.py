@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ServiceError
-from repro.scenarios import EXECUTION_BACKENDS, ScenarioResult
-from repro.scenarios.grid import load_json, scenarios_from_document
+from repro.experiments.cli import load_grid, outcome_row
+from repro.scenarios import EXECUTION_BACKENDS
 from repro.service.client import SweepClient
 from repro.service.server import SweepServer
 
@@ -48,7 +48,8 @@ def serve_main(argv: Sequence[str]) -> int:
                         choices=sorted(EXECUTION_BACKENDS.names()),
                         help="shared execution backend (default: serial)")
     parser.add_argument("--max-workers", type=int, default=None,
-                        help="pool width for the threads/processes backends")
+                        help="pool width for the processes backend (the "
+                             "local fleet size for --backend cluster)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="shared content-addressed scenario cache; "
                              "strongly recommended — it powers cross-client "
@@ -131,7 +132,7 @@ def submit_main(argv: Sequence[str]) -> int:
                         help="print every outcome as a JSON array")
     args = parser.parse_args(argv)
 
-    scenarios = scenarios_from_document(load_json(args.file))
+    scenarios = load_grid(args.file)
     client_id = args.client or Path(args.file).stem
     with SweepClient(args.address, client_id=client_id) as client:
         progress = None
@@ -153,15 +154,8 @@ def submit_main(argv: Sequence[str]) -> int:
             return 3
 
         if args.as_json:
-            rows = []
-            for cell in outcome.outcomes:
-                if isinstance(cell, ScenarioResult):
-                    rows.append(cell.to_dict())
-                elif cell is None:
-                    rows.append(None)
-                else:
-                    rows.append({"error": cell.to_dict()})
-            print(json.dumps(rows, indent=2))
+            print(json.dumps([outcome_row(cell) for cell in outcome.outcomes],
+                             indent=2))
         tally = outcome.tally
         print(f"[{job}] {tally.get('total')} cells: "
               f"{tally.get('executed')} executed, "

@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ScenarioError, ServiceError
 from repro.fabric.transport import Connection, parse_address
-from repro.resilience import CircuitBreaker, RetryPolicy
+from repro.resilience import RetryPolicy
 from repro.scenarios.backends import CellError
 from repro.scenarios.runner import ScenarioResult
 from repro.scenarios.spec import Scenario
@@ -79,21 +79,17 @@ class SweepClient:
     retried with backoff, and a ``submit`` whose connection turns out to
     be dead reconnects and resends — but only while no other job is
     mid-flight on the connection, since reconnecting abandons the
-    server-side stream state.  ``breaker`` (a
-    :class:`~repro.resilience.CircuitBreaker`) makes a repeatedly
-    unreachable server fail fast instead of hammering it.
+    server-side stream state.
     """
 
     def __init__(self, address: "tuple[str, int] | str", *,
                  client_id: str = "client",
                  connect_timeout: float = 10.0,
                  retry: RetryPolicy | None = None,
-                 breaker: CircuitBreaker | None = None,
                  rng: random.Random | None = None):
         self.address = parse_address(address)
         self.connect_timeout = connect_timeout
         self.retry = retry
-        self.breaker = breaker
         self.rng = rng
         #: Successful reconnects performed by the retry machinery.
         self.reconnects = 0
@@ -105,23 +101,9 @@ class SweepClient:
         self._connect()
 
     def _dial(self) -> Connection:
-        """One connection attempt, breaker-guarded."""
-        if self.breaker is not None and not self.breaker.allow():
-            raise ServiceError(
-                f"circuit open for sweep server at {self.address[0]}:"
-                f"{self.address[1]} after repeated failures; backing off "
-                f"for {self.breaker.reset_timeout:g}s"
-            )
-        try:
-            connection = Connection(self.address, "sweep server",
-                                    ServiceError, self.connect_timeout)
-        except ServiceError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success()
-        return connection
+        """One connection attempt."""
+        return Connection(self.address, "sweep server", ServiceError,
+                          self.connect_timeout)
 
     def _connect(self) -> None:
         """Dial (retrying transient failures) and run the hello handshake."""

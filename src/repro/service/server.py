@@ -10,7 +10,7 @@
 * one **dispatcher** thread pulling fair-scheduled batches out of the
   :class:`~repro.service.broker.SweepBroker` and running them through a
   single shared :class:`~repro.scenarios.backends.ExecutionBackend`
-  (serial, threads, or the prebuilt-worker process pool), streaming
+  (serial, the prebuilt-worker process pool, or the cluster), streaming
   completions — with their retry counts — back into the broker;
 * graceful drain: :meth:`drain` (wired to SIGTERM by the CLI) lets
   in-flight cells finish, refuses new submissions, broadcasts

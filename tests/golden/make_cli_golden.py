@@ -12,8 +12,10 @@ Pins, for ``grid``, ``submit`` and ``chaos``:
   fail at run time, on a document naming an unregistered recovery scheme
   and on a document that is not a grid at all.
 
-The fixture should only be regenerated when a command's output or exit
-contract changes on purpose.
+All three commands load grid documents through one name check, so each
+exits 2 on an unregistered scheme before any cell runs.  The fixture
+should only be regenerated when a command's output or exit contract
+changes on purpose.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro.experiments.cli import main
+from repro.experiments.cli import main as cli_main
 
 PATH = Path(__file__).with_name("cli_golden.json")
 
@@ -69,12 +71,12 @@ COMMANDS = ("grid", "submit", "chaos")
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
-    """``main(argv)``'s exit code and stdout (argparse exits included)."""
+    """``cli_main(argv)``'s exit code and stdout (argparse exits included)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            code = main(argv)
+            code = cli_main(argv)
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
     return code, out.getvalue()
@@ -116,10 +118,10 @@ def cli_golden() -> dict:
     return out
 
 
-def main_() -> None:
+def main() -> None:
     PATH.write_text(json.dumps(cli_golden(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {PATH}")
 
 
 if __name__ == "__main__":
-    main_()
+    main()

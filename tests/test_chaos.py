@@ -219,8 +219,8 @@ class StubFleet:
 
 
 class StubBackend:
-    def __init__(self, fleets):
-        self._fleets = fleets
+    def __init__(self, fleet):
+        self._fleet = fleet
         self.restarts = 0
 
     def restart_coordinator(self):
@@ -229,26 +229,25 @@ class StubBackend:
 
 class TestChaosController:
     def test_fires_events_in_time_order_and_logs_them(self):
-        fleets = [StubFleet(2), StubFleet(1)]
-        backend = StubBackend(fleets)
+        fleet = StubFleet(3)
+        backend = StubBackend(fleet)
         schedule = ChaosSchedule(events=(
             ChaosEvent(0.10, "crash"),
             ChaosEvent(0.05, "pause", 1),
-            ChaosEvent(0.15, "kill", 2),   # flattened: fleet[1] slot 0
+            ChaosEvent(0.15, "kill", 2),
         ))
         controller = ChaosController(schedule).attach(backend)
         controller.start()
         assert controller.wait(5.0)
         controller.stop()
-        assert fleets[0].calls == [("pause", 1)]
-        assert fleets[1].calls == [("kill", 0)]
+        assert fleet.calls == [("pause", 1), ("kill", 2)]
         assert backend.restarts == 1
         assert [r["action"] for r in controller.log.scheduled] \
             == ["pause", "crash", "kill"]
         assert controller.log.errors == []
 
     def test_unresolvable_slot_is_a_harness_error_not_a_crash(self):
-        backend = StubBackend([StubFleet(1)])
+        backend = StubBackend(StubFleet(1))
         schedule = ChaosSchedule(events=(ChaosEvent(0.0, "kill", 5),))
         controller = ChaosController(schedule).attach(backend)
         controller.start()
@@ -264,7 +263,7 @@ class TestChaosController:
         controller = ChaosController(ChaosSchedule())
         with pytest.raises(ChaosError, match="attach"):
             controller.start()
-        controller.attach(StubBackend([]))
+        controller.attach(StubBackend(None))
         controller.start()
         with pytest.raises(ChaosError, match="already started"):
             controller.start()
@@ -273,7 +272,7 @@ class TestChaosController:
     def test_stop_cancels_pending_events(self):
         fleet = StubFleet(1)
         schedule = ChaosSchedule(events=(ChaosEvent(30.0, "kill"),))
-        controller = ChaosController(schedule).attach(StubBackend([fleet]))
+        controller = ChaosController(schedule).attach(StubBackend(fleet))
         controller.start()
         controller.stop()
         assert fleet.calls == []

@@ -2,7 +2,6 @@
 
 import functools
 import json
-from pathlib import Path
 
 import pytest
 
@@ -10,7 +9,7 @@ from repro.experiments.cli import RUNNERS, main
 from tests.golden.make_cli_golden import PATH as CLI_GOLDEN_PATH
 from tests.golden.make_cli_golden import cli_golden
 
-CLI_GOLDEN = json.loads(Path(CLI_GOLDEN_PATH).read_text())
+CLI_GOLDEN = json.loads(CLI_GOLDEN_PATH.read_text())
 
 
 def tiny_scenario_dict() -> dict:
@@ -252,6 +251,37 @@ class TestNameValidation:
         assert "registered schemes" in err
         for name in ("approximate-ft", "k-safe", "adaptive-checkpoint"):
             assert name in err
+
+    def test_chaos_unknown_recovery_fails_before_starting_a_fleet(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.chaos.cli
+
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("chaos started a fleet on bad input")
+
+        monkeypatch.setattr(repro.chaos.cli, "run_chaos", no_fleet)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(
+            {"base": dict(tiny_scenario_dict(), recovery="ppaa")}))
+        assert main(["chaos", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'ppaa'" in err and "registered schemes" in err
+
+    def test_submit_unknown_failure_model_fails_before_connecting(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.service.cli
+
+        def no_connection(*args, **kwargs):
+            raise AssertionError("submit dialled a server on bad input")
+
+        monkeypatch.setattr(repro.service.cli, "SweepClient", no_connection)
+        spec = dict(tiny_scenario_dict(),
+                    failures=[{"model": "meteor-strike", "at": 8.0}])
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"scenarios": [spec]}))
+        assert main(["submit", "127.0.0.1:9", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'meteor-strike'" in err and "registered models" in err
 
     def test_recovery_override_drops_stale_scheme_params(self, tmp_path,
                                                          capsys):

@@ -3,6 +3,8 @@
 import doctest
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,6 +67,47 @@ class TestApiSurface:
 
     def test_version_string(self):
         assert repro.__version__.count(".") == 2
+
+    def test_execution_backends_and_result_sinks_are_exactly_these(self):
+        assert sorted(repro.EXECUTION_BACKENDS.names()) == \
+            ["cluster", "processes", "serial"]
+        assert sorted(repro.RESULT_SINKS.names()) == \
+            ["jsonl", "memory", "sqlite"]
+
+    def test_deleted_surfaces_stay_out_of_every_all(self):
+        import repro.cluster
+
+        deleted = {"AdaptationDecision", "DynamicPlanAdapter",
+                   "PlanTransition", "MarginalGain", "PlanExplanation",
+                   "TaskCriticality", "criticality_report", "explain_plan",
+                   "fidelity_under_failures", "marginal_gains", "SshFleet",
+                   "DEFAULT_SSH_CMD", "ParquetSink", "ThreadBackend",
+                   "CircuitBreaker"}
+        for package in (repro, repro.core, repro.cluster, repro.scenarios):
+            assert deleted.isdisjoint(package.__all__), package.__name__
+        for module in ("repro.core.adaptation", "repro.core.analysis"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+
+    def test_every_subcommand_resolves(self):
+        from repro.experiments.cli import SUBCOMMANDS, resolve_subcommand
+
+        for name in SUBCOMMANDS:
+            assert callable(resolve_subcommand(name)), name
+
+    def test_figure_run_loads_neither_service_nor_cluster(self):
+        src = Path(repro.__file__).resolve().parent.parent
+        probe = ("import contextlib, io, sys\n"
+                 "from repro.experiments.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    assert main(['fig10', '--fast']) == 0\n"
+                 "print(sorted(m for m in ('repro.service', 'repro.cluster')"
+                 " if m in sys.modules))\n")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestDoctests:

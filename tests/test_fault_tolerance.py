@@ -555,21 +555,6 @@ class TestFidelitySerialization:
         (loaded,) = sink_cls.load(path)
         assert loaded.to_dict() == expected
 
-    def test_parquet_round_trip_preserves_new_fields(self, tmp_path):
-        pytest.importorskip("pyarrow")
-        from repro.scenarios import ParquetSink
-
-        scenario = _tiny_scenario(
-            recovery="approximate-ft",
-            recovery_params={"fidelity_bound": 1.0},
-            quality={"measure_from": 12.0},
-        )
-        expected = run_scenario(scenario).to_dict()
-        path = tmp_path / "out.parquet"
-        GridSession("serial", sink=ParquetSink(path)).run([scenario])
-        (loaded,) = ParquetSink.load(path)
-        assert loaded.to_dict() == expected
-
 
 # ----------------------------------------------------------------------
 # Output-quality axis

@@ -6,7 +6,6 @@ structured per-cell error paths (timeout, worker death, runner errors),
 result round-trips and the rack-correlated failure model.
 """
 
-import importlib.util
 import json
 import os
 import time
@@ -30,7 +29,6 @@ from repro.scenarios import (
     ScenarioCache,
     ScenarioResult,
     SqliteSink,
-    ThreadBackend,
     TopologyRecipe,
     expand_grid,
     run_grid,
@@ -196,7 +194,7 @@ class TestResultRoundTrip:
 class TestBackendSinkMatrix:
     """Every backend x sink combination matches the serial/memory baseline."""
 
-    BACKENDS = ("serial", "threads", "processes")
+    BACKENDS = ("serial", "processes")
 
     @pytest.fixture(scope="class")
     def grid(self):
@@ -247,14 +245,15 @@ class TestBackendSinkMatrix:
         assert all(isinstance(o, ScenarioResult) for o in outcomes)
 
     def test_registries_expose_backends_and_sinks(self):
-        assert {"serial", "threads", "processes"} <= set(EXECUTION_BACKENDS.names())
+        assert {"serial", "processes"} <= set(EXECUTION_BACKENDS.names())
         assert {"memory", "jsonl", "sqlite"} <= set(RESULT_SINKS.names())
 
     def test_sink_for_path_maps_extensions(self, tmp_path):
         assert isinstance(sink_for_path(tmp_path / "x.jsonl"), JsonlSink)
         assert isinstance(sink_for_path(tmp_path / "x.sqlite"), SqliteSink)
-        with pytest.raises(ScenarioError, match="cannot infer"):
-            sink_for_path(tmp_path / "x.csv")
+        for unknown in ("x.csv", "x.parquet"):
+            with pytest.raises(ScenarioError, match="cannot infer"):
+                sink_for_path(tmp_path / unknown)
 
 
 # ----------------------------------------------------------------------
@@ -521,13 +520,9 @@ class TestStructuredErrors:
         marked = tiny_scenario(name="marked", seed=MARKED_SEED)
         return [cells[0], marked, cells[1], cells[2]]
 
-    @pytest.mark.parametrize("backend_factory", [
-        lambda: ProcessBackend(max_workers=2),
-        lambda: ThreadBackend(max_workers=2),
-    ])
-    def test_timeout_surfaces_as_cell_error(self, backend_factory):
+    def test_timeout_surfaces_as_cell_error(self):
         cells = self.scenarios()
-        report = GridSession(backend_factory(), timeout=0.75,
+        report = GridSession(ProcessBackend(max_workers=2), timeout=0.75,
                              runner=sleepy_runner).run(cells)
         kinds = [getattr(o, "kind", "ok") for o in report.outcomes]
         assert kinds == ["ok", "timeout", "ok", "ok"]
@@ -536,11 +531,11 @@ class TestStructuredErrors:
         assert error.scenario.name == "marked"
         assert "timeout" in error.message
 
-    def test_thread_timeout_does_not_cascade(self):
+    def test_timeout_does_not_cascade(self):
         # One hung cell must not consume the only worker slot for good:
         # the pool is replaced, so later fast cells still finish in time.
         cells = self.scenarios()
-        report = GridSession(ThreadBackend(max_workers=1), timeout=0.75,
+        report = GridSession(ProcessBackend(max_workers=1), timeout=0.75,
                              runner=sleepy_runner).run(cells)
         kinds = [getattr(o, "kind", "ok") for o in report.outcomes]
         assert kinds == ["ok", "timeout", "ok", "ok"]
@@ -604,7 +599,7 @@ class TestProgressAndReport:
     def test_progress_events_cover_every_cell(self):
         events = []
         grid = tiny_grid()
-        GridSession("threads", progress=events.append).run(grid)
+        GridSession("processes", progress=events.append).run(grid)
         assert len(events) == len(grid)
         assert {e.done for e in events} == set(range(1, len(grid) + 1))
         assert all(e.total == len(grid) and e.ok for e in events)
@@ -874,40 +869,3 @@ class TestCacheConcurrency:
         cache.put(digest, result)
         assert digest in cache
         assert cache.get(digest) is not None
-
-
-# ----------------------------------------------------------------------
-_HAS_PYARROW = importlib.util.find_spec("pyarrow") is not None
-
-
-class TestParquetSink:
-    """The pyarrow-gated sink: registered always, usable when installed."""
-
-    def test_registered_and_extension_mapped(self):
-        assert "parquet" in RESULT_SINKS.names()
-
-    @pytest.mark.skipif(_HAS_PYARROW, reason="pyarrow is installed")
-    def test_missing_pyarrow_fails_with_actionable_error(self, tmp_path):
-        with pytest.raises(ScenarioError, match="pyarrow"):
-            RESULT_SINKS.get("parquet")(tmp_path / "x.parquet")
-        with pytest.raises(ScenarioError) as excinfo:
-            sink_for_path(tmp_path / "x.parquet")
-        # The error names both the missing dependency and a way out.
-        assert "pip install pyarrow" in str(excinfo.value)
-        assert "jsonl" in str(excinfo.value)
-
-    @pytest.mark.skipif(not _HAS_PYARROW, reason="pyarrow not installed")
-    def test_round_trips_a_grid(self, tmp_path):
-        pytest.importorskip("pyarrow")
-        from repro.scenarios import ParquetSink
-
-        grid = tiny_grid()
-        baseline = GridSession("serial").run(grid)
-        path = tmp_path / "grid.parquet"
-        sink = sink_for_path(path)
-        assert isinstance(sink, ParquetSink)
-        report = GridSession("serial", sink=sink).run(grid)
-        assert report.errors == 0
-        loaded = ParquetSink.load(path)
-        assert [r.to_dict() for r in loaded] == \
-            [r.to_dict() for r in baseline.results()]

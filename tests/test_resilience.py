@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from repro.resilience import (
-    CircuitBreaker,
-    Deadline,
-    ResilienceError,
-    RetryPolicy,
-)
+from repro.resilience import Deadline, ResilienceError, RetryPolicy
 
 
 class FakeClock:
@@ -149,72 +144,3 @@ class TestDeadline:
     def test_negative_budget_rejected(self):
         with pytest.raises(ResilienceError):
             Deadline(-1.0)
-
-
-# ---------------------------------------------------------------------------
-# CircuitBreaker
-# ---------------------------------------------------------------------------
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=10.0,
-                                 clock=clock)
-        assert breaker.state == "closed"
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=10.0,
-                                 clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_lets_exactly_one_probe_through(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0,
-                                 clock=clock)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(10.0)
-        assert breaker.state == "half-open"
-        assert breaker.allow()       # the probe
-        assert not breaker.allow()   # but only one
-
-    def test_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_for_a_full_window(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=10.0,
-                                 clock=clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_failure()     # the probe failed
-        assert breaker.state == "open"
-        clock.advance(9.9)
-        assert not breaker.allow()
-        clock.advance(0.2)
-        assert breaker.allow()
-
-    def test_invalid_configuration_raises(self):
-        with pytest.raises(ResilienceError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ResilienceError):
-            CircuitBreaker(reset_timeout=0.0)
