@@ -6,8 +6,8 @@ Three pieces, all routed through ``repro-experiments``:
   that dials a coordinator and serves cells until told to shut down.
   This is what the local fleet spawns and what you run on every extra
   host.
-* :func:`add_cluster_arguments` — the ``--cluster-*`` option group shared by ``grid --backend cluster`` and
-  ``serve --backend cluster``.
+* :func:`add_cluster_arguments` — the ``--cluster-*`` option group
+  shared by ``grid --backend cluster`` and ``serve --backend cluster``.
 * :func:`backend_from_args` — builds the execution backend that
   ``--backend``/``--max-workers`` and those flags describe.
 """
