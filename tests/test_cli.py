@@ -283,6 +283,71 @@ class TestNameValidation:
         err = capsys.readouterr().err
         assert "'meteor-strike'" in err and "registered models" in err
 
+    def test_chaos_unknown_failure_model_fails_before_starting_a_fleet(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.chaos.cli
+
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("chaos started a fleet on bad input")
+
+        monkeypatch.setattr(repro.chaos.cli, "run_chaos", no_fleet)
+        spec = dict(tiny_scenario_dict(),
+                    failures=[{"model": "meteor-strike", "at": 8.0}])
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"scenarios": [spec]}))
+        assert main(["chaos", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'meteor-strike'" in err and "registered models" in err
+
+    def test_submit_unknown_recovery_fails_before_connecting(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.service.cli
+
+        def no_connection(*args, **kwargs):
+            raise AssertionError("submit dialled a server on bad input")
+
+        monkeypatch.setattr(repro.service.cli, "SweepClient", no_connection)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(
+            {"base": dict(tiny_scenario_dict(), recovery="ppaa")}))
+        assert main(["submit", "127.0.0.1:9", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'ppaa'" in err and "registered schemes" in err
+
+    @pytest.mark.parametrize("flag", ["--ssh-host", "--ssh-cmd"])
+    def test_grid_rejects_the_removed_ssh_flags(self, flag, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"base": tiny_scenario_dict()}))
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", str(path), "--backend", "cluster", flag, "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["grid", "serve"])
+    def test_threads_backend_is_not_a_choice(self, command, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"base": tiny_scenario_dict()}))
+        args = [str(path)] if command == "grid" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--backend", "threads"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'threads'" in err
+        for name in ("cluster", "processes", "serial"):
+            assert name in err
+
+    def test_top_level_help_names_every_subcommand(self, capsys):
+        from repro.experiments.cli import SUBCOMMANDS
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        usage, _, rest = out.partition("\n\n")
+        for name in SUBCOMMANDS:
+            assert name in usage, name
+            assert rest.count(name) >= 2, name
+
     def test_recovery_override_drops_stale_scheme_params(self, tmp_path,
                                                          capsys):
         spec = tiny_scenario_dict()

@@ -109,6 +109,40 @@ class TestApiSurface:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_cluster_backend_takes_no_ssh_parameters(self):
+        from repro.cluster import ClusterBackend
+
+        params = inspect.signature(ClusterBackend).parameters
+        assert "ssh_hosts" not in params and "ssh_cmd" not in params
+        with pytest.raises(TypeError):
+            ClusterBackend(ssh_hosts=["h1"])
+
+    def test_sweep_client_takes_no_breaker(self):
+        from repro.service.client import SweepClient
+
+        assert "breaker" not in inspect.signature(SweepClient).parameters
+        with pytest.raises(TypeError):
+            SweepClient("127.0.0.1:9", breaker=object())
+
+
+EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples")
+                  .glob("*.py"))
+
+
+class TestExamples:
+    """Every script under ``examples/`` runs to completion."""
+
+    def test_examples_found(self):
+        assert len(EXAMPLES) >= 9
+
+    @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
+    def test_example_exits_cleanly(self, script):
+        src = Path(repro.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, str(script)],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
 
 class TestDoctests:
     def test_package_quickstart_doctest(self):
