@@ -1,5 +1,6 @@
 """Tests for the declarative scenario API: spec, registries, runner, grid."""
 
+import functools
 import json
 
 import pytest
@@ -28,6 +29,8 @@ from repro.scenarios import (
 )
 from repro.topology import TaskId, uniform_source_rates
 from repro.workloads.sources import UniformRateSource
+from tests.golden.make_codec_golden import PATH as CODEC_GOLDEN_PATH
+from tests.golden.make_codec_golden import codec_golden
 
 
 def tiny_recipe() -> TopologyRecipe:
@@ -434,3 +437,29 @@ class TestGrid:
         scenarios = [tiny_scenario(name=f"s{i}", budget=i) for i in (0, 1, 2)]
         results = run_scenarios(scenarios)
         assert [r.scenario.name for r in results] == ["s0", "s1", "s2"]
+
+
+CODEC_GOLDEN = json.loads(CODEC_GOLDEN_PATH.read_text())
+
+
+@functools.lru_cache(maxsize=None)
+def _codec_golden_now() -> dict:
+    return codec_golden()
+
+
+class TestCodecGolden:
+    """Record bytes, decode-error texts and the classes malformed values raise.
+
+    Regenerate with ``tests/golden/make_codec_golden.py`` only when a
+    codec's output or error contract changes on purpose.
+    """
+
+    @pytest.mark.parametrize("section,key", sorted(
+        (section, key) for section in CODEC_GOLDEN
+        for key in CODEC_GOLDEN[section]))
+    def test_entry(self, section, key):
+        assert _codec_golden_now()[section][key] == CODEC_GOLDEN[section][key]
+
+    def test_golden_has_no_stale_entries(self):
+        for section in CODEC_GOLDEN:
+            assert set(_codec_golden_now()[section]) == set(CODEC_GOLDEN[section])
