@@ -245,13 +245,7 @@ def scenario_main(argv: Sequence[str]) -> int:
                         help="print the full ScenarioResult as JSON")
     args = parser.parse_args(argv)
 
-    data = load_json(args.file)
-    if not isinstance(data, dict):
-        raise ScenarioError(
-            f"a scenario JSON document must be an object, got "
-            f"{type(data).__name__}"
-        )
-    scenario = Scenario.from_dict(data)
+    scenario = Scenario.from_dict(load_json(args.file))
     _check_names((scenario,), (args.recovery,) if args.recovery else ())
     if args.recovery:
         scenario = _force_recovery(scenario, args.recovery)

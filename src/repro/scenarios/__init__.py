@@ -45,8 +45,12 @@ content-addressed :class:`ScenarioCache` (keyed on the SHA-256 digest of
 >>> len(results)
 2
 
-``ScenarioResult.to_dict()``/``from_dict()`` round-trip losslessly — sinks
-and the cache reload persisted results bit-for-bit.
+Every record — :class:`Scenario` and its parts, :class:`ScenarioResult`,
+:class:`RecoveryOutcome` and :class:`CellError` — serializes through one
+field-table :class:`~repro.scenarios.spec.Codec`: ``to_dict()`` /
+``from_dict()`` round-trip losslessly (sinks and the cache reload persisted
+results bit-for-bit), and a malformed document raises
+:class:`~repro.errors.ScenarioError` naming the offending field.
 """
 
 from repro.engine.recovery import (
@@ -82,12 +86,8 @@ from repro.scenarios.prebuilt import (
     workload_key,
 )
 from repro.scenarios.registry import FAILURE_MODELS, PLANNERS, WORKLOADS
-from repro.scenarios.runner import (
-    RecoveryOutcome,
-    ScenarioResult,
-    ScenarioRunner,
-    run_scenario,
-)
+from repro.scenarios.results import RecoveryOutcome, ScenarioResult
+from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.scenarios.session import GridReport, GridSession, ProgressEvent
 from repro.scenarios.sinks import (
     RESULT_SINKS,

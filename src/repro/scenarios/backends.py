@@ -2,7 +2,7 @@
 
 An :class:`ExecutionBackend` takes a list of scenarios plus a runner
 callable and yields ``(index, outcome, attempts)`` triples, where an outcome
-is either a :class:`~repro.scenarios.runner.ScenarioResult` or a structured
+is either a :class:`~repro.scenarios.results.ScenarioResult` or a structured
 :class:`CellError` — per-cell failures never crash the whole grid — and
 ``attempts`` counts how many times the cell was started (>1 when a dead
 worker forced a retry).  Triples may arrive in any order (parallel backends
@@ -42,12 +42,13 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ScenarioError
 from repro.registry import Registry
-from repro.scenarios.runner import ScenarioResult, run_scenario
-from repro.scenarios.spec import Scenario, _check_keys
+from repro.scenarios.results import ScenarioResult
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import Codec, Field, Record, Scenario, nested, text
 
 #: A scenario runner: maps one scenario to its result (picklable for
 #: the processes backend; :func:`~repro.scenarios.runner.run_scenario`
@@ -56,45 +57,33 @@ Runner = Callable[[Scenario], ScenarioResult]
 
 
 @dataclass(frozen=True)
-class CellError:
+class CellError(Record):
     """One grid cell that did not produce a result.
 
     ``kind`` is ``"error"`` (the runner raised), ``"timeout"`` (the cell
     exceeded the per-scenario deadline) or ``"worker-death"`` (the worker
     process died — e.g. OOM-killed — and the retry budget is exhausted).
+    Sinks, journals and the wire persist it through :meth:`to_dict`.
     """
 
     scenario: Scenario
-    kind: str
-    message: str
+    kind: str = "error"
+    message: str = ""
     attempts: int = 1
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-native representation (sinks persist error rows too)."""
-        return {"scenario": self.scenario.to_dict(), "kind": self.kind,
-                "message": self.message, "attempts": self.attempts}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CellError":
-        """Inverse of :meth:`to_dict` (rejects unknown keys)."""
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"a cell error must be an object, got {type(data).__name__}"
-            )
-        _check_keys("cell error", data, ("scenario", "kind", "message",
-                                         "attempts"))
-        if "scenario" not in data:
-            raise ScenarioError("cell error is missing the 'scenario' field")
-        return cls(scenario=Scenario.from_dict(data["scenario"]),
-                   kind=str(data.get("kind", "error")),
-                   message=str(data.get("message", "")),
-                   attempts=int(data.get("attempts", 1)))
 
     def render(self) -> str:
         """One-line human-readable summary."""
         label = self.scenario.name or self.scenario.workload
         note = f" after {self.attempts} attempts" if self.attempts > 1 else ""
         return f"[{self.kind}] {label}: {self.message}{note}"
+
+
+CellError.codec = Codec(CellError, "cell error", "a cell error", (
+    Field("scenario", nested(Scenario.from_dict), Record.to_dict),
+    Field("kind", text),
+    Field("message", text),
+    Field("attempts", int),
+), missing="cell error is missing the {0!r} field")
 
 
 class ExecutionBackend:

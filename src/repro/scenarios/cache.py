@@ -2,7 +2,7 @@
 
 Because the engine is a deterministic discrete-event simulation, a
 :class:`~repro.scenarios.spec.Scenario` fully determines its
-:class:`~repro.scenarios.runner.ScenarioResult`.  That makes results
+:class:`~repro.scenarios.results.ScenarioResult`.  That makes results
 content-addressable: :func:`scenario_digest` hashes the canonical JSON form
 of ``Scenario.to_dict()`` (sorted keys, compact separators) with SHA-256,
 and :class:`ScenarioCache` stores one result JSON document per digest so
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ScenarioError
-from repro.scenarios.runner import ScenarioResult
+from repro.scenarios.results import ScenarioResult
 from repro.scenarios.spec import Scenario
 
 

@@ -107,23 +107,12 @@ def as_waves(victims: object) -> tuple[FailureWave, ...]:
     return (FailureWave(0.0, tuple(items)),) if items else ()
 
 
-def parse_task_string(value: str) -> TaskId | None:
-    """Parse the serialized ``"Op[i]"`` task spelling; ``None`` if malformed.
-
-    The string form is owned by :meth:`TaskId.parse
-    <repro.topology.operators.TaskId.parse>` (the topology layer), so the
-    engine's recovery schemes and the scenario layer agree on it; this
-    wrapper stays as the scenario-layer spelling.
-    """
-    return TaskId.parse(value)
-
-
 def _task_from_param(topology: Topology, value: object) -> TaskId:
     """Parse ``["O1", 0]`` / ``"O1[0]"`` / ``TaskId`` into a validated TaskId."""
     if isinstance(value, TaskId):
         task = value
     elif isinstance(value, str) and value.endswith("]") and "[" in value:
-        parsed = parse_task_string(value)
+        parsed = TaskId.parse(value)
         if parsed is None:
             raise ScenarioError(f"malformed task reference {value!r}")
         task = parsed

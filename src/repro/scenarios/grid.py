@@ -109,6 +109,11 @@ def scenarios_from_document(
     if "base" in document:
         base = Scenario.from_dict(document["base"])
         axes = document.get("axes") or {}
+        if not isinstance(axes, Mapping):
+            raise ScenarioError(
+                f"'axes' must be an object of value lists, got "
+                f"{type(axes).__name__}"
+            )
         return expand_grid(base, axes) if axes else [base]
     raise ScenarioError(
         f"{what} needs either 'scenarios' or 'base' (+ 'axes')"

@@ -44,7 +44,8 @@ from repro.engine.routing import Router
 from repro.scenarios.spec import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scenarios.runner import ScenarioResult, WorkloadCaches
+    from repro.scenarios.results import ScenarioResult
+    from repro.scenarios.runner import WorkloadCaches
     from repro.workloads.bundles import QueryBundle
 
 #: How many distinct workloads stay memoized per process.  Grids normally

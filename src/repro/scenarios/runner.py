@@ -13,8 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import statistics
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from repro.core.plans import (
     IC_OBJECTIVE,
@@ -29,14 +28,10 @@ from repro.engine.recovery import RECOVERY_SCHEMES, consumes_failure_domains
 from repro.engine.routing import Router
 from repro.errors import ScenarioError
 from repro.scenarios import catalog
-from repro.scenarios.failures import (
-    FailureWave,
-    as_waves,
-    failure_domains,
-    parse_task_string,
-)
+from repro.scenarios.failures import FailureWave, as_waves, failure_domains
 from repro.scenarios.registry import FAILURE_MODELS
-from repro.scenarios.spec import QUALITY_KEYS, FailureSpec, Scenario, _check_keys, _jsonify
+from repro.scenarios.results import RecoveryOutcome, ScenarioResult
+from repro.scenarios.spec import FailureSpec, Scenario, _jsonify
 from repro.topology.operators import TaskId
 from repro.workloads.bundles import QueryBundle
 
@@ -71,330 +66,6 @@ class WorkloadCaches:
         #: (duration, batch_interval) -> failure-free sink outputs by batch
         #: index (the accurate reference of the output-quality axis).
         self.sink_baselines: dict[tuple, dict[int, tuple]] = {}
-
-
-def _parse_task_ref(value: object, *, key: str) -> TaskId:
-    """Parse the serialized ``"Op[i]"`` task spelling back into a TaskId."""
-    task = parse_task_string(value) if isinstance(value, str) else None
-    if task is None:
-        raise ScenarioError(
-            f"result field {key!r}: malformed task reference {value!r} "
-            f"(expected 'Op[i]')"
-        )
-    return task
-
-
-def _typed(data: Mapping[str, Any], key: str, convert: Any,
-           default: Any = None, *, required: bool = False,
-           nullable: bool = False) -> Any:
-    """``convert(data[key])``, raising :class:`ScenarioError` naming ``key``.
-
-    An explicit JSON ``null`` is only accepted where ``None`` is a
-    meaningful value (``nullable=True``, e.g. an unfinished recovery);
-    anywhere else it is malformed input, not a value to coerce.
-    """
-    if key not in data:
-        if required:
-            raise ScenarioError(f"result document is missing the {key!r} field")
-        return default
-    value = data[key]
-    if value is None:
-        if nullable:
-            return None
-        raise ScenarioError(f"result field {key!r} must not be null")
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"result field {key!r}: {exc}") from None
-
-
-@dataclass(frozen=True)
-class RecoveryOutcome:
-    """One task's recovery as observed by the engine run."""
-
-    task: TaskId
-    mode: str
-    fail_time: float
-    detect_time: float
-    recovered_time: float | None
-    #: Approximate-recovery fidelity accounting (None for exact schemes):
-    #: the configured divergence bound and the realized loss charged by the
-    #: replay the scheme skipped.  Omitted from :meth:`to_dict` when None so
-    #: exact-scheme results serialize exactly as before.
-    fidelity_bound: float | None = None
-    fidelity_loss: float | None = None
-
-    @property
-    def latency(self) -> float | None:
-        """Detection-to-catch-up latency (the paper's definition), if finished."""
-        if self.recovered_time is None:
-            return None
-        return self.recovered_time - self.detect_time
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-native representation."""
-        out = {"task": str(self.task), "mode": self.mode,
-               "fail_time": self.fail_time, "detect_time": self.detect_time,
-               "recovered_time": self.recovered_time, "latency": self.latency}
-        if self.fidelity_bound is not None:
-            out["fidelity_bound"] = self.fidelity_bound
-        if self.fidelity_loss is not None:
-            out["fidelity_loss"] = self.fidelity_loss
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RecoveryOutcome":
-        """Inverse of :meth:`to_dict`; ``latency`` is derived and ignored."""
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"a recovery outcome must be an object, got {type(data).__name__}"
-            )
-        _check_keys("recovery", data, ("task", "mode", "fail_time",
-                                       "detect_time", "recovered_time",
-                                       "latency", "fidelity_bound",
-                                       "fidelity_loss"))
-        if "task" not in data:
-            raise ScenarioError("result document is missing the 'task' field")
-        return cls(
-            task=_parse_task_ref(data["task"], key="task"),
-            mode=str(_typed(data, "mode", str, required=True)),
-            fail_time=_typed(data, "fail_time", float, required=True),
-            detect_time=_typed(data, "detect_time", float, required=True),
-            recovered_time=_typed(data, "recovered_time", float, nullable=True),
-            fidelity_bound=_typed(data, "fidelity_bound", float, nullable=True),
-            fidelity_loss=_typed(data, "fidelity_loss", float, nullable=True),
-        )
-
-
-@dataclass
-class ScenarioResult:
-    """Everything one scenario run produced, ready for tables or JSON."""
-
-    scenario: Scenario
-    plan: ReplicationPlan
-    worst_case_fidelity: float
-    failure_fidelity: float
-    failed_tasks: tuple[TaskId, ...] = ()
-    recoveries: tuple[RecoveryOutcome, ...] = ()
-    batches_processed: int = 0
-    tuples_processed: int = 0
-    checkpoints_taken: int = 0
-    batches_forged: int = 0
-    complete_sink_batches: int = 0
-    tentative_sink_batches: int = 0
-    #: Mean sink-output accuracy vs a failure-free baseline run (the paper's
-    #: Fig. 12/13 measure), only computed when the scenario requests it via
-    #: ``Scenario.quality``; omitted from :meth:`to_dict` when None so runs
-    #: without the quality axis serialize exactly as before.
-    output_quality: float | None = None
-    #: Engine-throughput profile (processed events, wall seconds, peak
-    #: physical history) — only collected when the run was profiled, and
-    #: machine-dependent, so it never participates in digests or
-    #: result-equality comparisons of unprofiled runs.
-    profile: dict[str, Any] | None = None
-
-    # ------------------------------------------------------------------
-    @property
-    def recovery_latencies(self) -> tuple[float, ...]:
-        """Latencies of every completed recovery."""
-        return tuple(r.latency for r in self.recoveries if r.latency is not None)
-
-    @property
-    def mean_recovery_latency(self) -> float | None:
-        """Mean completed recovery latency, or None when nothing recovered."""
-        values = self.recovery_latencies
-        if not values:
-            return None
-        return sum(values) / len(values)
-
-    @property
-    def max_recovery_latency(self) -> float | None:
-        """Completion time of the slowest recovery (the correlated-failure view)."""
-        values = self.recovery_latencies
-        if not values:
-            return None
-        return max(values)
-
-    @property
-    def all_recovered(self) -> bool:
-        """Whether every detected failure finished recovering."""
-        return all(r.recovered_time is not None for r in self.recoveries)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-native representation of the full result.
-
-        The machine-dependent ``profile`` block only appears when the run
-        was profiled, so unprofiled results from different backends stay
-        bit-for-bit comparable.
-        """
-        out = self._to_dict_base()
-        if self.output_quality is not None:
-            out["output_quality"] = self.output_quality
-        if self.profile is not None:
-            out["profile"] = dict(self.profile)
-        return out
-
-    def _to_dict_base(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "plan": {
-                "planner": self.plan.planner,
-                "budget": self.plan.budget,
-                "replicated": [str(t) for t in sorted(self.plan.replicated)],
-            },
-            "worst_case_fidelity": self.worst_case_fidelity,
-            "failure_fidelity": self.failure_fidelity,
-            "failed_tasks": [str(t) for t in self.failed_tasks],
-            "recoveries": [r.to_dict() for r in self.recoveries],
-            "mean_recovery_latency": self.mean_recovery_latency,
-            "max_recovery_latency": self.max_recovery_latency,
-            "all_recovered": self.all_recovered,
-            "batches_processed": self.batches_processed,
-            "tuples_processed": self.tuples_processed,
-            "checkpoints_taken": self.checkpoints_taken,
-            "batches_forged": self.batches_forged,
-            "complete_sink_batches": self.complete_sink_batches,
-            "tentative_sink_batches": self.tentative_sink_batches,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioResult":
-        """Rebuild a result from :meth:`to_dict` output, losslessly.
-
-        The inverse includes the nested :class:`Scenario`, the plan with its
-        provenance (planner name, budget, replicated task set) and every
-        :class:`RecoveryOutcome`; derived fields (``mean_recovery_latency``,
-        ``max_recovery_latency``, ``all_recovered``, per-recovery
-        ``latency``) are accepted and recomputed.  Malformed input raises
-        :class:`ScenarioError` naming the offending key.
-        """
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"a result document must be an object, got {type(data).__name__}"
-            )
-        _check_keys("result", data, (
-            "scenario", "plan", "worst_case_fidelity", "failure_fidelity",
-            "failed_tasks", "recoveries", "mean_recovery_latency",
-            "max_recovery_latency", "all_recovered", "batches_processed",
-            "tuples_processed", "checkpoints_taken", "batches_forged",
-            "complete_sink_batches", "tentative_sink_batches",
-            "output_quality", "profile",
-        ))
-        profile = data.get("profile")
-        if profile is not None and not isinstance(profile, Mapping):
-            raise ScenarioError(
-                f"result field 'profile' must be an object, got "
-                f"{type(profile).__name__}"
-            )
-        for key in ("scenario", "plan"):
-            if key not in data:
-                raise ScenarioError(
-                    f"result document is missing the {key!r} field"
-                )
-        try:
-            scenario = Scenario.from_dict(data["scenario"])
-        except ScenarioError as exc:
-            raise ScenarioError(f"result field 'scenario': {exc}") from None
-        plan_data = data["plan"]
-        if not isinstance(plan_data, Mapping):
-            raise ScenarioError(
-                f"result field 'plan' must be an object, got "
-                f"{type(plan_data).__name__}"
-            )
-        _check_keys("result plan", plan_data, ("planner", "budget", "replicated"))
-        budget = plan_data.get("budget")
-        if budget is not None:
-            try:
-                budget = int(budget)
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(
-                    f"result field 'plan.budget': {exc}"
-                ) from None
-        plan = ReplicationPlan(
-            replicated=frozenset(
-                _parse_task_ref(t, key="plan.replicated")
-                for t in plan_data.get("replicated", ())
-            ),
-            planner=str(plan_data.get("planner", "")),
-            budget=budget,
-        )
-        recoveries = data.get("recoveries", ())
-        if not isinstance(recoveries, Sequence) or isinstance(recoveries, (str, bytes)):
-            raise ScenarioError(
-                f"result field 'recoveries' must be a list, got "
-                f"{type(recoveries).__name__}"
-            )
-        return cls(
-            scenario=scenario,
-            plan=plan,
-            worst_case_fidelity=_typed(data, "worst_case_fidelity", float,
-                                       required=True),
-            failure_fidelity=_typed(data, "failure_fidelity", float,
-                                    required=True),
-            failed_tasks=tuple(
-                _parse_task_ref(t, key="failed_tasks")
-                for t in data.get("failed_tasks", ())
-            ),
-            recoveries=tuple(RecoveryOutcome.from_dict(r) for r in recoveries),
-            batches_processed=_typed(data, "batches_processed", int, 0),
-            tuples_processed=_typed(data, "tuples_processed", int, 0),
-            checkpoints_taken=_typed(data, "checkpoints_taken", int, 0),
-            batches_forged=_typed(data, "batches_forged", int, 0),
-            complete_sink_batches=_typed(data, "complete_sink_batches", int, 0),
-            tentative_sink_batches=_typed(data, "tentative_sink_batches", int, 0),
-            output_quality=_typed(data, "output_quality", float, nullable=True),
-            profile=dict(profile) if profile is not None else None,
-        )
-
-    def render(self) -> str:
-        """Human-readable multi-line summary (what the CLI prints)."""
-        s = self.scenario
-        label = s.name or s.workload
-        metric = s.objective
-        lines = [f"== ScenarioResult: {label} =="]
-        lines.append(
-            f"workload={s.workload}  planner={self.plan.planner or s.planner}"
-            f"  budget={self.plan.budget}  |plan|={self.plan.usage}"
-            + (f"  recovery={s.recovery}" if s.recovery else "")
-        )
-        lines.append(
-            f"worst-case {metric}={self.worst_case_fidelity:.3f}  "
-            f"{metric} under injected failures={self.failure_fidelity:.3f}"
-        )
-        if self.failed_tasks:
-            n_rec = sum(1 for r in self.recoveries if r.recovered_time is not None)
-            mean = self.mean_recovery_latency
-            peak = self.max_recovery_latency
-            lines.append(
-                f"failures: {len(self.failed_tasks)} tasks killed; "
-                f"{n_rec}/{len(self.recoveries)} recoveries finished"
-                + (f", mean {mean:.2f}s, max {peak:.2f}s" if mean is not None else "")
-            )
-        else:
-            lines.append("failures: none injected")
-        lines.append(
-            f"outputs: {self.complete_sink_batches} complete + "
-            f"{self.tentative_sink_batches} tentative sink batches "
-            f"({self.batches_forged} forged punctuations); "
-            f"{self.batches_processed} batches / "
-            f"{self.tuples_processed} tuples processed"
-        )
-        if self.output_quality is not None:
-            lines.append(
-                f"output quality vs failure-free baseline: "
-                f"{self.output_quality:.3f}"
-            )
-        if self.profile:
-            p = self.profile
-            lines.append(
-                f"profile: {p.get('sim_seconds_per_wall_second', 0.0):,.0f} "
-                f"sim-s/wall-s, {p.get('events_per_second', 0.0):,.0f} "
-                f"events/s ({p.get('processed_events', 0)} events in "
-                f"{p.get('wall_seconds', 0.0):.3f}s wall), peak history "
-                f"{p.get('peak_history_batches', 0)} batches"
-            )
-        return "\n".join(lines)
 
 
 class ScenarioRunner:
@@ -661,27 +332,24 @@ class ScenarioRunner:
         the failure run never produced score as fully lost.
         """
         scenario = self.scenario
-        _check_keys("quality", scenario.quality, QUALITY_KEYS)
         if bundle.sink_task is None or bundle.accuracy_fn is None:
             raise ScenarioError(
                 f"workload {scenario.workload!r} does not support the "
                 f"output-quality axis (no sink task / accuracy function)"
             )
         interval = config.batch_interval
-        try:
-            # Default window: from the first injected failure (the quality
-            # axis measures degradation, so pre-failure batches would only
-            # dilute it) to just before the end of the run (the last
-            # couple of batches may still be in flight at shutdown).
-            measure_from = float(scenario.quality.get(
-                "measure_from",
-                min((spec.at for spec in scenario.failures), default=0.0),
-            ))
-            measure_until = float(scenario.quality.get(
-                "measure_until", scenario.duration - 2.0 * interval,
-            ))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"quality window: {exc}") from None
+        # Default window: from the first injected failure (the quality axis
+        # measures degradation, so pre-failure batches would only dilute it)
+        # to just before the end of the run (the last couple of batches may
+        # still be in flight at shutdown).  Scenario.__post_init__ has
+        # already checked that the configured bounds are numbers.
+        measure_from = float(scenario.quality.get(
+            "measure_from",
+            min((spec.at for spec in scenario.failures), default=0.0),
+        ))
+        measure_until = float(scenario.quality.get(
+            "measure_until", scenario.duration - 2.0 * interval,
+        ))
         baseline = self._sink_baseline(bundle, config)
         produced = {
             record.index: record.tuples

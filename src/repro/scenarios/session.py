@@ -32,7 +32,7 @@ from repro.scenarios.backends import (
 )
 from repro.scenarios.cache import ScenarioCache, scenario_digest
 from repro.scenarios.prebuilt import run_scenario_prebuilt
-from repro.scenarios.runner import ScenarioResult
+from repro.scenarios.results import ScenarioResult
 from repro.scenarios.sinks import MemorySink, ResultSink, resolve_sink
 from repro.scenarios.spec import Scenario
 

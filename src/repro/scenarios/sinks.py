@@ -1,7 +1,7 @@
 """Result sinks: incremental, resumable delivery of grid outcomes.
 
 A :class:`ResultSink` receives every grid cell's outcome — a
-:class:`~repro.scenarios.runner.ScenarioResult` or a structured
+:class:`~repro.scenarios.results.ScenarioResult` or a structured
 :class:`~repro.scenarios.backends.CellError` — one at a time and in input
 order, so a million-cell grid never materialises one giant in-memory list.
 Three sinks ship in the :data:`RESULT_SINKS` registry:
@@ -31,7 +31,7 @@ from typing import Any, Iterable
 from repro.errors import ScenarioError
 from repro.scenarios.backends import CellError
 from repro.registry import Registry
-from repro.scenarios.runner import ScenarioResult
+from repro.scenarios.results import ScenarioResult
 
 
 def _row_for(index: int, digest: str, outcome: object) -> dict[str, Any]:

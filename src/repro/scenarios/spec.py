@@ -7,6 +7,13 @@ duration — as plain data.  ``to_dict()``/``from_dict()`` round-trip through
 JSON exactly, so scenarios can live in files, be shipped to worker processes
 and be expanded into parameter grids.
 
+Every serializable record — these specs, the run results of
+:mod:`repro.scenarios.results` and
+:class:`~repro.scenarios.backends.CellError` — is a :class:`Record` whose
+``to_dict``/``from_dict`` come from one :class:`Codec` reading the record's
+field table.  A malformed document raises :class:`ScenarioError` naming the
+offending field.
+
 >>> from repro.scenarios import Scenario, FailureSpec
 >>> s = Scenario(workload="synthetic", planner="greedy", budget=4,
 ...              failures=(FailureSpec("correlated", at=45.0),))
@@ -16,24 +23,28 @@ True
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from functools import partial
+from operator import attrgetter, is_, not_
+from typing import Any, ClassVar, NamedTuple, TypeVar
 
 from repro.errors import ScenarioError
 from repro.topology.graph import StreamEdge, Topology
-from repro.topology.operators import OperatorKind, OperatorSpec
+from repro.topology.operators import OperatorKind, OperatorSpec, TaskId
 from repro.topology.partitioning import Partitioning
 
 
 def _jsonify(value: Any) -> Any:
     """Normalise ``value`` to JSON-native types (tuples become lists)."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
     if isinstance(value, Mapping):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
     raise ScenarioError(
         f"scenario parameters must be JSON-serializable, got {type(value).__name__}"
     )
@@ -47,12 +58,162 @@ def _check_keys(kind: str, data: Mapping[str, Any], allowed: Sequence[str]) -> N
         )
 
 
+# ----------------------------------------------------------------------
+# The record codec
+# ----------------------------------------------------------------------
+class Malformed(ValueError):
+    """A decoder's complaint, phrased to follow the field name."""
+
+
+def _expect(types: Any, expected: str,
+            convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """A decoder: ``convert(value)`` once ``value`` is one of ``types``."""
+    def decode(value: Any) -> Any:
+        if not isinstance(value, types):
+            raise Malformed(f"must be {expected}, got {type(value).__name__}")
+        return convert(value)
+    return decode
+
+
+text = _expect(str, "a string", str)
+mapping = _expect(Mapping, "an object", dict)
+
+
+def list_of(decode: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    """Decode a JSON list into a tuple, item by item."""
+    return _expect((list, tuple), "a list", lambda items: tuple(map(decode, items)))
+
+
+def nested(decode: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Decode a nested JSON object with ``decode`` (a ``from_dict``)."""
+    return _expect(Mapping, "an object", decode)
+
+
+def task_ref(value: Any) -> TaskId:
+    """Decode the serialized ``"Op[i]"`` task spelling."""
+    task = TaskId.parse(value) if isinstance(value, str) else None
+    if task is None:
+        raise ValueError(f"malformed task reference {value!r} (expected 'Op[i]')")
+    return task
+
+
+def to_dicts(records: Sequence["Record"]) -> list[dict[str, Any]]:
+    """Encode records as a JSON list."""
+    return [record.to_dict() for record in records]
+
+
+#: Omit-when predicate of optional fields whose default is ``None``.
+unset = partial(is_, None)
+_ABSENT = object()
+
+
+class Field(NamedTuple):
+    """One row of a record's field table.
+
+    ``decode`` turns the JSON value into the attribute (``None``: a derived
+    key, accepted on input and recomputed); ``encode`` turns the attribute
+    into JSON (``None``: as is); ``nullable`` admits ``null``; ``omit``
+    drops the key when true for the attribute, so adding an optional field
+    keeps the bytes (and digests) of records that never set it.
+    """
+
+    name: str
+    decode: Callable[[Any], Any] | None
+    encode: Callable[[Any], Any] | None = None
+    nullable: bool = False
+    omit: Callable[[Any], bool] | None = None
+
+
+class Codec:
+    """``to_dict``/``from_dict`` of one dataclass, driven by its field table.
+
+    The table order is the emission order.  A field without a dataclass
+    default is required; an absent optional field takes the default.  Every
+    decode failure is a :class:`ScenarioError`: ``kind`` names the record
+    in unknown-key errors, ``label`` and ``prefix`` name a field as
+    ``<label> field '<prefix><name>'``, ``what`` a document that is not an
+    object, and ``missing`` formats a missing field from its path and the
+    document.
+    """
+
+    def __init__(self, cls: type, kind: str, what: str, fields: Sequence[Field],
+                 *, label: str = "", missing: str = "", prefix: str = ""):
+        self.cls, self.kind, self.what, self.prefix = cls, kind, what, prefix
+        self.label = label or kind
+        self.missing = missing or f"{self.label} document is missing the {{0!r}} field"
+        self.keys = frozenset(f.name for f in fields)
+        required = {f.name for f in dataclasses.fields(cls)
+                    if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING}
+        self.inputs = tuple((f.name, f.decode, f.nullable, f.name in required)
+                            for f in fields if f.decode is not None)
+        self.outputs = tuple((f.name, f.encode, f.omit) for f in fields)
+        self.values = attrgetter(*(f.name for f in fields))
+
+    def encode(self, record: Any) -> dict[str, Any]:
+        """The JSON-native dict of ``record``, fresh containers throughout."""
+        out = {}
+        for (name, encode, omit), value in zip(self.outputs, self.values(record)):
+            if omit is None or not omit(value):
+                out[name] = value if encode is None else encode(value)
+        return out
+
+    def decode(self, data: Any) -> Any:
+        """The record ``data`` describes; :class:`ScenarioError` if malformed."""
+        if not isinstance(data, Mapping):
+            raise ScenarioError(
+                f"{self.what} must be an object, got {type(data).__name__}")
+        if not self.keys.issuperset(data):
+            _check_keys(self.kind, data, self.keys)
+        kwargs = {}
+        for name, decode, nullable, required in self.inputs:
+            value = data.get(name, _ABSENT)
+            if value is _ABSENT:
+                if required:
+                    raise ScenarioError(
+                        self.missing.format(self.prefix + name, dict(data)))
+                continue
+            try:
+                if value is not None:
+                    value = decode(value)
+                elif not nullable:
+                    raise Malformed("must not be null")
+            except (TypeError, ValueError, OverflowError) as exc:
+                sep = " " if isinstance(exc, Malformed) else ": "
+                raise ScenarioError(f"{self.label} field "
+                                    f"{self.prefix + name!r}{sep}{exc}") from None
+            kwargs[name] = value
+        return self.cls(**kwargs)
+
+
+R = TypeVar("R", bound="Record")
+
+
+class Record:
+    """A dataclass serialized through the :class:`Codec` in ``codec``."""
+
+    codec: ClassVar[Codec]
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-native representation; :meth:`from_dict` is the exact inverse."""
+        return self.codec.encode(self)
+
+    @classmethod
+    def from_dict(cls: type[R], data: Mapping[str, Any]) -> R:
+        """Inverse of :meth:`to_dict`.
+
+        Derived keys are recomputed, unknown keys rejected, and a malformed
+        value raises :class:`ScenarioError` naming its field.
+        """
+        return cls.codec.decode(data)
+
+
 #: The keys a ``Scenario.quality`` mapping may carry (all in seconds).
 QUALITY_KEYS = ("measure_from", "measure_until")
 
 
 @dataclass(frozen=True)
-class OperatorDef:
+class OperatorDef(Record):
     """Serializable description of one operator of a :class:`TopologyRecipe`."""
 
     name: str
@@ -74,29 +235,18 @@ class OperatorDef:
                             selectivity=self.selectivity,
                             task_weights=self.task_weights)
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-native representation."""
-        out: dict[str, Any] = {"name": self.name, "parallelism": self.parallelism,
-                               "kind": self.kind, "selectivity": self.selectivity}
-        if self.task_weights:
-            out["task_weights"] = list(self.task_weights)
-        return out
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OperatorDef":
-        """Inverse of :meth:`to_dict` (rejects unknown keys)."""
-        _check_keys("operator", data, ("name", "parallelism", "kind",
-                                       "selectivity", "task_weights"))
-        return cls(
-            name=data["name"], parallelism=int(data["parallelism"]),
-            kind=data.get("kind", "independent"),
-            selectivity=float(data.get("selectivity", 1.0)),
-            task_weights=tuple(float(w) for w in data.get("task_weights", ())),
-        )
+OperatorDef.codec = Codec(OperatorDef, "operator", "an operator", (
+    Field("name", text),
+    Field("parallelism", int),
+    Field("kind", text),
+    Field("selectivity", float),
+    Field("task_weights", list_of(float), list, omit=not_),
+))
 
 
 @dataclass(frozen=True)
-class EdgeDef:
+class EdgeDef(Record):
     """Serializable description of one stream edge of a :class:`TopologyRecipe`."""
 
     upstream: str
@@ -115,21 +265,16 @@ class EdgeDef:
             ) from None
         return StreamEdge(self.upstream, self.downstream, pattern)
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-native representation."""
-        return {"upstream": self.upstream, "downstream": self.downstream,
-                "pattern": self.pattern}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EdgeDef":
-        """Inverse of :meth:`to_dict` (rejects unknown keys)."""
-        _check_keys("edge", data, ("upstream", "downstream", "pattern"))
-        return cls(data["upstream"], data["downstream"],
-                   data.get("pattern", "full"))
+EdgeDef.codec = Codec(EdgeDef, "edge", "an edge", (
+    Field("upstream", text),
+    Field("downstream", text),
+    Field("pattern", text),
+))
 
 
 @dataclass(frozen=True)
-class TopologyRecipe:
+class TopologyRecipe(Record):
     """A serializable topology blueprint: operators plus edges.
 
     Unlike :class:`~repro.topology.graph.Topology` (validated, with cached
@@ -137,27 +282,13 @@ class TopologyRecipe:
     :meth:`build` materialises and validates it.
     """
 
-    operators: tuple[OperatorDef, ...]
-    edges: tuple[EdgeDef, ...]
+    operators: tuple[OperatorDef, ...] = ()
+    edges: tuple[EdgeDef, ...] = ()
 
     def build(self) -> Topology:
         """Materialise the validated :class:`Topology`."""
         return Topology([op.to_spec() for op in self.operators],
                         [e.to_edge() for e in self.edges])
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-native representation."""
-        return {"operators": [op.to_dict() for op in self.operators],
-                "edges": [e.to_dict() for e in self.edges]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologyRecipe":
-        """Inverse of :meth:`to_dict` (rejects unknown keys)."""
-        _check_keys("topology", data, ("operators", "edges"))
-        return cls(
-            operators=tuple(OperatorDef.from_dict(op) for op in data.get("operators", ())),
-            edges=tuple(EdgeDef.from_dict(e) for e in data.get("edges", ())),
-        )
 
     @classmethod
     def from_topology(cls, topology: Topology) -> "TopologyRecipe":
@@ -175,8 +306,14 @@ class TopologyRecipe:
         )
 
 
+TopologyRecipe.codec = Codec(TopologyRecipe, "topology", "a topology", (
+    Field("operators", list_of(OperatorDef.from_dict), to_dicts),
+    Field("edges", list_of(EdgeDef.from_dict), to_dicts),
+))
+
+
 @dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(Record):
     """One scheduled failure-injection event.
 
     ``model`` names an entry of the failure-model registry; ``params`` are
@@ -193,22 +330,16 @@ class FailureSpec:
             raise ScenarioError(f"failure time must be >= 0, got {self.at}")
         object.__setattr__(self, "params", _jsonify(self.params))
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-native representation."""
-        return {"model": self.model, "at": self.at, "params": _jsonify(self.params)}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FailureSpec":
-        """Inverse of :meth:`to_dict` (rejects unknown keys)."""
-        _check_keys("failure", data, ("model", "at", "params"))
-        if "model" not in data:
-            raise ScenarioError(f"failure spec needs a 'model' field, got {dict(data)!r}")
-        return cls(model=data["model"], at=float(data.get("at", 45.0)),
-                   params=dict(data.get("params", {})))
+FailureSpec.codec = Codec(FailureSpec, "failure", "a failure spec", (
+    Field("model", text),
+    Field("at", float),
+    Field("params", mapping, _jsonify),
+), missing="failure spec needs a {0!r} field, got {1!r}")
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """One declarative end-to-end experiment: workload, plan, failures, run.
 
     Fields
@@ -329,84 +460,14 @@ class Scenario:
                     f"got {value!r}"
                 )
 
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-native representation; :meth:`from_dict` is the exact inverse."""
-        out: dict[str, Any] = {
-            "name": self.name,
-            "workload": self.workload,
-            "workload_params": _jsonify(self.workload_params),
-            "planner": self.planner,
-            "planner_params": _jsonify(self.planner_params),
-            "objective": self.objective,
-            "budget": self.budget,
-            "budget_fraction": self.budget_fraction,
-            "engine": _jsonify(self.engine),
-            "failures": [f.to_dict() for f in self.failures],
-            "duration": self.duration,
-            "seed": self.seed,
-        }
-        if self.topology is not None:
-            out["topology"] = self.topology.to_dict()
-        if self.recovery:
-            # Omitted when default so the scenario digest (and every cache
-            # entry keyed on it) is unchanged for scheme-less scenarios.
-            out["recovery"] = self.recovery
-        if self.recovery_params:
-            # Same digest rule: only scenarios that set scheme parameters
-            # carry them.
-            out["recovery_params"] = _jsonify(self.recovery_params)
-        if self.quality:
-            # Same digest rule: only quality-measuring scenarios carry it.
-            out["quality"] = _jsonify(self.quality)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Build a scenario from :meth:`to_dict` output (rejects unknown keys)."""
-        _check_keys("scenario", data, (
-            "name", "workload", "workload_params", "topology", "planner",
-            "planner_params", "objective", "budget", "budget_fraction",
-            "engine", "recovery", "recovery_params", "quality", "failures",
-            "duration", "seed",
-        ))
-        topology = data.get("topology")
-        budget = data.get("budget")
-        fraction = data.get("budget_fraction")
-        return cls(
-            name=data.get("name", ""),
-            workload=data.get("workload", ""),
-            workload_params=dict(data.get("workload_params", {})),
-            topology=TopologyRecipe.from_dict(topology) if topology is not None else None,
-            planner=data.get("planner", "structure-aware"),
-            planner_params=dict(data.get("planner_params", {})),
-            objective=data.get("objective", "OF"),
-            budget=int(budget) if budget is not None else None,
-            budget_fraction=float(fraction) if fraction is not None else None,
-            engine=dict(data.get("engine", {})),
-            recovery=str(data.get("recovery", "")),
-            recovery_params=dict(data.get("recovery_params", {})),
-            quality=dict(data.get("quality", {})),
-            failures=tuple(FailureSpec.from_dict(f) for f in data.get("failures", ())),
-            duration=float(data.get("duration", 60.0)),
-            seed=int(data.get("seed", 0)),
-        )
-
     def to_json(self, **dumps_kwargs: Any) -> str:
         """The scenario as a JSON document."""
         return json.dumps(self.to_dict(), **dumps_kwargs)
 
     @classmethod
-    def from_json(cls, text: str) -> "Scenario":
+    def from_json(cls, document: str) -> "Scenario":
         """Parse a scenario from a JSON document."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ScenarioError(
-                f"a scenario JSON document must be an object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(json.loads(document))
 
     # ------------------------------------------------------------------
     # Derivation
@@ -441,3 +502,27 @@ class Scenario:
             return replace(self, **plain)
         except TypeError as exc:
             raise ScenarioError(f"invalid scenario override: {exc}") from None
+
+
+#: Emission order is the table order: ``topology``, ``recovery``,
+#: ``recovery_params`` and ``quality`` come last and only when set, so the
+#: digest of a scenario that never sets them predates them.
+Scenario.codec = Codec(Scenario, "scenario", "a scenario JSON document", (
+    Field("name", text),
+    Field("workload", text),
+    Field("workload_params", mapping, _jsonify),
+    Field("planner", text),
+    Field("planner_params", mapping, _jsonify),
+    Field("objective", text),
+    Field("budget", int, nullable=True),
+    Field("budget_fraction", float, nullable=True),
+    Field("engine", mapping, _jsonify),
+    Field("failures", list_of(FailureSpec.from_dict), to_dicts),
+    Field("duration", float),
+    Field("seed", int),
+    Field("topology", nested(TopologyRecipe.from_dict), Record.to_dict,
+          nullable=True, omit=unset),
+    Field("recovery", text, omit=not_),
+    Field("recovery_params", mapping, _jsonify, omit=not_),
+    Field("quality", mapping, _jsonify, omit=not_),
+))

@@ -41,7 +41,7 @@ from typing import Any, Callable, Sequence
 from repro.errors import ServiceError
 from repro.scenarios.backends import CellError
 from repro.scenarios.cache import ScenarioCache, scenario_digest
-from repro.scenarios.runner import ScenarioResult
+from repro.scenarios.results import ScenarioResult
 from repro.scenarios.spec import Scenario
 from repro.service.journal import SweepJournal
 from repro.service.protocol import outcome_to_wire

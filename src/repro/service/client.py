@@ -28,7 +28,7 @@ from repro.errors import ScenarioError, ServiceError
 from repro.fabric.transport import Connection, parse_address
 from repro.resilience import RetryPolicy
 from repro.scenarios.backends import CellError
-from repro.scenarios.runner import ScenarioResult
+from repro.scenarios.results import ScenarioResult
 from repro.scenarios.spec import Scenario
 from repro.service.protocol import PROTOCOL_VERSION, outcome_from_wire
 

@@ -43,18 +43,21 @@ Responses and events
 Outcomes travel in the same envelope the ``grid --json`` CLI prints: a
 ``{"result": {...}}`` object for a :class:`ScenarioResult` or an
 ``{"error": {...}}`` object for a :class:`CellError`, so both ends
-round-trip losslessly through the existing ``to_dict``/``from_dict``
-contract.
+round-trip losslessly through the records' ``to_dict``/``from_dict``, one
+field-table :class:`~repro.scenarios.spec.Codec`.  Every malformed value
+in a request decodes to a :class:`~repro.errors.ScenarioError` naming its
+field; the server answers it with an ``error`` and keeps the connection.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from repro.errors import ServiceError
 from repro.fabric.transport import dump_message, parse_message  # noqa: F401
 from repro.scenarios.backends import CellError
-from repro.scenarios.runner import ScenarioResult
+from repro.scenarios.results import ScenarioResult
 
 #: Bumped on incompatible message-shape changes; ``hello`` carries the
 #: client's version and the server rejects mismatches loudly rather than

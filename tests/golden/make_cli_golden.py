@@ -9,11 +9,13 @@ Pins, for ``grid``, ``submit`` and ``chaos``:
 * the stdout bytes of ``grid --json`` and ``submit --json`` on a two-cell
   ``--fast``-sized grid (``submit`` talks to an in-process sweep server);
 * the exit code of each command on a clean grid, on a grid whose cells
-  fail at run time, on a document naming an unregistered recovery scheme
-  and on a document that is not a grid at all.
+  fail at run time, on a document naming an unregistered recovery scheme,
+  on a document that is not a grid at all and on four documents with one
+  malformed scenario value each.
 
-All three commands load grid documents through one name check, so each
-exits 2 on an unregistered scheme before any cell runs.  The fixture
+All three commands load grid documents through one decoder and one name
+check, so each exits 2 on a malformed value or an unregistered scheme
+before any cell runs.  The fixture
 should only be regenerated when a command's output or exit contract
 changes on purpose.
 """
@@ -54,7 +56,8 @@ BASE = {
 }
 
 #: case -> grid document.  ``cell-error`` passes every up-front check and
-#: fails inside each cell; ``unknown-recovery`` names no registered scheme.
+#: fails inside each cell; ``unknown-recovery`` names no registered scheme;
+#: the last four each carry one malformed scenario value.
 DOCUMENTS = {
     "clean": {"base": BASE, "axes": {"budget": [1, 2]}},
     "cell-error": {
@@ -65,6 +68,14 @@ DOCUMENTS = {
     "unknown-recovery": {"base": {**BASE, "recovery": "ppaa"},
                          "axes": {"budget": [1, 2]}},
     "not-a-grid": [BASE],
+    "failure-at-not-a-number": {"base": {
+        **BASE, "failures": [{"model": "single-task", "at": "soon"}]}},
+    "operator-without-name": {"base": {**BASE, "topology": {
+        **BASE["topology"],
+        "operators": [{"parallelism": 2, "kind": "source"}]}}},
+    "budget-not-a-number": {"base": {**BASE, "budget": "three"}},
+    "workload-params-not-an-object": {"base": {**BASE,
+                                               "workload_params": [1, 2]}},
 }
 
 COMMANDS = ("grid", "submit", "chaos")

@@ -166,6 +166,23 @@ class TestGridSubcommand:
         assert main(["grid", str(path), "--progress"]) == 0
         assert "[1/1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,edit", [
+        ("'at'", lambda s: s["failures"][0].update(at="soon")),
+        ("'name'", lambda s: s["topology"]["operators"][0].pop("name")),
+        ("'budget'", lambda s: s.update(budget="three")),
+        ("'workload_params'", lambda s: s.update(workload_params=[1, 2])),
+    ], ids=["at", "name", "budget", "workload_params"])
+    def test_malformed_value_names_its_field(self, tmp_path, capsys, field,
+                                             edit):
+        spec = tiny_scenario_dict()
+        edit(spec)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"base": spec}))
+        assert main(["grid", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
 
 class TestRecoveryFlag:
     def test_scenario_recovery_override(self, tmp_path, capsys):

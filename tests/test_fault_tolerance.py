@@ -38,7 +38,7 @@ from repro.scenarios import (
     run_scenario,
     scenario_digest,
 )
-from repro.scenarios.runner import RecoveryOutcome
+from repro.scenarios.results import RecoveryOutcome
 from repro.topology import TaskId
 
 from tests.engine_helpers import build_engine, metrics_fingerprint, \

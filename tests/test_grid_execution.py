@@ -41,7 +41,7 @@ from repro.scenarios import (
     workload_key,
 )
 from repro.scenarios import prebuilt
-from repro.scenarios.runner import RecoveryOutcome
+from repro.scenarios.results import RecoveryOutcome
 from repro.topology import TaskId
 
 

@@ -7,10 +7,16 @@ failure sets, checking the invariants the algorithms rely on:
 * OF is antitone in the failed set (more failures never help);
 * worst-case OF is monotone in the plan (more replicas never hurt);
 * planners never exceed their budget and are deterministic;
-* partitioning weight maps are well-formed for arbitrary legal sizes.
+* partitioning weight maps are well-formed for arbitrary legal sizes;
+* scenarios round-trip through their JSON-native ``to_dict``, and a
+  document with any one value replaced (or removed) either decodes or
+  raises :class:`~repro.errors.ScenarioError`, never another exception.
 """
 
 from __future__ import annotations
+
+import copy
+import json
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -23,6 +29,16 @@ from repro.core import (
     propagate_information_loss,
     worst_case_fidelity,
 )
+from repro.errors import ScenarioError
+from repro.scenarios import (
+    EdgeDef,
+    FailureSpec,
+    OperatorDef,
+    Scenario,
+    ScenarioResult,
+    TopologyRecipe,
+)
+from repro.scenarios.spec import QUALITY_KEYS
 from repro.topology import (
     OperatorKind,
     OperatorSpec,
@@ -35,6 +51,7 @@ from repro.topology import (
     propagate_rates,
     substream_weights,
 )
+from tests.golden.make_codec_golden import RESULT
 
 topology_seeds = st.integers(min_value=0, max_value=10_000)
 specs = st.sampled_from([
@@ -173,3 +190,108 @@ class TestPartitioningProperties:
             assert abs(total - 1.0) < 1e-9
         covered = {j for (_u, j) in weights}
         assert covered == set(range(n_down))
+
+
+# ----------------------------------------------------------------------
+# Scenario and result codecs
+# ----------------------------------------------------------------------
+_labels = st.text(max_size=8)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | _labels,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_params = st.dictionaries(st.text(max_size=6), _json_values, max_size=3)
+_seconds = st.floats(0.0, 1e6)
+_recipes = st.builds(
+    TopologyRecipe,
+    operators=st.lists(st.builds(
+        OperatorDef, name=_labels, parallelism=st.integers(1, 8),
+        kind=st.sampled_from([k.value for k in OperatorKind]),
+        selectivity=st.floats(0.0, 1.0),
+        task_weights=st.lists(st.floats(0.0, 1.0), max_size=3).map(tuple),
+    ), max_size=3).map(tuple),
+    edges=st.lists(st.builds(
+        EdgeDef, upstream=_labels, downstream=_labels,
+        pattern=st.sampled_from([p.value for p in Partitioning]),
+    ), max_size=3).map(tuple),
+)
+_budgets = st.one_of(
+    st.tuples(st.none(), st.none()),
+    st.tuples(st.integers(0, 100), st.none()),
+    st.tuples(st.none(), st.floats(0.0, 1.0)),
+)
+scenarios = st.builds(
+    lambda budgets, **fields: Scenario(budget=budgets[0],
+                                       budget_fraction=budgets[1], **fields),
+    budgets=_budgets,
+    name=_labels,
+    workload=st.sampled_from(["", "synthetic", "custom", "zipf"]),
+    workload_params=_params,
+    topology=st.none() | _recipes,
+    planner=st.sampled_from(["structure-aware", "greedy", "none"]),
+    planner_params=_params,
+    objective=st.sampled_from(["OF", "IC"]),
+    engine=_params,
+    recovery=st.sampled_from(["", "ppa", "checkpoint-replay"]),
+    recovery_params=_params,
+    quality=st.dictionaries(st.sampled_from(QUALITY_KEYS), _seconds,
+                            max_size=2),
+    failures=st.lists(st.builds(FailureSpec, model=_labels, at=_seconds,
+                                params=_params), max_size=3).map(tuple),
+    duration=st.floats(1e-3, 1e6),
+    seed=st.integers(0, 2**31),
+)
+#: Stands for "remove the value" among the drawn replacements.
+_REMOVE = object()
+
+
+def _paths(node, prefix=()):
+    """Every dotted location of a JSON document (object keys, list items)."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(document, path, value):
+    out = copy.deepcopy(document)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is _REMOVE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+class TestCodecProperties:
+    @given(scenarios)
+    @settings(max_examples=150, deadline=None)
+    def test_scenario_round_trips_through_json(self, scenario):
+        document = scenario.to_dict()
+        text = json.dumps(document, allow_nan=False)
+        assert json.loads(text) == document
+        assert Scenario.from_dict(document) == scenario
+        assert Scenario.from_json(text) == scenario
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_replaced_value_decodes_or_raises_scenario_error(self, data):
+        decode, document = data.draw(st.sampled_from([
+            (Scenario.from_dict, None),
+            (ScenarioResult.from_dict, RESULT.to_dict()),
+        ]))
+        if document is None:
+            document = data.draw(scenarios).to_dict()
+        path = data.draw(st.sampled_from(sorted(_paths(document), key=str)))
+        value = data.draw(st.just(_REMOVE) | _json_values
+                          | st.floats() | st.integers())
+        try:
+            decode(_replaced(document, path, value))
+        except ScenarioError:
+            pass

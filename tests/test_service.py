@@ -436,6 +436,28 @@ class TestServerEndToEnd:
         assert reply["type"] == "error"
         assert "hello" in reply["message"]
 
+    def test_malformed_submit_gets_an_error_and_keeps_the_connection(
+            self, tmp_path):
+        bad = cell(1).to_dict()
+        bad["failures"] = [{"model": "correlated", "at": "soon"}]
+        server = SweepServer(cache=ScenarioCache(tmp_path / "cache")).start()
+        try:
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                replies = sock.makefile("r", encoding="utf-8")
+
+                def request(message):
+                    sock.sendall(dump_message(message).encode("utf-8"))
+                    return parse_message(replies.readline())
+
+                assert request({"op": "hello", "client": "raw"})["type"] == \
+                    "welcome"
+                reply = request({"op": "submit", "scenarios": [bad]})
+                assert reply["type"] == "error" and reply["op"] == "submit"
+                assert "'at'" in reply["message"]
+                assert request({"op": "status"})["type"] == "status"
+        finally:
+            server.stop()
+
     def test_a_cache_hit_round_trip_has_no_fixed_wait(self, tmp_path):
         """One level above the transport's write-write-read test: a job's
         ``accepted`` / ``progress`` / ``result`` / ``job-done`` are four
