@@ -34,6 +34,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "repro-experiments = repro.experiments.cli:main",

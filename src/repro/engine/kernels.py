@@ -3,8 +3,8 @@
 PR 4 moved the engine's hot spot out of routing/checkpointing and into
 ``OperatorLogic.process_batch`` plus window maintenance.  This module holds
 the *batch kernels* the query operators in :mod:`repro.queries` dispatch to:
-whole-batch (columnar) implementations of the per-tuple inner loops, with an
-optional numpy backend and a pure-python fallback.
+whole-batch (columnar) implementations of the per-tuple inner loops, with a
+numpy backend and a pure-python one.
 
 Two guarantees shape everything here:
 
@@ -16,11 +16,12 @@ Two guarantees shape everything here:
   kernel therefore only vectorises when the arithmetic is provably exact
   (dyadic selectivities on a power-of-two grid, where float adds/subtracts
   round to nothing) and falls back to the reference loop otherwise.
-* **Optional numpy.**  numpy is never required: every kernel has a
-  pure-python implementation, selected automatically when numpy is missing,
-  when ``REPRO_PURE_PYTHON`` is set in the environment, or when
-  :func:`set_kernel_backend` forces it (how the CI no-numpy leg and the
-  parity tests pin both paths).
+* **Two backends, one answer.**  numpy is a hard dependency of the
+  package (the ``zipf`` and ``traffic`` workloads import it), but every
+  kernel also has a pure-python implementation, selected when
+  ``REPRO_PURE_PYTHON`` is set in the environment or when
+  :func:`set_kernel_backend` forces it (how the parity tests pin both
+  paths).
 
 The kernel selection mirrors the routing fast path's contract
 (:meth:`repro.engine.routing.Router.distribute_reference`): the reference is
@@ -33,11 +34,11 @@ from __future__ import annotations
 import os
 from typing import Any, Sequence
 
-try:  # pragma: no cover - exercised via both CI matrix legs
+try:  # pragma: no cover - depends on the environment at import
     if os.environ.get("REPRO_PURE_PYTHON"):
         raise ImportError("numpy disabled by REPRO_PURE_PYTHON")
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy CI leg
+except ImportError:  # pragma: no cover - REPRO_PURE_PYTHON=1
     _np = None
 
 #: Denominator grid for exact selectivity arithmetic.  A selectivity ``p/_Q``

@@ -7,7 +7,7 @@ every comparison here is ``==``, never ``approx``.  OF and IC are compared
 with the pre-program bodies of ``output_fidelity`` / ``internal_completeness``
 rebuilt on top of the reference propagation.
 
-Pure Python on purpose (no numpy): the no-numpy CI leg runs this file too,
+Pure Python on purpose (no numpy): the loss program itself is pure Python,
 and on Python 3.12 ``sum()`` of floats is compensated, which is exactly the
 kind of drift the contract forbids.
 """
