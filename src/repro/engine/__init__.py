@@ -36,7 +36,13 @@ from repro.engine.recovery import (
 )
 from repro.engine.routing import Router, stable_hash
 from repro.engine.tasks import TaskRuntime, TaskStatus
-from repro.engine.tuples import Batch, KeyedTuple, SinkRecord, forged_batch
+from repro.engine.tuples import (
+    Batch,
+    KeyCycleRun,
+    KeyedTuple,
+    SinkRecord,
+    forged_batch,
+)
 
 __all__ = [
     "Batch",
@@ -48,6 +54,7 @@ __all__ = [
     "CostModel",
     "EngineConfig",
     "EventHandle",
+    "KeyCycleRun",
     "KeyedTuple",
     "LogicFactory",
     "MemoizedSource",

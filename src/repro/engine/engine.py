@@ -275,7 +275,7 @@ class StreamEngine:
     # Batch processing
     # ------------------------------------------------------------------
     def _emit_outputs(self, rt: TaskRuntime, index: int,
-                      tuples: list[KeyedTuple] | tuple[KeyedTuple, ...],
+                      tuples: Sequence[KeyedTuple],
                       complete: bool) -> None:
         # Zero-copy handoff: the router's buckets go into the batches as-is
         # (no per-destination re-tupling), and the same sequence objects are

@@ -67,11 +67,15 @@ class SourceFunction(abc.ABC):
     """Deterministic batch generator for one source task."""
 
     @abc.abstractmethod
-    def tuples_for_batch(self, task: TaskId, batch_index: int) -> list[KeyedTuple]:
+    def tuples_for_batch(self, task: TaskId,
+                         batch_index: int) -> Sequence[KeyedTuple]:
         """The tuples task ``task`` emits in batch ``batch_index``.
 
         Must be pure: the engine re-invokes it when a failed source task is
-        recovered or when source data is replayed (Storm mode).
+        recovered or when source data is replayed (Storm mode).  The result
+        becomes a batch's shared tuple sequence and is never mutated; return
+        a list, or a :class:`~repro.engine.tuples.KeyCycleRun` to build
+        tuples only where an operator reads them.
         """
 
 
@@ -93,9 +97,10 @@ class MemoizedSource(SourceFunction):
         self._fn = fn
         self._task = task
         self._capacity = capacity
-        self._batches: dict[int, list[KeyedTuple]] = {}
+        self._batches: dict[int, Sequence[KeyedTuple]] = {}
 
-    def tuples_for_batch(self, task: TaskId, batch_index: int) -> list[KeyedTuple]:
+    def tuples_for_batch(self, task: TaskId,
+                         batch_index: int) -> Sequence[KeyedTuple]:
         if task != self._task:  # pragma: no cover - defensive
             return self._fn.tuples_for_batch(task, batch_index)
         batches = self._batches

@@ -20,9 +20,9 @@ assert the two paths agree on arbitrary topologies.
 from __future__ import annotations
 
 import zlib
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.engine.tuples import KeyedTuple
+from repro.engine.tuples import SHARED_SEQUENCES, KeyedTuple
 from repro.topology.graph import StreamEdge, Topology
 from repro.topology.operators import TaskId
 from repro.topology.partitioning import Partitioning
@@ -130,27 +130,32 @@ class Router:
     # ------------------------------------------------------------------
     # Distribution
     # ------------------------------------------------------------------
-    def distribute(self, src: TaskId, tuples: list[KeyedTuple]
-                   ) -> dict[TaskId, list[KeyedTuple]]:
-        """Split ``src``'s output tuples into per-downstream-task lists.
+    def distribute(self, src: TaskId, tuples: Sequence[KeyedTuple]
+                   ) -> dict[TaskId, Sequence[KeyedTuple]]:
+        """Split ``src``'s output tuples into per-downstream-task buckets.
 
         Every downstream task that ``src`` feeds gets an entry — possibly an
         empty list — because empty batches still act as punctuations.
 
-        Zero-copy contract: on single-destination edges the *input* list is
-        returned as the destination's bucket (and several such edges share
-        it), so callers must treat both the input and the returned buckets
-        as immutable — they flow straight into :class:`Batch` objects.
+        Zero-copy contract: on single-destination edges the *input* sequence
+        is returned as the destination's bucket (and several such edges
+        share it) when it is one of the
+        :data:`~repro.engine.tuples.SHARED_SEQUENCES` — an operator's output
+        list, or a source's :class:`~repro.engine.tuples.KeyCycleRun`, whose
+        tuples are then never built here.  Callers must treat both the input
+        and the returned buckets as immutable — they flow straight into
+        :class:`Batch` objects.  Hash-partitioned edges fill fresh lists.
         """
-        out: dict[TaskId, list[KeyedTuple]] = {}
+        out: dict[TaskId, Sequence[KeyedTuple]] = {}
         crc32 = zlib.crc32
         for plan in self._plans[src]:
             targets = plan.targets
             table = plan.key_table
             if table is None:
                 # Single destination: the whole output is one substream —
-                # hand the caller's list over instead of copying it.
-                out[targets[0]] = tuples if type(tuples) is list else list(tuples)
+                # hand the caller's sequence over instead of copying it.
+                out[targets[0]] = (tuples if type(tuples) in SHARED_SEQUENCES
+                                   else list(tuples))
                 continue
             buckets: list[list[KeyedTuple]] = [[] for _ in targets]
             n = len(targets)
@@ -167,7 +172,7 @@ class Router:
                 out[dst] = bucket
         return out
 
-    def distribute_reference(self, src: TaskId, tuples: list[KeyedTuple]
+    def distribute_reference(self, src: TaskId, tuples: Sequence[KeyedTuple]
                              ) -> dict[TaskId, list[KeyedTuple]]:
         """Per-tuple reference implementation of :meth:`distribute`.
 

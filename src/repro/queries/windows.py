@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
+from repro.engine.tuples import SHARED_SEQUENCES
+
 
 def retire_count(counts: dict, key: Hashable) -> None:
     """Decrement a live-entry count, dropping the key when it reaches zero.
@@ -75,11 +77,13 @@ class SlidingWindow:
         """Bulk-append ``items`` at one timestamp (the per-batch hot path).
 
         Equivalent to calling :meth:`add` per item, but the whole batch
-        becomes one shared block: lists and tuples are referenced as-is
-        (zero-copy — the caller must not mutate them afterwards), other
-        iterables are materialised once.
+        becomes one shared block: the batch sequence types of
+        :data:`~repro.engine.tuples.SHARED_SEQUENCES` (lists, tuples and
+        source :class:`~repro.engine.tuples.KeyCycleRun` batches) are
+        referenced as-is (zero-copy — the caller must not mutate them
+        afterwards), other iterables are materialised once.
         """
-        if type(items) not in (list, tuple):
+        if type(items) not in SHARED_SEQUENCES:
             items = list(items)
         if items:
             self._blocks.append((timestamp, items))

@@ -3,49 +3,85 @@
 Sec. VI-A uses source tasks that produce tuples at a fixed rate (1000 or
 2000 tuples/s).  :class:`UniformRateSource` does exactly that, with keys
 drawn round-robin from a bounded key space so routing spreads evenly.
+
+Both sources return a batch as a :class:`~repro.engine.tuples.KeyCycleRun`:
+a zero-copy, range-backed sequence that holds only the key cycle, the owner
+task, the first tuple id and the count.  It flows through the engine's
+shared ``Batch.tuples`` contract (source memo, output history, inboxes,
+window blocks) without being built; only the tuples an operator actually
+keeps — e.g. the ones a selectivity filter emits — become tuple objects.
+``tuples_for_batch_reference`` builds the same batch as a full list: it is
+the parity oracle the tests hold the run to.
 """
 
 from __future__ import annotations
 
+import abc
+
 from repro.engine.logic import SourceFunction
-from repro.engine.tuples import KeyedTuple
+from repro.engine.tuples import KeyCycleRun, KeyedTuple
 from repro.errors import WorkloadError
 from repro.topology.operators import TaskId
 
 
-def _key_cycle(key_space: int) -> tuple[str, ...]:
-    """The round-robin key strings, interned once instead of per tuple."""
-    return tuple(f"k{j}" for j in range(key_space))
+class _KeyCycleSource(SourceFunction):
+    """Batch layout shared by the synthetic sources.
 
+    Each task numbers its tuples ``0, 1, 2, …`` across batches and keys
+    tuple ``n`` with ``k{n % key_space}``; a subclass only says where each
+    batch's ids start and how many there are (:meth:`_span`).
+    """
 
-class UniformRateSource(SourceFunction):
-    """Emits ``rate × batch_interval`` tuples per batch per task."""
-
-    def __init__(self, rate_per_task: float, batch_interval: float = 1.0,
-                 key_space: int = 64):
-        if rate_per_task < 0:
-            raise WorkloadError(f"rate must be >= 0, got {rate_per_task}")
+    def __init__(self, batch_interval: float, key_space: int):
+        if not batch_interval > 0:
+            raise WorkloadError(
+                f"batch_interval must be > 0, got {batch_interval}"
+            )
         if key_space < 1:
             raise WorkloadError(f"key_space must be >= 1, got {key_space}")
-        self.rate_per_task = rate_per_task
         self.batch_interval = batch_interval
         self.key_space = key_space
-        self._keys = _key_cycle(key_space)
+        # The round-robin key strings, interned once instead of per tuple.
+        self._keys = tuple(f"k{j}" for j in range(key_space))
 
-    def tuples_per_batch(self) -> int:
-        """Number of tuples each task emits per batch."""
-        return round(self.rate_per_task * self.batch_interval)
+    @abc.abstractmethod
+    def _span(self, batch_index: int) -> tuple[int, int]:
+        """``(first tuple id, tuple count)`` of batch ``batch_index``."""
 
-    def tuples_for_batch(self, task: TaskId, batch_index: int) -> list[KeyedTuple]:
-        count = self.tuples_per_batch()
-        base = batch_index * count
+    def tuples_for_batch(self, task: TaskId, batch_index: int) -> KeyCycleRun:
+        base, count = self._span(batch_index)
+        return KeyCycleRun(self._keys, task.index, base, count)
+
+    def tuples_for_batch_reference(self, task: TaskId,
+                                   batch_index: int) -> list[KeyedTuple]:
+        """The same batch built in full: the parity oracle of the run."""
+        base, count = self._span(batch_index)
         keys, space, owner = self._keys, self.key_space, task.index
         return [
             (keys[(base + i) % space], (owner, base + i)) for i in range(count)
         ]
 
 
-class SquareWaveSource(SourceFunction):
+class UniformRateSource(_KeyCycleSource):
+    """Emits ``rate × batch_interval`` tuples per batch per task."""
+
+    def __init__(self, rate_per_task: float, batch_interval: float = 1.0,
+                 key_space: int = 64):
+        if rate_per_task < 0:
+            raise WorkloadError(f"rate must be >= 0, got {rate_per_task}")
+        super().__init__(batch_interval, key_space)
+        self.rate_per_task = rate_per_task
+
+    def tuples_per_batch(self) -> int:
+        """Number of tuples each task emits per batch."""
+        return round(self.rate_per_task * self.batch_interval)
+
+    def _span(self, batch_index: int) -> tuple[int, int]:
+        count = self.tuples_per_batch()
+        return batch_index * count, count
+
+
+class SquareWaveSource(_KeyCycleSource):
     """A square-wave rate profile: bursts at ``high_rate``, troughs at ``low_rate``.
 
     Each period of ``period_batches`` batches spends the first
@@ -69,15 +105,11 @@ class SquareWaveSource(SourceFunction):
             )
         if not 0.0 < duty < 1.0:
             raise WorkloadError(f"duty must be in (0, 1), got {duty}")
-        if key_space < 1:
-            raise WorkloadError(f"key_space must be >= 1, got {key_space}")
+        super().__init__(batch_interval, key_space)
         self.high_rate = high_rate
         self.low_rate = low_rate
         self.period_batches = period_batches
         self.duty = duty
-        self.batch_interval = batch_interval
-        self.key_space = key_space
-        self._keys = _key_cycle(key_space)
         self.high_batches = min(period_batches - 1,
                                 max(1, round(duty * period_batches)))
         high_count = round(high_rate * batch_interval)
@@ -99,11 +131,7 @@ class SquareWaveSource(SourceFunction):
         """The long-run average tuple rate of the profile."""
         return self._offsets[-1] / (self.period_batches * self.batch_interval)
 
-    def tuples_for_batch(self, task: TaskId, batch_index: int) -> list[KeyedTuple]:
+    def _span(self, batch_index: int) -> tuple[int, int]:
         periods, phase = divmod(batch_index, self.period_batches)
-        count = self._counts[phase]
         base = periods * self._offsets[-1] + self._offsets[phase]
-        keys, space, owner = self._keys, self.key_space, task.index
-        return [
-            (keys[(base + i) % space], (owner, base + i)) for i in range(count)
-        ]
+        return base, self._counts[phase]

@@ -12,6 +12,9 @@ measured metric.  These tests pin that down:
   against a run with trimming disabled;
 * trimmed source batches are regenerated exactly; trimmed non-source
   batches fail loudly instead of replaying wrong data;
+* a source batch on a single-destination edge is one lazy
+  :class:`~repro.engine.tuples.KeyCycleRun` from the source memo through
+  history and inbox into the operator's window;
 * long runs keep bounded physical history, and the engine-throughput
   profile reaches :class:`ScenarioResult` and survives JSON round-trips.
 """
@@ -22,7 +25,7 @@ import random
 
 import pytest
 
-from repro.engine import EngineConfig, Router, StreamEngine
+from repro.engine import EngineConfig, KeyCycleRun, Router, StreamEngine
 from repro.engine.config import PassiveStrategy
 from repro.engine.logic import MemoizedSource
 from repro.errors import ScenarioError, SimulationError
@@ -31,6 +34,7 @@ from repro.topology import Partitioning, TaskId, TopologyBuilder
 from repro.topology.operators import OperatorKind, OperatorSpec
 from repro.topology.graph import StreamEdge, Topology
 from repro.workloads import UniformRateSource
+from repro.workloads.bundles import fig6_bundle
 
 from tests.engine_helpers import build_engine, metrics_fingerprint
 
@@ -96,6 +100,21 @@ class TestRouterParity:
         for task in topology.tasks():
             assert (router.distribute(task, list(tuples))
                     == router.distribute_reference(task, list(tuples)))
+
+    @pytest.mark.parametrize("pattern", [Partitioning.SPLIT, Partitioning.FULL])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_source_run_parity(self, pattern, seed):
+        """A lazy source batch routes exactly like the reference says."""
+        rng = random.Random(500 + seed)
+        topology = _random_two_op_topology(rng, pattern)
+        router = Router(topology)
+        source = UniformRateSource(rng.randint(0, 90),
+                                   key_space=rng.randint(1, 20))
+        for src in topology.tasks_of("U"):
+            run = source.tuples_for_batch(src, rng.randint(0, 50))
+            assert type(run) is KeyCycleRun
+            assert (router.distribute(src, run)
+                    == router.distribute_reference(src, run))
 
     def test_repeated_keys_hit_the_memo_table(self):
         topology = _random_two_op_topology(random.Random(7), Partitioning.FULL)
@@ -200,6 +219,34 @@ class TestMemoizedSource:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             MemoizedSource(UniformRateSource(10.0), TaskId("S", 0), capacity=0)
+
+
+class TestSourceRunZeroCopy:
+    def test_one_run_from_memo_to_window_on_the_fig6_merge_edge(self):
+        """Memo, source history, O1 inbox and O1 window share one run."""
+        bundle = fig6_bundle(200.0, 6.0, tuple_scale=8.0)
+        engine = StreamEngine(bundle.topology, bundle.make_logic(),
+                              EngineConfig(checkpoint_interval=None))
+        src, o1 = TaskId("S", 0), TaskId("O1", 0)
+        receiver = engine.runtime(o1)
+        delivered = []
+        inbox_put = receiver.inbox_put
+
+        def recording_put(batch):
+            delivered.append(batch)
+            return inbox_put(batch)
+
+        receiver.inbox_put = recording_put
+        engine.run(4.0)
+        index = 2
+        source = engine.runtime(src)
+        run = source.source_fn.tuples_for_batch(src, index)
+        assert type(run) is KeyCycleRun and len(run) == 25
+        assert source.history[index][o1].tuples is run
+        (inbox,) = [b for b in delivered if b.src == src and b.index == index]
+        assert inbox.tuples is run
+        blocks = [items for _ts, items in receiver.logic.window._blocks]
+        assert sum(items is run for items in blocks) == 1
 
 
 # ---------------------------------------------------------------------------

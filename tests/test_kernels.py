@@ -25,7 +25,7 @@ import struct
 
 import pytest
 
-from repro.engine import Router, StreamEngine
+from repro.engine import KeyCycleRun, Router, StreamEngine
 from repro.engine.config import EngineConfig
 from repro.engine.kernels import (
     active_kernel,
@@ -130,6 +130,21 @@ class TestSelectivityKernel:
         assert out == [1, 3, 5, 7, 9]
         assert acc == 0.0
 
+    @pytest.mark.parametrize("selectivity", [0.5, 0.375, 0.3])
+    def test_source_run_takes_like_its_list(self, backend, selectivity):
+        """Periodic slice, numpy general-dyadic and inexact loop on a run."""
+        kernel = active_kernel()
+        source = UniformRateSource(37.0, key_space=5)
+        acc_run = acc_list = 0.0
+        for index in range(12):
+            run = source.tuples_for_batch(TaskId("S", 3), index)
+            taken_run, acc_run = kernel.selectivity_take(run, selectivity,
+                                                         acc_run)
+            taken_list, acc_list = kernel.selectivity_take(
+                list(run), selectivity, acc_list)
+            assert type(taken_run) is list and taken_run == taken_list
+            assert _bits(acc_run) == _bits(acc_list)
+
     def test_pass_through_and_zero(self, backend):
         kernel = active_kernel()
         items = list(range(7))
@@ -230,6 +245,35 @@ class TestOperatorKernelParity:
                 task, batch_end, {u: list(b) for u, b in inputs.items()})
             out_ref = ref2.process_batch_reference(task, batch_end, inputs)
             assert out_fast == out_ref, f"post-restore batch {index} diverged"
+
+
+def test_restore_of_a_window_holding_source_runs(backend):
+    """Snapshot/restore with lazy source batches as window blocks."""
+    source = UniformRateSource(20.0, key_space=6)
+    upstreams = (TaskId("S", 0), TaskId("S", 1))
+    task = TaskId("O1", 0)
+
+    def inputs(index):
+        return {u: source.tuples_for_batch(u, index) for u in upstreams}
+
+    live = WindowedSelectivityOperator(3.0, 0.5)
+    reference = WindowedSelectivityOperator(3.0, 0.5)
+    for index in range(5):
+        live.process_batch(task, index + 1.0, inputs(index))
+        reference.process_batch_reference(
+            task, index + 1.0, {u: list(b) for u, b in inputs(index).items()})
+    assert all(type(items) is KeyCycleRun
+               for _ts, items in live.window._blocks)
+    restored = WindowedSelectivityOperator(3.0, 0.5)
+    restored.restore(live.snapshot())
+    for index in range(5, 12):
+        batch_end = index + 1.0
+        out = restored.process_batch(task, batch_end, inputs(index))
+        out_ref = reference.process_batch_reference(
+            task, batch_end, {u: list(b) for u, b in inputs(index).items()})
+        assert out == out_ref, f"post-restore batch {index} diverged"
+        assert list(restored.window.timestamped()) == \
+            list(reference.window.timestamped())
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +393,8 @@ class TestZeroCopyContract:
         tuples = [("k", 1), ("k", 2)]
         out = router.distribute(src, tuples)
         assert out[TaskId("A", 0)] is tuples
+        run = UniformRateSource(10.0).tuples_for_batch(src, 4)
+        assert router.distribute(src, run)[TaskId("A", 0)] is run
 
     def test_engine_batches_share_router_buckets(self):
         from tests.engine_helpers import build_engine

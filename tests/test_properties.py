@@ -10,15 +10,19 @@ failure sets, checking the invariants the algorithms rely on:
 * partitioning weight maps are well-formed for arbitrary legal sizes;
 * scenarios round-trip through their JSON-native ``to_dict``, and a
   document with any one value replaced (or removed) either decodes or
-  raises :class:`~repro.errors.ScenarioError`, never another exception.
+  raises :class:`~repro.errors.ScenarioError`, never another exception;
+* a synthetic source's lazy :class:`~repro.engine.tuples.KeyCycleRun`
+  batch is indistinguishable from the list its reference builds.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import pickle
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core import (
@@ -29,6 +33,7 @@ from repro.core import (
     propagate_information_loss,
     worst_case_fidelity,
 )
+from repro.engine import KeyCycleRun
 from repro.errors import ScenarioError
 from repro.scenarios import (
     EdgeDef,
@@ -51,6 +56,7 @@ from repro.topology import (
     propagate_rates,
     substream_weights,
 )
+from repro.workloads import SquareWaveSource, UniformRateSource
 from tests.golden.make_codec_golden import RESULT
 
 topology_seeds = st.integers(min_value=0, max_value=10_000)
@@ -295,3 +301,71 @@ class TestCodecProperties:
             decode(_replaced(document, path, value))
         except ScenarioError:
             pass
+
+
+# ----------------------------------------------------------------------
+# Source batches: the lazy run against the list its reference builds
+# ----------------------------------------------------------------------
+_intervals = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+_key_spaces = st.integers(1, 40)
+_sources = st.one_of(
+    st.builds(UniformRateSource, st.floats(0.0, 300.0),
+              batch_interval=_intervals, key_space=_key_spaces),
+    st.builds(SquareWaveSource, high_rate=st.floats(0.0, 300.0),
+              low_rate=st.floats(0.0, 60.0), period_batches=st.integers(2, 12),
+              duty=st.floats(0.05, 0.95), batch_interval=_intervals,
+              key_space=_key_spaces),
+)
+
+
+def _batch_in_phase(source, index: int, burst: bool) -> int:
+    """``index`` moved into the burst or trough phase of its period."""
+    if not isinstance(source, SquareWaveSource):
+        return index
+    period, high = source.period_batches, source.high_batches
+    start = index - index % period
+    return start + (index % high if burst else high + index % (period - high))
+
+
+class TestSourceRunParity:
+    @given(_sources, st.integers(0, 15), st.integers(0, 10_000),
+           st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_run_equals_the_reference_list(self, source, owner, index,
+                                           burst, data):
+        task = TaskId("S", owner)
+        index = _batch_in_phase(source, index, burst)
+        if isinstance(source, SquareWaveSource):
+            assert source.is_burst(index) == burst
+        run = source.tuples_for_batch(task, index)
+        expected = source.tuples_for_batch_reference(task, index)
+        assert type(run) is KeyCycleRun and type(expected) is list
+        n = len(expected)
+        assert len(run) == n and bool(run) == bool(expected)
+        assert list(run) == expected
+        for i in range(-n, n):
+            assert run[i] == expected[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                run[i]
+        # The selectivity kernel's periodic slice, then arbitrary ones.
+        for first in range(3):
+            assert run[first::2] == expected[first::2]
+        for _ in range(4):
+            cut = data.draw(st.slices(n + 2))
+            assert run[cut] == expected[cut]
+            assert type(run[cut]) is list
+        assert run == expected and expected == run
+        assert not (run != expected) and not (expected != run)
+        other = expected[:-1] if n else [("k0", (owner, 0))]
+        assert run != other and other != run
+
+    @given(_sources, st.integers(0, 15), st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_run_copies_as_itself_and_pickles(self, source, owner, index):
+        run = source.tuples_for_batch(TaskId("S", owner), index)
+        assert copy.deepcopy(run) is run
+        clone = pickle.loads(pickle.dumps(run))
+        assert type(clone) is KeyCycleRun and clone == run
+        with pytest.raises(TypeError):
+            hash(run)

@@ -71,6 +71,11 @@ class TestUniformRateSource:
         with pytest.raises(WorkloadError):
             UniformRateSource(-1.0)
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_batch_interval(self, interval):
+        with pytest.raises(WorkloadError, match="batch_interval"):
+            UniformRateSource(10.0, batch_interval=interval)
+
 
 class TestWorldCup:
     def test_rotation_gives_servers_distinct_hot_pages(self):
@@ -196,6 +201,11 @@ class TestSquareWaveSource:
             self._source(duty=1.0)
         with pytest.raises(WorkloadError):
             self._source(key_space=0)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_batch_interval(self, interval):
+        with pytest.raises(WorkloadError, match="batch_interval"):
+            self._source(batch_interval=interval)
 
 
 class TestBurstyWorkload:
