@@ -259,12 +259,12 @@ def chaos_runner(scenario):
     ``REPRO_CHAOS_FAIL_FRACTION`` and ``REPRO_CHAOS_SEED`` (raise for
     that seeded fraction of scenarios) from the environment — worker
     agents are subprocesses, and the environment is the only config
-    channel that survives the spawn — then delegates to the default
-    prebuilt runner.  Injected failures are *deterministic per
+    channel that survives the spawn — then delegates to
+    :func:`~repro.scenarios.runner.run_scenario`.  Injected failures are *deterministic per
     scenario*, so they exhaust retries and surface as ``"error"``
     cells; use them to test error accounting, not zero-error runs.
     """
-    from repro.scenarios.prebuilt import run_scenario_prebuilt
+    from repro.scenarios.runner import run_scenario
 
     slow_ms = float(os.environ.get(ENV_SLOW_MS, "0") or 0.0)
     fail_fraction = float(os.environ.get(ENV_FAIL_FRACTION, "0") or 0.0)
@@ -277,7 +277,7 @@ def chaos_runner(scenario):
             f"chaos: injected runner failure for "
             f"{scenario.name or scenario.workload!r}"
         )
-    return run_scenario_prebuilt(scenario)
+    return run_scenario(scenario)
 
 
 def run_chaos(scenarios: Sequence, schedule: ChaosSchedule, *,

@@ -34,8 +34,9 @@ Coordinator messages
 ``{"type": "cell", "cell": ID, "index": I, "attempt": A, "scenario": {...},
 "runner": SPEC}``
     One leased cell.  ``runner`` is an importable ``"module:qualname"``
-    spec or ``null`` for the default prebuilt runner
-    (:func:`~repro.scenarios.prebuilt.run_scenario_prebuilt`) — cells
+    spec or ``null`` for the default runner
+    (:func:`~repro.scenarios.runner.run_scenario`, which resolves each
+    workload through the worker's per-process memo) — cells
     never carry pickled callables, so any host with the code checked out
     can serve as a worker.  ``attempt`` counts lease grants for this
     cell (1 on the first grant), which keeps re-leases distinguishable
@@ -72,15 +73,15 @@ CLUSTER_PROTOCOL_VERSION = 1
 def runner_to_wire(runner: Callable) -> str | None:
     """The importable ``"module:qualname"`` spec for ``runner``.
 
-    The default runner (the prebuilt-worker path) travels as ``None`` so
-    workers resolve it locally without an import round trip.  Anything
-    else must be importable *and* import back to the very same object —
-    otherwise the worker would silently run different code than the
-    coordinator was handed.
+    The default runner (:func:`~repro.scenarios.runner.run_scenario`)
+    travels as ``None`` so workers resolve it locally without an import
+    round trip.  Anything else must be importable *and* import back to the
+    very same object — otherwise the worker would silently run different
+    code than the coordinator was handed.
     """
-    from repro.scenarios.prebuilt import run_scenario_prebuilt
+    from repro.scenarios.runner import run_scenario
 
-    if runner is run_scenario_prebuilt:
+    if runner is run_scenario:
         return None
     module = getattr(runner, "__module__", None)
     qualname = getattr(runner, "__qualname__", None)
@@ -103,11 +104,11 @@ def runner_to_wire(runner: Callable) -> str | None:
 
 
 def runner_from_wire(spec: str | None) -> Callable:
-    """Inverse of :func:`runner_to_wire` (``None`` → the prebuilt runner)."""
+    """Inverse of :func:`runner_to_wire` (``None`` → ``run_scenario``)."""
     if spec is None:
-        from repro.scenarios.prebuilt import run_scenario_prebuilt
+        from repro.scenarios.runner import run_scenario
 
-        return run_scenario_prebuilt
+        return run_scenario
     if not isinstance(spec, str) or ":" not in spec:
         raise ClusterError(
             f"malformed runner spec {spec!r}; expected 'module:qualname'"

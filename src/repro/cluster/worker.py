@@ -9,9 +9,10 @@ capacity, then loops reading coordinator messages:
   cells are GIL-bound pure Python, so capacity is about pipelining the
   wire, not parallelism; run several *agents* per host for parallelism);
   the runner is resolved from its ``"module:qualname"`` wire spec once
-  and memoized, with ``None`` meaning the default prebuilt runner, whose
-  per-workload memo makes repeated cells of one grid cheap exactly like
-  the process-pool workers;
+  and memoized, with ``None`` meaning the default
+  :func:`~repro.scenarios.runner.run_scenario`, whose per-workload memo
+  makes repeated cells of one grid cheap exactly like the process-pool
+  workers;
 * a daemon heartbeat thread beacons liveness every
   ``heartbeat_interval`` seconds (the coordinator declares silent
   workers dead at its own ``heartbeat_timeout``);

@@ -15,6 +15,7 @@ without allocating a closure per event.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -22,35 +23,29 @@ from repro.errors import SimulationError
 #: An event callback; invoked with the ``args`` it was scheduled with.
 EventFn = Callable[..., None]
 
+_INF = float("inf")
 
-class _Event:
-    """Mutable cell carried inside a heap tuple (never itself compared)."""
+
+class EventHandle:
+    """One scheduled event: the cell the heap carries and ``at()`` returns.
+
+    Never itself compared (heap entries differ by sequence number first).
+    ``cancel()`` prevents the event from firing; it is safe to call after
+    the event fired.
+    """
 
     __slots__ = ("time", "fn", "args", "cancelled")
 
     def __init__(self, time: float, fn: EventFn, args: tuple[Any, ...]):
+        #: Absolute virtual time the event is due at.
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
 
-
-class EventHandle:
-    """Allows a scheduled event to be cancelled before it fires."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: _Event):
-        self._event = event
-
     def cancel(self) -> None:
         """Prevent the event from firing (safe to call after it fired)."""
-        self._event.cancelled = True
-
-    @property
-    def time(self) -> float:
-        """Absolute virtual time the event is due at."""
-        return self._event.time
+        self.cancelled = True
 
 
 class Simulator:
@@ -59,7 +54,7 @@ class Simulator:
     __slots__ = ("_queue", "_sequence", "_now", "_processed")
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, int, _Event]] = []
+        self._queue: list[tuple[float, int, int, EventHandle]] = []
         self._sequence = 0
         self._now = 0.0
         self._processed = 0
@@ -78,19 +73,24 @@ class Simulator:
            args: tuple[Any, ...] = ()) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
         now = self._now
-        if time < now - 1e-9:
+        # One chained comparison: false for the past, infinities and NaN.
+        if not now - 1e-9 <= time < _INF:
+            if not math.isfinite(time):
+                raise SimulationError(f"event time must be finite, got {time!r}")
             raise SimulationError(
                 f"cannot schedule event in the past ({time:.6f} < now {now:.6f})"
             )
-        event = _Event(time if time > now else now, fn, args)
+        event = EventHandle(time if time > now else now, fn, args)
         self._sequence += 1
         heapq.heappush(self._queue, (event.time, priority, self._sequence, event))
-        return EventHandle(event)
+        return event
 
     def after(self, delay: float, fn: EventFn, priority: int = 0,
               args: tuple[Any, ...] = ()) -> EventHandle:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not 0 <= delay < _INF:
+            if not math.isfinite(delay):
+                raise SimulationError(f"delay must be finite, got {delay!r}")
             raise SimulationError(f"delay must be >= 0, got {delay}")
         return self.at(self._now + delay, fn, priority, args)
 

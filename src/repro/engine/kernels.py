@@ -98,7 +98,11 @@ class BatchKernel:
             # starting at the first index where the accumulator wraps.
             step = _Q // p
             first = -(-(_Q - a) // p) - 1  # ceil((_Q - a) / p) - 1
-            return list(items[first::step]), ((a + n * p) % _Q) / _Q
+            # A slice of a list or a KeyCycleRun is already a fresh list.
+            out = items[first::step]
+            if type(out) is not list:
+                out = list(out)
+            return out, ((a + n * p) % _Q) / _Q
         return self._general_dyadic(items, selectivity, acc, p, a)
 
     def _general_dyadic(self, items: Sequence[Any], selectivity: float,

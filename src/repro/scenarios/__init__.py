@@ -80,11 +80,7 @@ from repro.scenarios.catalog import (
 )
 from repro.scenarios.failures import FailureWave, as_waves, synthetic_tasks
 from repro.scenarios.grid import expand_grid, run_grid, run_scenarios
-from repro.scenarios.prebuilt import (
-    prebuilt_workload,
-    run_scenario_prebuilt,
-    workload_key,
-)
+from repro.scenarios.prebuilt import prebuilt_workload, workload_key
 from repro.scenarios.registry import FAILURE_MODELS, PLANNERS, WORKLOADS
 from repro.scenarios.results import RecoveryOutcome, ScenarioResult
 from repro.scenarios.runner import ScenarioRunner, run_scenario
@@ -152,7 +148,6 @@ __all__ = [
     "resolve_sink",
     "run_grid",
     "run_scenario",
-    "run_scenario_prebuilt",
     "run_scenarios",
     "scenario_digest",
     "sink_for_path",

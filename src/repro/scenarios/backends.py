@@ -168,8 +168,8 @@ class ProcessBackend(ExecutionBackend):
     which coincides with start because the window never exceeds the pool
     width.
 
-    **Prebuilt workers.**  When the runner resolves workloads through the
-    prebuilt memo (the default — see :mod:`repro.scenarios.prebuilt`), the
+    **Prebuilt workers.**  Every scenario run resolves its workload through
+    the per-process memo (see :mod:`repro.scenarios.prebuilt`), so the
     backend builds each distinct workload's topology, router tables and
     bundle *once per grid* and ships them to workers instead of rebuilding
     per cell:
@@ -183,7 +183,8 @@ class ProcessBackend(ExecutionBackend):
     * ``spawn``: like forkserver, without the preload.
 
     ``start_method`` pins a specific ``multiprocessing`` start method.  A
-    runner without the ``prebuilt`` marker skips the warm-up on its own.
+    workload that fails to build is skipped by the warm-up, so only its own
+    cells fail, each with a :class:`CellError`.
     """
 
     name = "processes"
@@ -222,13 +223,11 @@ class ProcessBackend(ExecutionBackend):
             return "forkserver"
         return None
 
-    def _prepare(self, scenarios: Sequence[Scenario], runner: Runner) -> None:
+    def _prepare(self, scenarios: Sequence[Scenario]) -> None:
         """Collect the grid's distinct workloads for worker warmup."""
         from repro.scenarios import prebuilt
 
         self._warm_payload = None
-        if not getattr(runner, "prebuilt", False):
-            return
         payload = prebuilt.warm_payload(scenarios)
         if len(payload) > prebuilt.CACHE_CAPACITY:
             # More distinct workloads than the memo holds: eager warming
@@ -275,7 +274,7 @@ class ProcessBackend(ExecutionBackend):
         scenarios = list(scenarios)
         if not scenarios:
             return
-        self._prepare(scenarios, runner)
+        self._prepare(scenarios)
         width = self.max_workers or min(32, (os.cpu_count() or 2))
         width = max(1, min(width, len(scenarios)))
         pending: deque[tuple[int, Scenario, int]] = deque(

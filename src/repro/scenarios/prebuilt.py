@@ -1,20 +1,22 @@
-"""Prebuilt workload artefacts: build each distinct topology once per grid.
+"""The per-process workload memo every scenario run goes through.
 
-A grid of failure scenarios typically sweeps budgets, checkpoint intervals,
-failure models and seeds over a *handful* of distinct workloads — yet the
-naive per-cell runner rebuilds the topology graph, the router's dispatch
-tables and the workload bundle for every single cell (and, with the
-processes backend, in every worker, for every cell).  This module is the
-prebuilt-worker fast path:
+A sweep of failure scenarios typically varies budgets, checkpoint intervals,
+failure models, recovery schemes and seeds over a *handful* of distinct
+workloads.  Each workload's topology graph, router dispatch tables, query
+bundle, plans, source batches and failure-free quality baseline are the
+same for all of those runs, so they are built once per process and shared:
 
 * :func:`prebuilt_workload` keys each scenario by the part of its spec that
   determines the workload artefacts — ``(workload, workload_params,
   topology)``, canonically serialized — and memoizes the built
-  :class:`~repro.workloads.bundles.QueryBundle` plus a shared
-  :class:`~repro.engine.routing.Router` in a bounded, process-local LRU;
-* :func:`run_scenario_prebuilt` is the drop-in
-  :data:`~repro.scenarios.backends.Runner` that resolves through the memo
-  (it is the :class:`~repro.scenarios.session.GridSession` default);
+  :class:`~repro.workloads.bundles.QueryBundle`, a shared
+  :class:`~repro.engine.routing.Router` and the workload's
+  :class:`~repro.scenarios.runner.WorkloadCaches` in a bounded LRU of
+  :data:`CACHE_CAPACITY` workloads.  Every
+  :class:`~repro.scenarios.runner.ScenarioRunner` resolves through it, so
+  :func:`~repro.scenarios.runner.run_scenario` is the one run path of the
+  CLI, grids, the sweep server, cluster workers and chaos.  :func:`clear`
+  drops the memo for memory-sensitive callers.
 * :func:`warm` / :func:`warm_payload` pre-populate the memo.  The processes
   backend warms workers through their pool initializer: with the ``fork``
   start method workers *inherit* the parent's already-built artefacts for
@@ -22,14 +24,16 @@ prebuilt-worker fast path:
   and each worker receives the distinct workload specs exactly once
   (pickle-once — the payload rides along the initializer arguments instead
   of being re-shipped per cell); plain ``spawn`` behaves like forkserver
-  without the preload.
+  without the preload.  A workload that fails to build is skipped by the
+  warm-up and left to fail its own cells.
 
 Reusing a bundle across runs is sound because bundles are pure functions of
 their parameters and runs never mutate them: ``make_logic()`` builds fresh
 operator instances per engine, topologies and rate models are read-only,
-and the shared router's key memo is content-transparent.  The
-``bench_grid_backends`` benchmark and ``tests/test_grid_execution.py``
-assert that prebuilt results are digest-identical to the serial backend.
+and the shared router's key memo is content-transparent.  The goldens under
+``tests/golden`` and ``perf/golden`` pin the results by bytes, and
+``tests/test_grid_execution.py`` asserts that a cold memo and a warm one
+give identical results.
 """
 
 from __future__ import annotations
@@ -50,7 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: How many distinct workloads stay memoized per process.  Grids normally
 #: use a handful; a sweep over hundreds of random topologies simply cycles
-#: the LRU without unbounded memory growth.
+#: the LRU without unbounded memory growth.  Each entry holds its bundle,
+#: router, plans, bounded source memos and quality baselines; call
+#: :func:`clear` to release them all.
 CACHE_CAPACITY = 64
 
 _lock = threading.Lock()
@@ -95,7 +101,7 @@ def prebuilt_workload(scenario: Scenario
     call :func:`clear` after re-registering such a nested dependency.)
     """
     from repro.scenarios.registry import WORKLOADS
-    from repro.scenarios.runner import ScenarioRunner, WorkloadCaches
+    from repro.scenarios.runner import WorkloadCaches, build_bundle
 
     key = workload_key(scenario)
     factory = WORKLOADS.get(scenario.workload)
@@ -104,7 +110,7 @@ def prebuilt_workload(scenario: Scenario
         if entry is not None and entry[0] is factory:
             _bundles.move_to_end(key)
             return entry[1:]
-        bundle = ScenarioRunner(scenario).bundle()
+        bundle = build_bundle(scenario)
         entry = (factory, bundle, Router(bundle.topology), WorkloadCaches())
         _bundles[key] = entry
         _bundles.move_to_end(key)
@@ -115,24 +121,10 @@ def prebuilt_workload(scenario: Scenario
 
 def run_scenario_prebuilt(scenario: Scenario, *,
                           profile: bool = False) -> "ScenarioResult":
-    """:func:`~repro.scenarios.runner.run_scenario` through the prebuilt memo.
+    """Former name of :func:`~repro.scenarios.runner.run_scenario`."""
+    from repro.scenarios.runner import run_scenario
 
-    Byte-identical results (bundles are pure and unmutated, memoized plans
-    and objective values are deterministic, source functions are pure); the
-    only difference is that the topology, router tables, workload bundle,
-    plans and source batches are computed once per distinct workload
-    instead of once per cell.
-    """
-    from repro.scenarios.runner import ScenarioRunner
-
-    bundle, router, caches = prebuilt_workload(scenario)
-    return ScenarioRunner(scenario, profile=profile, bundle=bundle,
-                          router=router, caches=caches).run()
-
-
-#: Marks the runner as memo-aware so the processes backend knows that
-#: shipping a warm payload to its workers will actually be used.
-run_scenario_prebuilt.prebuilt = True  # type: ignore[attr-defined]
+    return run_scenario(scenario, profile=profile)
 
 
 def warm(scenarios: Iterable[Scenario]) -> int:
@@ -140,15 +132,24 @@ def warm(scenarios: Iterable[Scenario]) -> int:
 
     Returns the number of distinct workloads.  Called in the grid parent
     before a ``fork``-context pool is created, so workers inherit the built
-    artefacts without any pickling at all.
+    artefacts without any pickling at all.  A workload that fails to build
+    is skipped: its cells raise the same error when they run, and only
+    they fail.
     """
     seen: set[str] = set()
     for scenario in scenarios:
         key = workload_key(scenario)
         if key not in seen:
             seen.add(key)
-            prebuilt_workload(scenario)
+            _try_build(scenario)
     return len(seen)
+
+
+def _try_build(scenario: Scenario) -> None:
+    try:
+        prebuilt_workload(scenario)
+    except Exception:  # noqa: BLE001 - the cell reports it when it runs
+        pass
 
 
 def warm_payload(scenarios: Iterable[Scenario]) -> tuple[str, ...]:
@@ -171,8 +172,9 @@ def warm_from_payload(payload: Sequence[str]) -> None:
     """
     for spec in payload:
         # The spec's keys are (a subset of) Scenario fields, so it loads as
-        # a minimal scenario — exactly enough to resolve the bundle.
-        prebuilt_workload(Scenario.from_dict(json.loads(spec)))
+        # a minimal scenario — exactly enough to resolve the bundle.  An
+        # initializer that raised would break the whole pool.
+        _try_build(Scenario.from_dict(json.loads(spec)))
 
 
 def clear() -> None:

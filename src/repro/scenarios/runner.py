@@ -1,11 +1,19 @@
 """Execute one declarative scenario end-to-end into a structured result.
 
-:func:`run_scenario` is the single façade the examples, the CLI and the
-figure harness all share: resolve the workload, plan active replication,
-configure the engine, inject the scheduled failures, run, and distil the
-metrics into a :class:`ScenarioResult` (plan with provenance, fidelity
-prediction vs the injected failure, recovery latencies, tentative-output
-counts).
+:func:`run_scenario` is the single façade the examples, the CLI, the figure
+harness, grids, the sweep server and cluster workers all share: resolve the
+workload, plan active replication, configure the engine, inject the
+scheduled failures, run, and distil the metrics into a
+:class:`ScenarioResult` (plan with provenance, fidelity prediction vs the
+injected failure, recovery latencies, tentative-output counts).
+
+There is one run path.  Every run takes its bundle, router and
+:class:`WorkloadCaches` from the process-local workload memo
+(:func:`repro.scenarios.prebuilt.prebuilt_workload`), so runs over one
+workload build its topology and router tables, plan each (planner, budget),
+generate each source batch and run the failure-free quality baseline once
+per process, not once per run.  All of it is pure, so results are the same
+bytes as a cold build.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from repro.engine.engine import StreamEngine
 from repro.engine.recovery import RECOVERY_SCHEMES, consumes_failure_domains
 from repro.engine.routing import Router
 from repro.errors import ScenarioError
-from repro.scenarios import catalog
+from repro.scenarios import catalog, prebuilt
 from repro.scenarios.failures import FailureWave, as_waves, failure_domains
 from repro.scenarios.registry import FAILURE_MODELS
 from repro.scenarios.results import RecoveryOutcome, ScenarioResult
@@ -40,18 +48,20 @@ _ENGINE_EXTRA_KEYS = ("source_replay_window_batches",)
 
 
 class WorkloadCaches:
-    """Cross-run memoization scoped to one workload (grid fast path).
+    """Cross-run memoization scoped to one workload.
 
-    Grid cells over one workload repeat three pure computations per cell:
-    planning (same planner/budget on the same topology and rates), the
-    OF/IC objective values (same topology/rates/task sets) and source batch
-    generation (pure by the :class:`~repro.engine.logic.SourceFunction`
-    contract).  A :class:`WorkloadCaches` instance — owned per distinct
-    workload by :mod:`repro.scenarios.prebuilt` — memoizes all three, so a
-    sweep pays for each distinct (planner, budget) and each distinct
-    failure set once instead of once per cell.  Everything stored is frozen
-    or append-only, so sharing across cells (and worker threads) cannot
-    change results.
+    Runs over one workload repeat four pure computations: planning (same
+    planner/budget on the same topology and rates), the OF/IC objective
+    values (same topology/rates/task sets), source batch generation (pure
+    by the :class:`~repro.engine.logic.SourceFunction` contract) and the
+    failure-free run the output-quality axis scores against.  One
+    :class:`WorkloadCaches` instance per distinct workload lives in the
+    :mod:`repro.scenarios.prebuilt` memo next to its bundle and router, and
+    every :class:`ScenarioRunner` uses it, so a sweep pays for each distinct
+    (planner, budget), each distinct failure set and each quality baseline
+    once instead of once per cell.  Everything stored is frozen or
+    append-only, so sharing across cells (and worker threads) cannot change
+    results.
     """
 
     __slots__ = ("plans", "objective_values", "source_memos", "sink_baselines")
@@ -75,22 +85,22 @@ class ScenarioRunner:
     (events/second, simulated-seconds-per-wall-second, peak physical output
     history) in :attr:`ScenarioResult.profile`.
 
-    ``bundle``/``router`` inject prebuilt workload artefacts (see
-    :mod:`repro.scenarios.prebuilt`): the injected bundle must correspond to
-    the scenario's workload spec and the router to the bundle's topology —
-    grid sessions use this to build each distinct topology once instead of
-    once per cell.  Results are identical either way.
+    The bundle, router and :class:`WorkloadCaches` come from the
+    process-local workload memo (:mod:`repro.scenarios.prebuilt`), looked
+    up once per runner: the first runner over a workload builds them, every
+    later one reuses them.  Results are identical to a cold build.
     """
 
-    def __init__(self, scenario: Scenario, *, profile: bool = False,
-                 bundle: "QueryBundle | None" = None,
-                 router: "Router | None" = None,
-                 caches: "WorkloadCaches | None" = None):
+    def __init__(self, scenario: Scenario, *, profile: bool = False):
         self.scenario = scenario
         self.profile = profile
-        self._bundle = bundle
-        self._router = router
-        self._caches = caches
+        self._workload: "tuple[QueryBundle, Router, WorkloadCaches] | None" = None
+
+    def _memo(self) -> "tuple[QueryBundle, Router, WorkloadCaches]":
+        """The memoized ``(bundle, router, caches)`` of the scenario."""
+        if self._workload is None:
+            self._workload = prebuilt.prebuilt_workload(self.scenario)
+        return self._workload
 
     # ------------------------------------------------------------------
     # Resolution steps (each usable on its own for inspection/tests)
@@ -100,18 +110,8 @@ class ScenarioRunner:
         return OF_OBJECTIVE if self.scenario.objective == "OF" else IC_OBJECTIVE
 
     def bundle(self) -> QueryBundle:
-        """Resolve the workload registry entry into a query bundle."""
-        if self._bundle is not None:
-            return self._bundle
-        params = dict(self.scenario.workload_params)
-        if self.scenario.topology is not None:
-            if self.scenario.workload != "custom":
-                raise ScenarioError(
-                    "a scenario with an explicit topology must use "
-                    f"workload='custom', got {self.scenario.workload!r}"
-                )
-            params.setdefault("recipe", self.scenario.topology)
-        return catalog.make_bundle(self.scenario.workload, **params)
+        """The scenario's query bundle (memoized; see :func:`build_bundle`)."""
+        return self._memo()[0]
 
     def resolve_budget(self, bundle: QueryBundle) -> int:
         """The absolute replication budget for ``bundle``'s topology."""
@@ -124,13 +124,11 @@ class ScenarioRunner:
     def plan(self, bundle: QueryBundle) -> ReplicationPlan:
         """Run the scenario's planner on the bundle's topology and rates.
 
-        With shared :class:`WorkloadCaches`, identical (planner, params,
-        objective, budget) requests reuse the frozen plan — planners are
-        deterministic, so the memo is invisible in results.
+        Identical (planner, params, objective, budget) requests over one
+        workload reuse the frozen plan — planners are deterministic, so the
+        memo is invisible in results.
         """
-        caches = self._caches
-        if caches is None:
-            return self._compute_plan(bundle)
+        caches = self._memo()[2]
         # The factory object is part of the key (not just the name) so a
         # re-registered planner never serves plans built by its predecessor.
         key = (catalog.PLANNERS.get(self.scenario.planner),
@@ -151,19 +149,16 @@ class ScenarioRunner:
     def _objective_value(self, kind: str, bundle: QueryBundle,
                          tasks: frozenset) -> float:
         """Memoized OF/IC evaluation (``kind`` is ``"plan"`` or ``"failed"``)."""
-        objective = self.objective()
-        caches = self._caches
-        if caches is not None:
-            key = (kind, self.scenario.objective, tasks)
-            value = caches.objective_values.get(key)
-            if value is not None:
-                return value
-        if kind == "plan":
-            value = objective.plan_value(bundle.topology, bundle.rates, tasks)
-        else:
-            value = objective.metric(bundle.topology, bundle.rates, tasks)
-        if caches is not None:
-            caches.objective_values[key] = value
+        values = self._memo()[2].objective_values
+        key = (kind, self.scenario.objective, tasks)
+        value = values.get(key)
+        if value is None:
+            objective = self.objective()
+            if kind == "plan":
+                value = objective.plan_value(bundle.topology, bundle.rates, tasks)
+            else:
+                value = objective.metric(bundle.topology, bundle.rates, tasks)
+            values[key] = value
         return value
 
     def engine_config(self, bundle: QueryBundle) -> EngineConfig:
@@ -247,6 +242,7 @@ class ScenarioRunner:
         """Execute the scenario once and collect the structured result."""
         scenario = self.scenario
         bundle = self.bundle()
+        _, router, caches = self._memo()
         plan = self.plan(bundle)
         config = self.engine_config(bundle)
 
@@ -254,12 +250,10 @@ class ScenarioRunner:
         engine_kwargs: dict[str, Any] = {}
         if replay_window is not None:
             engine_kwargs["source_replay_window_batches"] = int(replay_window)
-        if self._router is not None:
-            engine_kwargs["router"] = self._router
-        if self._caches is not None:
-            engine_kwargs["source_memos"] = self._caches.source_memos
         engine = StreamEngine(bundle.topology, bundle.make_logic(), config,
-                              plan=plan, **engine_kwargs)
+                              plan=plan, router=router,
+                              source_memos=caches.source_memos,
+                              **engine_kwargs)
 
         all_victims: list[TaskId] = []
         seen: set[TaskId] = set()
@@ -372,25 +366,44 @@ class ScenarioRunner:
 
     def _sink_baseline(self, bundle: QueryBundle, config: EngineConfig
                        ) -> dict[int, tuple]:
-        """Accurate sink outputs of a failure-free run, memoized per workload."""
+        """Accurate sink outputs of a failure-free run, memoized per workload.
+
+        The clean engine shares the workload's router and source memos, so
+        its source batches are the ones the failure runs already generated.
+        """
+        _, router, caches = self._memo()
         key = (self.scenario.duration, config.batch_interval)
-        caches = self._caches
-        if caches is not None:
-            hit = caches.sink_baselines.get(key)
-            if hit is not None:
-                return hit
-        clean = EngineConfig(batch_interval=config.batch_interval,
-                             checkpoint_interval=None, costs=bundle.costs)
-        reference = StreamEngine(bundle.topology, bundle.make_logic(), clean)
-        reference.run(self.scenario.duration)
-        baseline = {
-            record.index: record.tuples
-            for record in reference.metrics.sink_records
-            if record.task == bundle.sink_task
-        }
-        if caches is not None:
-            caches.sink_baselines[key] = baseline
+        baseline = caches.sink_baselines.get(key)
+        if baseline is None:
+            clean = EngineConfig(batch_interval=config.batch_interval,
+                                 checkpoint_interval=None, costs=bundle.costs)
+            reference = StreamEngine(bundle.topology, bundle.make_logic(),
+                                     clean, router=router,
+                                     source_memos=caches.source_memos)
+            reference.run(self.scenario.duration)
+            baseline = caches.sink_baselines[key] = {
+                record.index: record.tuples
+                for record in reference.metrics.sink_records
+                if record.task == bundle.sink_task
+            }
         return baseline
+
+
+def build_bundle(scenario: Scenario) -> QueryBundle:
+    """Build the scenario's query bundle cold from the workload registry.
+
+    The memo in :mod:`repro.scenarios.prebuilt` calls this once per
+    distinct workload; runners use :meth:`ScenarioRunner.bundle`.
+    """
+    params = dict(scenario.workload_params)
+    if scenario.topology is not None:
+        if scenario.workload != "custom":
+            raise ScenarioError(
+                "a scenario with an explicit topology must use "
+                f"workload='custom', got {scenario.workload!r}"
+            )
+        params.setdefault("recipe", scenario.topology)
+    return catalog.make_bundle(scenario.workload, **params)
 
 
 def run_scenario(scenario: Scenario, *, profile: bool = False) -> ScenarioResult:

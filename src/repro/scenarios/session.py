@@ -31,8 +31,8 @@ from repro.scenarios.backends import (
     resolve_backend,
 )
 from repro.scenarios.cache import ScenarioCache, scenario_digest
-from repro.scenarios.prebuilt import run_scenario_prebuilt
 from repro.scenarios.results import ScenarioResult
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.sinks import MemorySink, ResultSink, resolve_sink
 from repro.scenarios.spec import Scenario
 
@@ -169,12 +169,12 @@ class GridSession:
         for huge grids where the sink is the only consumer.
     runner:
         The per-scenario runner; must be picklable for the processes
-        backend.  The default resolves workloads through the prebuilt memo
-        (:func:`~repro.scenarios.prebuilt.run_scenario_prebuilt`), building
-        each distinct topology/router/bundle once per process instead of
-        once per cell — results are identical to the plain
-        :func:`~repro.scenarios.runner.run_scenario`.  Tests substitute
-        counting/faulty runners here.
+        backend.  The default, :func:`~repro.scenarios.runner.run_scenario`,
+        resolves workloads through the per-process memo of
+        :mod:`repro.scenarios.prebuilt`, building each distinct
+        topology/router/bundle, plan and quality baseline once per process
+        instead of once per cell.  Tests substitute counting/faulty runners
+        here.
     """
 
     def __init__(self, backend: "str | ExecutionBackend | None" = None,
@@ -186,7 +186,7 @@ class GridSession:
                  resume: bool = False,
                  strict: bool = False,
                  collect: bool = True,
-                 runner: Runner = run_scenario_prebuilt):
+                 runner: Runner = run_scenario):
         self.backend = resolve_backend(backend)
         self.sink = resolve_sink(sink)
         self.cache = ScenarioCache(cache) if isinstance(cache, (str, bytes)) \

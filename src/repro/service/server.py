@@ -31,7 +31,7 @@ from repro.fabric.transport import PeerServer, PeerStream
 from repro.scenarios.backends import ExecutionBackend, resolve_backend
 from repro.scenarios.cache import ScenarioCache
 from repro.scenarios.grid import scenarios_from_document
-from repro.scenarios.prebuilt import run_scenario_prebuilt
+from repro.scenarios.runner import run_scenario
 from repro.service.broker import JOURNAL_CLIENT, SweepBroker
 from repro.service.journal import SweepJournal
 from repro.service.protocol import PROTOCOL_VERSION
@@ -71,7 +71,7 @@ class SweepServer(PeerServer):
                  backend: "str | ExecutionBackend | None" = None,
                  cache: "ScenarioCache | str | None" = None,
                  journal: "SweepJournal | str | None" = None,
-                 runner=run_scenario_prebuilt,
+                 runner=run_scenario,
                  timeout: float | None = None,
                  retries: int = 1,
                  batch_cells: int = 8):

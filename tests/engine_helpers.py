@@ -51,30 +51,30 @@ def sink_outputs(engine: StreamEngine) -> dict[int, tuple]:
     return {r.index: r.tuples for r in engine.metrics.sink_records}
 
 
-def run_scenario_engine(scenario, caches=None) -> StreamEngine:
+def run_scenario_engine(scenario) -> StreamEngine:
     """Run ``scenario`` through a directly constructed engine.
 
     Mirrors :class:`repro.scenarios.runner.ScenarioRunner` but returns the
     engine itself, so parity tests can fingerprint the raw
     :class:`MetricsCollector` (per-task CPU, recovery records, sink log)
-    rather than the distilled :class:`ScenarioResult`.  ``caches`` (a
-    :class:`~repro.scenarios.runner.WorkloadCaches`) shares plans and source
-    batches between runs over one workload, as grid sessions do.
+    rather than the distilled :class:`ScenarioResult`.  Like the runner, it
+    takes the router and the shared plans and source batches from the
+    workload memo (:func:`repro.scenarios.prebuilt.prebuilt_workload`).
     """
+    from repro.scenarios.prebuilt import prebuilt_workload
     from repro.scenarios.runner import ScenarioRunner
 
-    runner = ScenarioRunner(scenario, caches=caches)
-    bundle = runner.bundle()
+    runner = ScenarioRunner(scenario)
+    bundle, router, caches = prebuilt_workload(scenario)
     plan = runner.plan(bundle)
     config = runner.engine_config(bundle)
     kwargs = {}
     replay_window = scenario.engine.get("source_replay_window_batches")
     if replay_window is not None:
         kwargs["source_replay_window_batches"] = int(replay_window)
-    if caches is not None:
-        kwargs["source_memos"] = caches.source_memos
     engine = StreamEngine(bundle.topology, bundle.make_logic(), config,
-                          plan=plan, **kwargs)
+                          plan=plan, router=router,
+                          source_memos=caches.source_memos, **kwargs)
     for spec in scenario.failures:
         for wave in runner.failure_waves(spec, bundle, plan):
             at = spec.at + wave.offset

@@ -24,7 +24,6 @@ from pathlib import Path
 
 from repro.engine import RECOVERY_SCHEMES
 from repro.scenarios import Scenario
-from repro.scenarios.runner import WorkloadCaches
 
 from tests.engine_helpers import metrics_fingerprint, run_scenario_engine
 
@@ -85,9 +84,13 @@ def matrix_cells() -> dict[str, Scenario]:
     return cells
 
 
-def cell_record(scenario: Scenario, caches: WorkloadCaches) -> dict:
-    """What the golden stores for one cell: a hash plus a readable summary."""
-    metrics = run_scenario_engine(scenario, caches=caches).metrics
+def cell_record(scenario: Scenario) -> dict:
+    """What the golden stores for one cell: a hash plus a readable summary.
+
+    Every cell shares one workload, so the memo behind
+    ``run_scenario_engine`` plans it and generates its sources once.
+    """
+    metrics = run_scenario_engine(scenario).metrics
     fingerprint = metrics_fingerprint(metrics)
     fingerprint["processed_events"] = metrics.processed_events
     fingerprint["fidelity"] = [[r.fidelity_bound, r.fidelity_loss]
@@ -105,8 +108,7 @@ def cell_record(scenario: Scenario, caches: WorkloadCaches) -> dict:
 
 
 def main() -> None:
-    caches = WorkloadCaches()
-    out = {key: cell_record(scenario, caches)
+    out = {key: cell_record(scenario)
            for key, scenario in matrix_cells().items()}
     for key, record in out.items():
         print(f"{key}: {record['modes']} events={record['processed_events']}")

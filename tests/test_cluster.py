@@ -28,6 +28,7 @@ from repro.cluster.protocol import (
     runner_from_wire,
     runner_to_wire,
 )
+from repro.chaos.inject import chaos_runner
 from repro.cluster.worker import parse_address
 from repro.engine import Cluster, NodeKind
 from repro.errors import ClusterError, SimulationError
@@ -42,7 +43,6 @@ from repro.scenarios import (
     expand_grid,
     resolve_backend,
     run_scenario,
-    run_scenario_prebuilt,
 )
 from repro.topology import TaskId, linear_chain
 
@@ -162,18 +162,18 @@ def kill_once_cluster_runner(scenario):
             with open(flag, "w") as handle:
                 handle.write("died\n")
             os._exit(3)
-    return run_scenario_prebuilt(scenario)
+    return run_scenario(scenario)
 
 
 class TestRunnerWireSpecs:
-    def test_prebuilt_runner_travels_as_none(self):
-        assert runner_to_wire(run_scenario_prebuilt) is None
-        assert runner_from_wire(None) is run_scenario_prebuilt
+    def test_default_runner_travels_as_none(self):
+        assert runner_to_wire(run_scenario) is None
+        assert runner_from_wire(None) is run_scenario
 
     def test_module_level_runner_round_trips(self):
-        spec = runner_to_wire(run_scenario)
-        assert spec == "repro.scenarios.runner:run_scenario"
-        assert runner_from_wire(spec) is run_scenario
+        spec = runner_to_wire(chaos_runner)
+        assert spec == "repro.chaos.inject:chaos_runner"
+        assert runner_from_wire(spec) is chaos_runner
 
     def test_lambda_rejected(self):
         with pytest.raises(ClusterError, match="module-level"):
@@ -397,7 +397,7 @@ class TestClusterEndToEnd:
             outcome = by_index[index]
             assert isinstance(outcome, ScenarioResult)
             # Wire round trip is lossless: identical to an in-process run.
-            assert outcome == run_scenario_prebuilt(scenario)
+            assert outcome == run_scenario(scenario)
 
     def test_colliding_agent_names_are_uniquified(self):
         coordinator = ClusterCoordinator(port=0).start()
@@ -537,17 +537,17 @@ class TestClusterBackend:
         backend = ClusterBackend(local_workers=0, startup_timeout=0.3)
         try:
             with pytest.raises(ClusterError, match="no cluster worker"):
-                list(backend.execute([cell(1)], run_scenario_prebuilt))
+                list(backend.execute([cell(1)], run_scenario))
         finally:
             backend.close()
 
     def test_close_is_idempotent_and_restartable(self):
         backend = ClusterBackend(local_workers=1)
         try:
-            first = list(backend.execute([cell(1)], run_scenario_prebuilt))
+            first = list(backend.execute([cell(1)], run_scenario))
             backend.close()
             backend.close()  # idempotent
-            second = list(backend.execute([cell(1)], run_scenario_prebuilt))
+            second = list(backend.execute([cell(1)], run_scenario))
         finally:
             backend.close()
         assert first[0][1] == second[0][1]

@@ -27,7 +27,7 @@ from repro.scenarios import (
     CellError,
     Scenario,
     ScenarioResult,
-    run_scenario_prebuilt,
+    run_scenario,
 )
 
 
@@ -42,7 +42,7 @@ def cell(seed: int) -> Scenario:
 def slow_runner(scenario):
     """Importable runner that stretches cells so crashes land mid-grid."""
     time.sleep(0.15)
-    return run_scenario_prebuilt(scenario)
+    return run_scenario(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ class TestLedgerRestore:
         led1.register_worker("w1", 1)
         led1.submit([cell(0), cell(1), cell(2)], retries=1)
         lease = pub1.leases()[0]
-        result = run_scenario_prebuilt(cell(0))
+        result = run_scenario(cell(0))
         assert led1.complete("w1", lease["cell"], result)
         led1.journal.close()   # the SIGKILL: nothing else is torn down
 
@@ -210,7 +210,7 @@ class TestLedgerRestore:
         led2.register_worker("w2", 2)
         for lease in pub2.leases():
             led2.complete("w2", lease["cell"],
-                          run_scenario_prebuilt(cell(0)))
+                          run_scenario(cell(0)))
         assert {i for i, _o, _a in drain(led2)} == {0, 1}
 
     def test_different_resubmit_discards_the_remnant(self, tmp_path):
@@ -243,11 +243,11 @@ class TestLedgerRestore:
         led2.register_worker("w2", 1)          # requeued: leased to w2
         assert pub2.leases()[0]["cell"] == cell_id
         # The OLD worker (still running its executor) reports first.
-        late = run_scenario_prebuilt(cell(0))
+        late = run_scenario(cell(0))
         assert led2.complete("w1", cell_id, late) is True
         # w2's duplicate completion is stale traffic, not an error.
         assert led2.complete("w2", cell_id,
-                             run_scenario_prebuilt(cell(0))) is False
+                             run_scenario(cell(0))) is False
         emitted = drain(led2)
         assert len(emitted) == 1
         index, outcome, attempts = emitted[0]
@@ -272,10 +272,10 @@ class TestLedgerRestore:
         assert (release["cell"], release["attempt"]) == (cell_id, 2)
         # w1 was only *slow*: its result arrives after the requeue and
         # still wins; w2's later one is ignored.
-        late = run_scenario_prebuilt(cell(0))
+        late = run_scenario(cell(0))
         assert ledger.complete("w1", cell_id, late) is True
         assert ledger.complete("w2", cell_id,
-                               run_scenario_prebuilt(cell(0))) is False
+                               run_scenario(cell(0))) is False
         (index, outcome, attempts), = drain(ledger)
         assert index == 0 and outcome is late and attempts == 2
 
@@ -286,7 +286,7 @@ class TestLedgerRestore:
         ledger.submit([cell(0), cell(1)], retries=1)
         for lease in publish.leases():
             ledger.complete("w1", lease["cell"],
-                            run_scenario_prebuilt(cell(0)))
+                            run_scenario(cell(0)))
         assert len(drain(ledger)) == 2
         ledger.journal.close()
         # Fully retired and fully drained: the WAL is empty again.

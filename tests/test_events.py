@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Simulator
+from repro.engine import EventHandle, Simulator
 from repro.errors import SimulationError
 
 
@@ -62,6 +62,33 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator().after(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_time_rejected(self, time):
+        """Regression: ``at(nan)`` fired at the current time and ``at(inf)``
+        let ``drain()`` move the clock to infinity."""
+        sim = Simulator()
+        fired = []
+        with pytest.raises(SimulationError, match=repr(time)):
+            sim.at(time, lambda: fired.append(True))
+        sim.drain()
+        assert fired == [] and sim.now == 0.0
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        sim = Simulator()
+        fired = []
+        with pytest.raises(SimulationError, match=f"delay.*{delay!r}"):
+            sim.after(delay, lambda: fired.append(True))
+        sim.drain()
+        assert fired == [] and sim.now == 0.0
+
+    def test_past_time_still_named_as_past(self):
+        sim = Simulator()
+        sim.run_until(2.0)
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.at(-1.0, lambda: None)
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
@@ -75,6 +102,18 @@ class TestCancellation:
     def test_handle_reports_time(self):
         sim = Simulator()
         assert sim.at(3.5, lambda: None).time == 3.5
+
+    def test_handle_is_the_queued_event(self):
+        """``at()`` pushes and returns one cell: no wrapper per event."""
+        sim = Simulator()
+        handle = sim.at(1.0, print, args=("x",))
+        assert isinstance(handle, EventHandle)
+        assert sim._queue[0][3] is handle
+        assert (handle.fn, handle.args, handle.cancelled) == (print, ("x",),
+                                                              False)
+        handle.cancel()
+        handle.cancel()  # idempotent, and safe after firing
+        assert handle.cancelled
 
 
 class TestDrain:

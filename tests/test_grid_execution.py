@@ -34,7 +34,6 @@ from repro.scenarios import (
     run_grid,
     prebuilt_workload,
     run_scenario,
-    run_scenario_prebuilt,
     run_scenarios,
     scenario_digest,
     sink_for_path,
@@ -258,12 +257,13 @@ class TestBackendSinkMatrix:
 
 # ----------------------------------------------------------------------
 class TestPrebuiltWorkloads:
-    """The prebuilt-worker fast path: one build per distinct workload."""
+    """The per-process workload memo: one build per distinct workload."""
 
-    def test_prebuilt_runner_matches_plain_runner(self):
+    def test_cold_memo_matches_warm_memo(self):
         scenario = tiny_scenario()
-        assert (run_scenario_prebuilt(scenario).to_dict()
-                == run_scenario(scenario).to_dict())
+        prebuilt.clear()
+        cold = run_scenario(scenario).to_dict()
+        assert run_scenario(scenario).to_dict() == cold
 
     def test_workload_key_ignores_non_workload_fields(self):
         base = tiny_scenario()
@@ -290,7 +290,7 @@ class TestPrebuiltWorkloads:
         prebuilt.clear()
         base = tiny_scenario()
         for budget in (0, 1, 1):  # repeated budget hits the plan memo
-            run_scenario_prebuilt(base.with_overrides(budget=budget))
+            run_scenario(base.with_overrides(budget=budget))
         _bundle, _router, caches = prebuilt_workload(base)
         assert len(caches.plans) == 2
         assert caches.objective_values  # OF values memoized
@@ -323,9 +323,9 @@ class TestPrebuiltWorkloads:
         try:
             scenario = tiny_scenario(workload="prebuilt-test", topology=None,
                                      workload_params={}, failures=())
-            first = run_scenario_prebuilt(scenario)
+            first = run_scenario(scenario)
             WORKLOADS.register("prebuilt-test", overwrite=True)(v2)
-            second = run_scenario_prebuilt(scenario)
+            second = run_scenario(scenario)
             assert second.tuples_processed > first.tuples_processed
         finally:
             WORKLOADS.unregister("prebuilt-test")
@@ -355,6 +355,76 @@ class TestPrebuiltWorkloads:
     def test_unknown_start_method_rejected(self):
         with pytest.raises(ScenarioError, match="start method"):
             ProcessBackend(start_method="teleport")
+
+    def test_unbuildable_workload_fails_only_its_cells(self):
+        """The warm-up always runs, but skips a workload that cannot build."""
+        bad = tiny_scenario(name="bad", workload_params={"no_such_knob": 1})
+        grid = [tiny_scenario(), bad, tiny_scenario(budget=0)]
+        report = GridSession(backend=ProcessBackend(max_workers=2)).run(grid)
+        good, error, also_good = report.outcomes
+        assert isinstance(good, ScenarioResult)
+        assert isinstance(also_good, ScenarioResult)
+        assert isinstance(error, CellError) and error.kind == "error"
+        assert "no_such_knob" in error.message
+        assert report.errors == 1
+
+
+# ----------------------------------------------------------------------
+#: The seven schemes of the ``recovery_storm`` benchmark, pinned so a
+#: scheme registered by another test does not join the column.
+COLUMN_SCHEMES = ("active-standby", "adaptive-checkpoint", "approximate-ft",
+                  "checkpoint-replay", "k-safe", "ppa", "source-replay")
+
+
+def quality_column() -> list[Scenario]:
+    """Every scheme under one correlated failure, scored for quality."""
+    return [Scenario(name=f"column/{scheme}", workload="synthetic",
+                     workload_params={"tuple_scale": 16.0},
+                     planner="structure-aware", budget_fraction=0.5,
+                     engine={"tentative_outputs": True}, recovery=scheme,
+                     failures=(FailureSpec("correlated", at=8.0),),
+                     quality={"measure_from": 8.0}, duration=20.0)
+            for scheme in COLUMN_SCHEMES]
+
+
+class TestOneRunPath:
+    """Every run shares the workload memo, and the memo changes no result."""
+
+    @pytest.fixture(scope="class")
+    def cold(self):
+        """The column with the memo dropped before every cell."""
+        results = []
+        for scenario in quality_column():
+            prebuilt.clear()
+            results.append(run_scenario(scenario).to_dict())
+        prebuilt.clear()
+        return results
+
+    def test_warm_memo_changes_no_result(self, cold):
+        prebuilt.clear()
+        assert [run_scenario(s).to_dict() for s in quality_column()] == cold
+        assert all(0.0 <= r["output_quality"] <= 1.0 for r in cold)
+
+    def test_column_runs_one_quality_baseline(self, cold, monkeypatch):
+        from repro.engine.engine import StreamEngine
+
+        built = []
+        init = StreamEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamEngine, "__init__", counting_init)
+        prebuilt.clear()
+        column = quality_column()
+        assert [run_scenario(s).to_dict() for s in column] == cold
+        caches = prebuilt_workload(column[0])[2]
+        assert len(caches.sink_baselines) == 1
+        assert len(built) == len(column) + 1
+        # The baseline engine shares the failure runs' router and sources.
+        router = prebuilt_workload(column[0])[1]
+        assert all(engine.router is router for engine in built)
 
 
 # ----------------------------------------------------------------------

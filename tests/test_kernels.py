@@ -145,6 +145,20 @@ class TestSelectivityKernel:
             assert type(taken_run) is list and taken_run == taken_list
             assert _bits(acc_run) == _bits(acc_list)
 
+    @pytest.mark.parametrize("kind", ["list", "tuple", "run"])
+    @pytest.mark.parametrize("selectivity", [0.5, 0.25, 0.375, 0.3])
+    def test_result_is_a_fresh_list_for_every_input_type(self, backend, kind,
+                                                         selectivity):
+        """The periodic slice copies only a non-list slice (here a tuple)."""
+        run = UniformRateSource(23.0, key_space=4).tuples_for_batch(
+            TaskId("S", 1), 2)
+        items = {"list": list(run), "tuple": tuple(run), "run": run}[kind]
+        out, acc = active_kernel().selectivity_take(items, selectivity, 0.125)
+        ref, acc_ref = _reference_take(list(run), selectivity, 0.125)
+        assert type(out) is list and out == ref
+        assert out is not items
+        assert _bits(acc) == _bits(acc_ref)
+
     def test_pass_through_and_zero(self, backend):
         kernel = active_kernel()
         items = list(range(7))

@@ -39,7 +39,6 @@ from repro.scenarios import (
     run_scenarios,
     scenario_digest,
 )
-from repro.scenarios.runner import WorkloadCaches
 from repro.topology import TaskId
 
 from tests.engine_helpers import (
@@ -120,8 +119,6 @@ MATRIX = json.loads(
     (Path(__file__).parent / "golden" / "scheme_matrix.json").read_text()
 )
 _MATRIX_CELLS = matrix_cells()
-#: One workload under every cell, so plans and source batches are shared.
-_MATRIX_CACHES = WorkloadCaches()
 
 
 class TestSchemeMatrix:
@@ -135,7 +132,7 @@ class TestSchemeMatrix:
     @pytest.mark.parametrize("key", list(_MATRIX_CELLS))
     def test_cell_matches_golden(self, key):
         assert key in MATRIX, f"no golden row for {key}; see the generator"
-        assert cell_record(_MATRIX_CELLS[key], _MATRIX_CACHES) == MATRIX[key]
+        assert cell_record(_MATRIX_CELLS[key]) == MATRIX[key]
 
     def test_golden_has_no_stale_rows(self):
         assert set(MATRIX) == set(_MATRIX_CELLS)
@@ -211,7 +208,7 @@ class TestRegistry:
             scenario = _MATRIX_CELLS["ppa/correlated/tentative"] \
                 .with_overrides(recovery="ppa-approximate",
                                 recovery_params={"fidelity_bound": 0.6})
-            engine = run_scenario_engine(scenario, caches=_MATRIX_CACHES)
+            engine = run_scenario_engine(scenario)
         finally:
             RECOVERY_SCHEMES.unregister("ppa-approximate")
         assert isinstance(engine.scheme.cadence, YoungDalyCadence)

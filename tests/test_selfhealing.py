@@ -30,7 +30,7 @@ from repro.scenarios import (
     Scenario,
     ScenarioCache,
     ScenarioResult,
-    run_scenario_prebuilt,
+    run_scenario,
     scenario_digest,
 )
 from repro.service.broker import SweepBroker
@@ -191,7 +191,7 @@ class TestDegradedCounters:
         for i, scenario in enumerate(scenarios):
             digest = scenario_digest(scenario)
             assert digest in taken
-            broker.complete(digest, run_scenario_prebuilt(scenario),
+            broker.complete(digest, run_scenario(scenario),
                             attempts=1, degraded=(i == 0))
         assert broker.totals.degraded == 1
         assert broker.per_client["alice"].degraded == 1
