@@ -11,7 +11,17 @@ Pins, for ``grid``, ``submit`` and ``chaos``:
 * the exit code of each command on a clean grid, on a grid whose cells
   fail at run time, on a document naming an unregistered recovery scheme,
   on a document that is not a grid at all and on four documents with one
-  malformed scenario value each.
+  malformed scenario value each;
+* under ``text``, what each of those runs prints besides the pinned
+  ``--json`` outcome rows (summaries, error lines, chaos reports), plus
+  the text modes of ``grid --progress`` and ``submit --progress``, the
+  ``--json`` mode of ``chaos``, ``status`` in both modes after every
+  submission, and ``cache stats`` / ``cache prune`` on the cache the
+  text-mode grids filled.
+
+Temporary paths and the server's OS-assigned address are normalised to
+``<tmp>`` and ``<address>``, and the cache's last-used timestamps to
+``<span>``, so the bytes repeat from run to run.
 
 All three commands load grid documents through one decoder and one name
 check, so each exits 2 on a malformed value or an unregistered scheme
@@ -25,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -81,16 +92,16 @@ DOCUMENTS = {
 COMMANDS = ("grid", "submit", "chaos")
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    """``cli_main(argv)``'s exit code and stdout (argparse exits included)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """``cli_main(argv)``'s exit code, stdout and stderr (argparse exits
+    included)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli_main(argv)
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @contextlib.contextmanager
@@ -114,18 +125,55 @@ def _argv(command: str, path: str, address: str) -> list[str]:
     return ["chaos", path, "--workers", "1"]
 
 
+#: The text-mode runs pinned on the cases whose cells run, by key prefix.
+TEXT_RUNS = {
+    "grid --progress": lambda path, address, tmp: [
+        "grid", path, "--progress", "--cache-dir", f"{tmp}/cache",
+        "--output", f"{path}l"],
+    "submit --progress": lambda path, address, tmp: [
+        "submit", address, path, "--progress"],
+}
+
+
 def cli_golden() -> dict:
     """The golden document, computed on the current code."""
-    out: dict = {"exit_codes": {}, "stdout": {}}
+    out: dict = {"exit_codes": {}, "stdout": {}, "text": {}}
     with tempfile.TemporaryDirectory() as tmp, _sweep_server() as address:
+
+        def text(key: str, stdout: str, stderr: str) -> None:
+            streams = {"stdout": stdout, "stderr": stderr}
+            for name, value in streams.items():
+                value = value.replace(tmp, "<tmp>").replace(address,
+                                                            "<address>")
+                streams[name] = re.sub(r"last-used span: .*", "<span>", value)
+            out["text"][key] = streams
+
         for case, document in DOCUMENTS.items():
             path = Path(tmp) / f"{case}.json"
             path.write_text(json.dumps(document))
             for command in COMMANDS:
-                code, stdout = _run(_argv(command, str(path), address))
+                code, stdout, stderr = _run(_argv(command, str(path), address))
                 out["exit_codes"][f"{command}/{case}"] = code
                 if case == "clean" and command != "chaos":
                     out["stdout"][f"{command} --json"] = stdout
+                # grid/submit --json rows are pinned above (clean) or
+                # hold nothing but the cells' own error texts.
+                text(f"{command}/{case}",
+                     stdout if command == "chaos" else "", stderr)
+            if case not in ("clean", "cell-error"):
+                continue
+            for name, argv in TEXT_RUNS.items():
+                text(f"{name}/{case}",
+                     *_run(argv(str(path), address, tmp))[1:])
+            if case == "clean":
+                text("chaos --json/clean", *_run(
+                    ["chaos", str(path), "--workers", "1", "--json"])[1:])
+        for argv in (["status", address], ["status", address, "--json"],
+                     ["cache", "stats", f"{tmp}/cache"],
+                     ["cache", "prune", f"{tmp}/cache", "--max-entries", "1"]):
+            key = " ".join(arg for arg in argv
+                           if arg != address and not arg.startswith(tmp))
+            text(key, *_run(argv)[1:])
     return out
 
 

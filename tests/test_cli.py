@@ -455,7 +455,8 @@ def _cli_golden_now() -> dict:
 
 
 class TestCliGolden:
-    """``grid`` / ``submit`` / ``chaos`` stdout bytes and exit codes.
+    """``grid`` / ``submit`` / ``chaos`` stdout bytes and exit codes, and
+    the text every grid-running, ``status`` and ``cache`` command prints.
 
     Regenerate with ``tests/golden/make_cli_golden.py`` only when a
     command's output or exit contract changes on purpose.
@@ -470,7 +471,11 @@ class TestCliGolden:
     def test_json_stdout_bytes(self, key):
         assert _cli_golden_now()["stdout"][key] == CLI_GOLDEN["stdout"][key]
 
+    @pytest.mark.parametrize("key", sorted(CLI_GOLDEN["text"]))
+    def test_text_bytes(self, key):
+        assert _cli_golden_now()["text"][key] == CLI_GOLDEN["text"][key]
+
     def test_golden_has_no_stale_entries(self):
         now = _cli_golden_now()
-        for section in ("exit_codes", "stdout"):
+        for section in ("exit_codes", "stdout", "text"):
             assert set(now[section]) == set(CLI_GOLDEN[section])
