@@ -17,6 +17,7 @@ Run:  python examples/cluster_quickstart.py
 """
 
 from repro.cluster import ClusterBackend
+from repro.experiments.cli import progress_line
 from repro.scenarios import FailureSpec, GridSession, Scenario, expand_grid
 
 base = Scenario(
@@ -41,7 +42,9 @@ def main():
               f"2 local workers — join with: "
               f"repro-experiments worker --connect {host}:{port}\n")
         report = GridSession(
-            backend, progress=lambda event: print(event.render())).run(grid)
+            backend,
+            progress=lambda event: print(progress_line(event.to_dict())),
+        ).run(grid)
 
     print(f"\n{report.total} cells: {report.executed} executed, "
           f"{report.errors} errors, {report.retries} retries")

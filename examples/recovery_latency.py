@@ -17,6 +17,7 @@ Run:  python examples/recovery_latency.py
 import sys
 
 from repro import FailureSpec, run_scenarios
+from repro.experiments.cli import progress_line
 from repro.experiments.recovery import DEFAULT_TECHNIQUES
 
 WINDOW, RATE, TUPLE_SCALE = 10.0, 1000.0, 16.0
@@ -37,7 +38,8 @@ def main():
     ]
     results = run_scenarios(
         scenarios, backend="processes",
-        progress=lambda event: print(event.render(), file=sys.stderr),
+        progress=lambda event: print(progress_line(event.to_dict()),
+                                     file=sys.stderr),
     )
 
     print(f"{'technique':>15} | {'single failure':>14} | {'correlated':>10}")

@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.chaos.inject import run_chaos
 from repro.chaos.schedule import ChaosError, ChaosEvent, ChaosSchedule
-from repro.experiments.cli import load_grid
+from repro.experiments.cli import counts_line, emit, load_grid, show
 from repro.scenarios.grid import load_json
-from repro.scenarios.session import GridReport
 from repro.scenarios.sinks import sink_for_path
 
 
@@ -53,16 +51,10 @@ def _schedule_from_args(args: argparse.Namespace) -> ChaosSchedule:
     for action in ("kill", "pause", "resume", "crash"):
         for text in getattr(args, action) or ():
             events.append(_timed_event(action, text))
-    return ChaosSchedule(
-        seed=args.seed,
-        events=tuple(events),
-        delay_ms=args.delay_ms,
-        delay_fraction=args.delay_fraction,
-        drop_fraction=args.drop_fraction,
-        duplicate_fraction=args.duplicate_fraction,
-        slow_runner_ms=args.slow_runner_ms,
-        fail_fraction=args.fail_fraction,
-    )
+    return ChaosSchedule(seed=args.seed, events=tuple(events), **{
+        knob: getattr(args, knob) for knob in (
+            "delay_ms", "delay_fraction", "drop_fraction",
+            "duplicate_fraction", "slow_runner_ms", "fail_fraction")})
 
 
 def chaos_main(argv: Sequence[str]) -> int:
@@ -147,30 +139,22 @@ def chaos_main(argv: Sequence[str]) -> int:
         retries=args.retries,
         collect=not args.output,
     )
-    return _report(args, schedule, report, log)
-
-
-def _report(args: argparse.Namespace, schedule: ChaosSchedule,
-            report: GridReport, log) -> int:
     if args.fault_log:
         Path(args.fault_log).write_text(
             json.dumps(log.to_dict(), indent=2) + "\n")
-    counts = log.counts()
-    injected = ", ".join(f"{counts[k]} {k}" for k in sorted(counts)) \
-        or "nothing"
-    if args.as_json:
-        print(json.dumps({
-            "seed": schedule.seed,
-            "total": report.total,
-            "executed": report.executed,
-            "errors": report.errors,
-            "retries": report.retries,
-            "injected": counts,
-        }, indent=2, sort_keys=True))
-    else:
-        print(f"[chaos] seed {schedule.seed}: injected {injected}")
-        print(f"[chaos] {report.total} cells: {report.executed} executed, "
-              f"{report.errors} errors, {report.retries} retries")
-        for error in log.errors:
-            print(f"[chaos] harness: {error}", file=sys.stderr)
+    counts = report.counts()
+    show({"seed": schedule.seed, "injected": log.counts(),
+          **{key: counts[key] for key in ("total", "executed", "errors",
+                                          "retries")}},
+         args.as_json, _render)
+    for error in log.errors:
+        emit(f"[chaos] harness: {error}", err=True)
     return 1 if report.errors else 0
+
+
+def _render(summary: Mapping[str, Any]) -> str:
+    """The text report: what was injected, then the grid's counts."""
+    injected = ", ".join(f"{count} {action}" for action, count
+                         in sorted(summary["injected"].items())) or "nothing"
+    return (f"[chaos] seed {summary['seed']}: injected {injected}\n"
+            + counts_line("[chaos]", summary))

@@ -57,7 +57,10 @@ write-ahead journal, wire delays/drops/duplicates — and exits 0 only
 when every cell still completed cleanly (see :mod:`repro.chaos`).
 
 Every subcommand is one entry of :data:`SUBCOMMANDS`, imported only when
-it runs: a figure run never loads the service or cluster stack.
+it runs: a figure run never loads the service or cluster stack.  Each
+command that reports counts builds one summary dict and prints it either
+as JSON or through :func:`counts_line` (one :data:`LABELS` table for every
+command), and every ``--progress`` line is one :func:`progress_line`.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ReproError, ScenarioError
 from repro.experiments.accuracy import fig12, fig13
@@ -166,25 +169,16 @@ def _check_names(scenarios: Sequence[Scenario],
     simulation starts.
     """
     schemes = set(recovery)
-    models: set[str] = set()
-    for scenario in scenarios:
-        if scenario.recovery:
-            schemes.add(scenario.recovery)
-        models.update(spec.model for spec in scenario.failures)
-    unknown = sorted(s for s in schemes if s not in RECOVERY_SCHEMES)
-    if unknown:
-        known = ", ".join(RECOVERY_SCHEMES.names())
-        raise ScenarioError(
-            f"unknown recovery scheme(s) {', '.join(map(repr, unknown))}; "
-            f"registered schemes: {known}"
-        )
-    unknown = sorted(m for m in models if m not in FAILURE_MODELS)
-    if unknown:
-        known = ", ".join(FAILURE_MODELS.names())
-        raise ScenarioError(
-            f"unknown failure model(s) {', '.join(map(repr, unknown))}; "
-            f"registered models: {known}"
-        )
+    schemes.update(s.recovery for s in scenarios if s.recovery)
+    models = {spec.model for s in scenarios for spec in s.failures}
+    for names, registry, what in ((schemes, RECOVERY_SCHEMES, "recovery scheme"),
+                                  (models, FAILURE_MODELS, "failure model")):
+        unknown = sorted(name for name in names if name not in registry)
+        if unknown:
+            raise ScenarioError(
+                f"unknown {what}(s) {', '.join(map(repr, unknown))}; "
+                f"registered {what.split()[-1]}s: "
+                f"{', '.join(registry.names())}")
 
 
 def load_grid(path: str, recovery: Sequence[str] = ()) -> list[Scenario]:
@@ -209,6 +203,65 @@ def outcome_row(outcome: object) -> dict | None:
     if isinstance(outcome, ScenarioResult):
         return outcome.to_dict()
     return {"error": outcome.to_dict()}
+
+
+#: Summary count key -> its label in the text rendering, in rendering
+#: order.  A grid report and a job tally count ``errors`` / ``retries``;
+#: the sweep service's counters count ``failed`` / ``retried``.
+LABELS = {"total": "cells", **{key: key.replace("_", " ") for key in (
+    "submitted", "executed", "cache_hits", "deduped", "failed", "retried",
+    "resumed", "errors", "retries", "degraded", "journaled")}}
+
+
+def counts_line(head: str, counts: Mapping[str, Any]) -> str:
+    """``head`` and the labelled counts of ``counts``, in :data:`LABELS` order.
+
+    Keys without a label (a seed, a job's ``done``) are not rendered; a
+    ``total`` joins the head.
+
+    >>> counts_line("[grid]", {"total": 4, "executed": 2, "cache_hits": 1,
+    ...                        "deduped": 0, "resumed": 1, "errors": 0,
+    ...                        "retries": 0})
+    '[grid] 4 cells: 2 executed, 1 cache hits, 0 deduped, 1 resumed, 0 errors, 0 retries'
+    >>> counts_line("totals", {"submitted": 10, "executed": 8, "failed": 0})
+    'totals: 10 submitted, 8 executed, 0 failed'
+    """
+    parts = [f"{counts[key]} {label}" for key, label in LABELS.items()
+             if key in counts]
+    if "total" in counts:
+        head = f"{head} {parts.pop(0)}"
+    return f"{head}: {', '.join(parts)}"
+
+
+def progress_line(event: Mapping[str, Any]) -> str:
+    """One completed cell of a ``--progress`` stream.
+
+    ``event`` is a progress dict: a grid's :meth:`ProgressEvent.to_dict
+    <repro.scenarios.session.ProgressEvent.to_dict>` or the sweep
+    service's ``progress`` message, which share their keys.
+
+    >>> progress_line({"done": 2, "total": 4, "label": "g/seed=1",
+    ...                "ok": False, "kind": "timeout", "source": "executed",
+    ...                "retries": 1})
+    '[2/4] g/seed=1: FAILED(timeout) (executed, 1 retries)'
+    """
+    state = "ok" if event["ok"] else "FAILED" + (
+        f"({event['kind']})" if "kind" in event else "")
+    note = f", {event['retries']} retries" if event.get("retries") else ""
+    return (f"[{event['done']}/{event['total']}] {event['label']}: {state} "
+            f"({event['source']}{note})")
+
+
+def emit(text: str, *, err: bool = False) -> None:
+    """Print ``text`` to stdout, or to stderr with ``err``, and flush it."""
+    print(text, file=sys.stderr if err else sys.stdout, flush=True)
+
+
+def show(summary: Mapping[str, Any], as_json: bool,
+         render: Callable[[Mapping[str, Any]], str]) -> None:
+    """Print a command's summary dict as JSON, or as ``render`` draws it."""
+    emit(json.dumps(summary, indent=2, sort_keys=True) if as_json
+         else render(summary))
 
 
 def _force_recovery(scenario: Scenario, scheme: str) -> Scenario:
@@ -250,10 +303,8 @@ def scenario_main(argv: Sequence[str]) -> int:
     if args.recovery:
         scenario = _force_recovery(scenario, args.recovery)
     result = run_scenario(scenario, profile=args.profile)
-    if args.as_json:
-        print(json.dumps(result.to_dict(), indent=2))
-    else:
-        print(result.render())
+    emit(json.dumps(result.to_dict(), indent=2) if args.as_json
+         else result.render())
     return 0
 
 
@@ -338,14 +389,11 @@ def grid_main(argv: Sequence[str]) -> int:
         raise ScenarioError("--resume needs --output (a file to resume from)")
     sink = sink_for_path(args.output) if args.output else None
     cache = ScenarioCache(args.cache_dir) if args.cache_dir else None
-    progress = None
-    if args.progress:
-        def progress(event):  # noqa: ANN001 - ProgressEvent
-            print(event.render(), file=sys.stderr)
-
-    session = GridSession(backend, sink, cache, timeout=args.timeout,
-                          retries=args.retries, progress=progress,
-                          resume=args.resume, strict=False)
+    session = GridSession(
+        backend, sink, cache, timeout=args.timeout, retries=args.retries,
+        progress=(lambda event: emit(progress_line(event.to_dict()), err=True))
+        if args.progress else None,
+        resume=args.resume, strict=False)
     try:
         report = session.run(scenarios)
     finally:
@@ -355,23 +403,16 @@ def grid_main(argv: Sequence[str]) -> int:
         if callable(close):
             close()
 
-    results = report.results()
-    errors = report.cell_errors()
-    if args.as_json:
-        print(json.dumps([outcome_row(o) for o in report.outcomes], indent=2))
-    else:
-        print(_grid_rows(results))
-    summary = (f"[grid] {report.total} cells: {report.executed} executed, "
-               f"{report.cache_hits} cache hits, {report.deduped} deduped, "
-               f"{report.resumed} resumed, {report.errors} errors, "
-               f"{report.retries} retries")
-    if report.degraded:
-        summary += f", {report.degraded} on fallback"
+    emit(json.dumps([outcome_row(o) for o in report.outcomes], indent=2)
+         if args.as_json else _grid_rows(report.results()))
+    counts = report.counts()
+    if not counts["degraded"]:
+        del counts["degraded"]
+    summary = counts_line("[grid]", counts)
     if args.output:
         summary += f" -> {args.output}"
-    print(summary, file=sys.stderr)
-    for error in errors:
-        print(f"error: {error.render()}", file=sys.stderr)
+    errors = [f"error: {error.render()}" for error in report.cell_errors()]
+    emit("\n".join([summary, *errors]), err=True)
     return 1 if errors else 0
 
 
@@ -394,13 +435,13 @@ def cache_main(argv: Sequence[str]) -> int:
         raise ScenarioError(f"{args.dir!r} is not a directory")
     cache = ScenarioCache(args.dir)
     if args.action == "stats":
-        print(cache.stats().render())
+        emit(cache.stats().render())
         return 0
     if args.max_entries is None:
         raise ScenarioError("'cache prune' needs --max-entries N")
     removed = cache.prune(args.max_entries)
-    print(f"pruned {removed} entr{'y' if removed == 1 else 'ies'}; "
-          f"{len(cache)} remain in {args.dir}")
+    emit(f"pruned {removed} entr{'y' if removed == 1 else 'ies'}; "
+         f"{len(cache)} remain in {args.dir}")
     return 0
 
 
@@ -416,7 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             return resolve_subcommand(argv[0])(argv[1:])
         except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            emit(f"error: {exc}", err=True)
             return 2
 
     subcommands = ", ".join(SUBCOMMANDS)
@@ -443,10 +484,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     for name in names:
         started = time.perf_counter()
         for result in RUNNERS[name](args.fast):
-            print(result.render())
-            print()
+            emit(result.render() + "\n")
         elapsed = time.perf_counter() - started
-        print(f"[{name} done in {elapsed:.1f}s]\n")
+        emit(f"[{name} done in {elapsed:.1f}s]\n")
     return 0
 
 

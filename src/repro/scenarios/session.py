@@ -64,13 +64,16 @@ class ProgressEvent:
         """Whether the cell produced a result rather than a CellError."""
         return isinstance(self.outcome, ScenarioResult)
 
-    def render(self) -> str:
-        """One-line progress summary (what ``--progress`` prints)."""
-        label = self.scenario.name or self.scenario.workload
-        state = "ok" if self.ok else f"FAILED({self.outcome.kind})"
-        note = f", {self.retries} retries" if self.retries else ""
-        return (f"[{self.done}/{self.total}] {label}: {state} "
-                f"({self.source}{note})")
+    def to_dict(self) -> dict[str, object]:
+        """The event as a progress dict, keyed like the sweep service's
+        ``progress`` message; a failed cell adds its ``kind``."""
+        event = {"done": self.done, "total": self.total, "index": self.index,
+                 "label": self.scenario.name or self.scenario.workload,
+                 "ok": self.ok, "source": self.source,
+                 "retries": self.retries}
+        if not self.ok:
+            event["kind"] = self.outcome.kind
+        return event
 
 
 @dataclass
@@ -100,6 +103,11 @@ class GridReport:
     outcomes: list[object] | None
     retries: int = 0
     degraded: int = 0
+
+    def counts(self) -> dict[str, int]:
+        """Every tally but ``outcomes``, in field order."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self) if f.name != "outcomes"}
 
     def results(self) -> list[ScenarioResult]:
         """The successful results, in input order (requires ``collect``)."""

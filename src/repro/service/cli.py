@@ -20,14 +20,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
-import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ServiceError
-from repro.experiments.cli import load_grid, outcome_row
+from repro.experiments.cli import (
+    counts_line,
+    emit,
+    load_grid,
+    outcome_row,
+    progress_line,
+    show,
+)
 from repro.scenarios import EXECUTION_BACKENDS
 from repro.service.client import SweepClient
 from repro.service.server import SweepServer
@@ -84,26 +91,24 @@ def serve_main(argv: Sequence[str]) -> int:
     host, port = server.address
     if args.port_file:
         Path(args.port_file).write_text(f"{host} {port}\n")
-    print(f"sweep server listening on {host}:{port} "
-          f"(backend={args.backend}, cache={args.cache_dir or 'none'}, "
-          f"journal={args.journal or 'none'})", flush=True)
+    banner = (f"sweep server listening on {host}:{port} "
+              f"(backend={args.backend}, cache={args.cache_dir or 'none'}, "
+              f"journal={args.journal or 'none'})")
     if server.resumed:
-        print(f"resumed {server.resumed} journaled cells", flush=True)
+        banner += f"\nresumed {server.resumed} journaled cells"
+    emit(banner)
 
     def _drain(signum, frame):  # noqa: ANN001 - signal handler
-        print(f"signal {signum}: draining (in-flight cells finish, queued "
-              f"cells persist to the journal)", file=sys.stderr, flush=True)
+        emit(f"signal {signum}: draining (in-flight cells finish, queued "
+             f"cells persist to the journal)", err=True)
         server.drain()
 
     signal.signal(signal.SIGTERM, _drain)
     signal.signal(signal.SIGINT, _drain)
     server.serve_forever()
     status = server.broker.status()
-    totals = status["totals"]
-    print(f"drained: {totals['executed']} executed, "
-          f"{totals['cache_hits']} cache hits, {totals['deduped']} deduped, "
-          f"{totals['retried']} retries, {status['queued']} journaled",
-          flush=True)
+    emit(counts_line("drained", {**status["totals"],
+                                 "journaled": status["queued"]}))
     return 0
 
 
@@ -135,59 +140,32 @@ def submit_main(argv: Sequence[str]) -> int:
     scenarios = load_grid(args.file)
     client_id = args.client or Path(args.file).stem
     with SweepClient(args.address, client_id=client_id) as client:
-        progress = None
-        if args.progress:
-            def progress(event):  # noqa: ANN001 - progress message dict
-                state = "ok" if event.get("ok") else "FAILED"
-                note = (f", {event['retries']} retries"
-                        if event.get("retries") else "")
-                print(f"[{event['done']}/{event['total']}] "
-                      f"{event.get('label')}: {state} "
-                      f"({event.get('source')}{note})", file=sys.stderr)
-
         try:
             job = client.submit(scenarios, job=args.job,
                                 results=not args.no_results)
-            outcome = client.wait(job, progress=progress)
+            outcome = client.wait(
+                job, progress=(lambda event: emit(progress_line(event),
+                                                  err=True))
+                if args.progress else None)
         except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            emit(f"error: {exc}", err=True)
             return 3
 
         if args.as_json:
-            print(json.dumps([outcome_row(cell) for cell in outcome.outcomes],
-                             indent=2))
-        tally = outcome.tally
-        print(f"[{job}] {tally.get('total')} cells: "
-              f"{tally.get('executed')} executed, "
-              f"{tally.get('cache_hits')} cache hits, "
-              f"{tally.get('deduped')} deduped, "
-              f"{tally.get('errors')} errors, "
-              f"{tally.get('retries')} retries", file=sys.stderr)
-        return 1 if tally.get("errors") else 0
+            emit(json.dumps([outcome_row(cell) for cell in outcome.outcomes],
+                            indent=2))
+        emit(counts_line(f"[{job}]", outcome.tally), err=True)
+        return 1 if outcome.tally.get("errors") else 0
 
 
-def _print_status(status: dict, *, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps({k: v for k, v in status.items() if k != "type"},
-                         indent=2, sort_keys=True))
-        return
-    totals = status["totals"]
-    print(f"queued {status['queued']}, inflight {status['inflight']}, "
-          f"active jobs {status['active_jobs']}"
-          + (", draining" if status.get("draining") else ""))
-    print(f"totals: {totals['submitted']} submitted, "
-          f"{totals['executed']} executed, {totals['cache_hits']} cache hits, "
-          f"{totals['deduped']} deduped, {totals['failed']} failed, "
-          f"{totals['retried']} retried, {totals['resumed']} resumed, "
-          f"{totals.get('degraded', 0)} degraded")
-    for name, counters in status.get("clients", {}).items():
-        print(f"  {name}: {counters['submitted']} submitted, "
-              f"{counters['executed']} executed, "
-              f"{counters['cache_hits']} cache hits, "
-              f"{counters['deduped']} deduped, {counters['failed']} failed, "
-              f"{counters['retried']} retried, "
-              f"{counters['resumed']} resumed, "
-              f"{counters.get('degraded', 0)} degraded")
+def render_status(status: Mapping[str, Any]) -> str:
+    """``status``'s text: the queue line, the totals, one line per client."""
+    head = (f"queued {status['queued']}, inflight {status['inflight']}, "
+            f"active jobs {status['active_jobs']}"
+            + (", draining" if status.get("draining") else ""))
+    return "\n".join([head, counts_line("totals", status["totals"])] + [
+        counts_line(f"  {name}", counters)
+        for name, counters in status.get("clients", {}).items()])
 
 
 def status_main(argv: Sequence[str]) -> int:
@@ -202,20 +180,21 @@ def status_main(argv: Sequence[str]) -> int:
                         help="re-poll and reprint every SECS seconds until "
                              "interrupted (Ctrl-C exits cleanly)")
     args = parser.parse_args(argv)
-    if args.watch is not None and args.watch <= 0:
-        raise ServiceError(f"--watch needs a positive interval, got "
+    if args.watch is not None and not 0 < args.watch < math.inf:
+        raise ServiceError(f"--watch needs a positive, finite interval, got "
                            f"{args.watch:g}")
 
     with SweepClient(args.address, client_id="status") as client:
         try:
             while True:
-                _print_status(client.status(), as_json=args.as_json)
+                status = client.status()
+                status.pop("type", None)
+                show(status, args.as_json, render_status)
                 if args.watch is None:
                     break
-                sys.stdout.flush()
                 time.sleep(args.watch)
                 if not args.as_json:
-                    print()  # blank line between polls
+                    emit("")  # blank line between polls
         except KeyboardInterrupt:
             pass  # a watch is ended by Ctrl-C; that is not an error
     return 0

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.errors import ScenarioError
+from repro.experiments.cli import progress_line
 from repro.scenarios import (
     EXECUTION_BACKENDS,
     FAILURE_MODELS,
@@ -845,8 +846,8 @@ class TestRetriesSurfacing:
         assert by_name["marked"].retries == 1
         assert not by_name["marked"].ok
         assert by_name["ok-cell"].retries == 0
-        assert "1 retries" in by_name["marked"].render()
-        assert "retries" not in by_name["ok-cell"].render()
+        assert "1 retries" in progress_line(by_name["marked"].to_dict())
+        assert "retries" not in progress_line(by_name["ok-cell"].to_dict())
 
     def test_duplicates_report_the_representative_retry_count(self):
         events = []
