@@ -142,10 +142,7 @@ def chaos_main(argv: Sequence[str]) -> int:
     if args.fault_log:
         Path(args.fault_log).write_text(
             json.dumps(log.to_dict(), indent=2) + "\n")
-    counts = report.counts()
-    show({"seed": schedule.seed, "injected": log.counts(),
-          **{key: counts[key] for key in ("total", "executed", "errors",
-                                          "retries")}},
+    show({"seed": schedule.seed, "injected": log.counts(), **report.counts()},
          args.as_json, _render)
     for error in log.errors:
         emit(f"[chaos] harness: {error}", err=True)

@@ -405,10 +405,7 @@ def grid_main(argv: Sequence[str]) -> int:
 
     emit(json.dumps([outcome_row(o) for o in report.outcomes], indent=2)
          if args.as_json else _grid_rows(report.results()))
-    counts = report.counts()
-    if not counts["degraded"]:
-        del counts["degraded"]
-    summary = counts_line("[grid]", counts)
+    summary = counts_line("[grid]", report.counts())
     if args.output:
         summary += f" -> {args.output}"
     errors = [f"error: {error.render()}" for error in report.cell_errors()]

@@ -42,6 +42,7 @@ from repro.errors import ServiceError
 from repro.scenarios.backends import CellError
 from repro.scenarios.cache import ScenarioCache, scenario_digest
 from repro.scenarios.results import ScenarioResult
+from repro.scenarios.session import ProgressEvent
 from repro.scenarios.spec import Scenario
 from repro.service.journal import SweepJournal
 from repro.service.protocol import outcome_to_wire
@@ -320,12 +321,11 @@ class SweepBroker:
                 and outcome.scenario != subscriber.scenario:
             delivered = dataclasses.replace(
                 outcome, scenario=subscriber.scenario)
-        label = subscriber.scenario.name or subscriber.scenario.workload
+        event = ProgressEvent(job.done, job.total, subscriber.index,
+                              subscriber.scenario, outcome,
+                              subscriber.source, retries)
         self.publish(subscriber.client, {
-            "type": "progress", "job": subscriber.job, "done": job.done,
-            "total": job.total, "index": subscriber.index, "label": label,
-            "ok": ok, "source": subscriber.source, "retries": retries,
-        })
+            "type": "progress", "job": subscriber.job, **event.to_dict()})
         if job.stream_results:
             self.publish(subscriber.client, {
                 "type": "result", "job": subscriber.job,

@@ -23,7 +23,9 @@ Requests
     ``"results": false`` (progress-only streaming — final documents are
     suppressed for huge grids whose payloads live in a shared cache/sink).
     The server replies ``accepted``, then streams ``progress`` (one per
-    completed cell, completion order) and ``result`` messages, and finally
+    completed cell, completion order, keyed like
+    :meth:`~repro.scenarios.session.ProgressEvent.to_dict`: a failed
+    cell's carries its ``kind``) and ``result`` messages, and finally
     one ``job-done`` with the per-job tallies.
 ``{"op": "status"}``
     Reply: one ``status`` message — aggregate and per-client counters,

@@ -406,7 +406,8 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "[chaos] seed 5" in out
-        assert "3 cells: 3 executed, 0 errors" in out
+        assert ("[chaos] 3 cells: 3 executed, 0 cache hits, 0 deduped, "
+                "0 resumed, 0 errors, 0 retries, 0 degraded") in out
         assert output.exists()
         assert len(output.read_text().splitlines()) == 3
         logged = json.loads(fault_log.read_text())
