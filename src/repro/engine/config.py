@@ -11,6 +11,7 @@ window length and topology depth — follow from the protocol itself.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
@@ -104,14 +105,14 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_interval <= 0:
-            raise SimulationError("batch_interval must be positive")
-        if self.heartbeat_interval <= 0:
-            raise SimulationError("heartbeat_interval must be positive")
-        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
-            raise SimulationError("checkpoint_interval must be positive or None")
-        if self.sync_interval <= 0:
-            raise SimulationError("sync_interval must be positive")
+        for name in ("batch_interval", "heartbeat_interval",
+                     "checkpoint_interval", "sync_interval"):
+            value = getattr(self, name)
+            if name == "checkpoint_interval" and value is None:
+                continue
+            if not value > 0 or value == math.inf:  # also rejects NaN
+                raise SimulationError(
+                    f"{name} must be positive and finite, got {value}")
         if not self.recovery_scheme or not isinstance(self.recovery_scheme, str):
             raise SimulationError("recovery_scheme must be a non-empty string")
 

@@ -245,8 +245,7 @@ def progress_line(event: Mapping[str, Any]) -> str:
     ...                "retries": 1})
     '[2/4] g/seed=1: FAILED(timeout) (executed, 1 retries)'
     """
-    state = "ok" if event["ok"] else "FAILED" + (
-        f"({event['kind']})" if "kind" in event else "")
+    state = "ok" if event["ok"] else f"FAILED({event['kind']})"
     note = f", {event['retries']} retries" if event.get("retries") else ""
     return (f"[{event['done']}/{event['total']}] {event['label']}: {state} "
             f"({event['source']}{note})")
@@ -311,19 +310,13 @@ def scenario_main(argv: Sequence[str]) -> int:
 def _grid_rows(results: Sequence[ScenarioResult]) -> str:
     headers = ["scenario", "planner", "|plan|", "worst-case",
                "under failure", "recovered", "max latency", "tentative"]
-    rows: list[list[object]] = []
-    for r in results:
-        n_done = sum(1 for rec in r.recoveries if rec.recovered_time is not None)
-        rows.append([
-            r.scenario.name or r.scenario.workload,
-            r.plan.planner or r.scenario.planner,
-            r.plan.usage,
-            r.worst_case_fidelity,
-            r.failure_fidelity,
-            f"{n_done}/{len(r.recoveries)}",
-            r.max_recovery_latency,
-            r.tentative_sink_batches,
-        ])
+    rows = [[r.scenario.name or r.scenario.workload,
+             r.plan.planner or r.scenario.planner, r.plan.usage,
+             r.worst_case_fidelity, r.failure_fidelity,
+             f"{sum(rec.recovered_time is not None for rec in r.recoveries)}"
+             f"/{len(r.recoveries)}",
+             r.max_recovery_latency, r.tentative_sink_batches]
+            for r in results]
     return format_table(headers, rows, title=f"== grid: {len(results)} scenarios ==")
 
 

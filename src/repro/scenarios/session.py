@@ -20,6 +20,7 @@ completion order, and tallies everything into a :class:`GridReport`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -199,8 +200,9 @@ class GridSession:
         self.sink = resolve_sink(sink)
         self.cache = ScenarioCache(cache) if isinstance(cache, (str, bytes)) \
             else cache
-        if timeout is not None and timeout <= 0:
-            raise ScenarioError(f"timeout must be positive, got {timeout}")
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise ScenarioError(
+                f"timeout must be positive and finite, got {timeout}")
         if retries < 0:
             raise ScenarioError(f"retries must be >= 0, got {retries}")
         self.timeout = timeout

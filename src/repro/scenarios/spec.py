@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -438,8 +439,9 @@ class Scenario(Record):
             raise ScenarioError(
                 f"budget_fraction must be within [0, 1], got {self.budget_fraction}"
             )
-        if self.duration <= 0:
-            raise ScenarioError(f"duration must be positive, got {self.duration}")
+        if not 0 < self.duration < math.inf:  # NaN and inf would never end
+            raise ScenarioError(
+                f"duration must be positive and finite, got {self.duration}")
         if self.objective not in ("OF", "IC"):
             raise ScenarioError(
                 f"objective must be 'OF' or 'IC', got {self.objective!r}"

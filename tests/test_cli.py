@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.experiments.cli import RUNNERS, main
+from repro.experiments.cli import LABELS, RUNNERS, main
+from repro.scenarios import GridSession
 from tests.golden.make_cli_golden import PATH as CLI_GOLDEN_PATH
 from tests.golden.make_cli_golden import cli_golden
 
@@ -159,6 +160,22 @@ class TestGridSubcommand:
         path.write_text(json.dumps({"base": tiny_scenario_dict()}))
         assert main(["grid", str(path), "--resume"]) == 2
         assert "--resume needs --output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan")],
+                             ids=["inf", "nan"])
+    def test_non_finite_duration_exits_2_before_any_cell_runs(
+            self, tmp_path, capsys, monkeypatch, duration):
+        # Python's json reads Infinity and NaN; either one never ends a run.
+        def no_cell_may_run(self, scenarios):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(GridSession, "run", no_cell_may_run)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(
+            {"base": {**tiny_scenario_dict(), "duration": duration}}))
+        assert main(["grid", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "duration" in err
 
     def test_progress_lines_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "grid.json"
@@ -449,6 +466,20 @@ class TestCacheSubcommand:
         assert "not a directory" in capsys.readouterr().err
 
 
+def _assert_labelled(summary: dict, text: str) -> None:
+    """Each integer of ``summary`` is in ``text`` as ``N label`` or
+    ``label N``; a nested dict is looked up on the line its key heads."""
+    for key, value in summary.items():
+        if isinstance(value, dict):
+            lines = [line for line in text.splitlines()
+                     if line.strip().startswith(f"{key}:")]
+            _assert_labelled(value, "\n".join(lines) or text)
+        elif isinstance(value, int) and not isinstance(value, bool):
+            label = LABELS.get(key, key.replace("_", " "))
+            assert f"{value} {label}" in text or f"{label} {value}" in text, \
+                f"{key}={value} is not in {text!r}"
+
+
 @functools.lru_cache(maxsize=None)
 def _cli_golden_now() -> dict:
     return cli_golden()
@@ -474,6 +505,26 @@ class TestCliGolden:
     @pytest.mark.parametrize("key", sorted(CLI_GOLDEN["text"]))
     def test_text_bytes(self, key):
         assert _cli_golden_now()["text"][key] == CLI_GOLDEN["text"][key]
+
+    @pytest.mark.parametrize("command,json_key,text_key", [
+        ("grid", "grid --json", "grid --progress/clean"),
+        ("submit", "submit --json", "submit --progress/clean"),
+        ("status", "status --json", "status"),
+        ("chaos", "chaos --json/clean", "chaos/clean"),
+    ], ids=["grid", "submit", "status", "chaos"])
+    def test_text_and_json_agree(self, command, json_key, text_key):
+        """Every integer of the ``--json`` summary appears, labelled, in the
+        text of the same case."""
+        golden = _cli_golden_now()
+        if command in ("grid", "submit"):
+            # Their --json prints the outcome rows; the counts are in them.
+            rows = json.loads(golden["stdout"][json_key])
+            summary = {"total": len(rows),
+                       "errors": sum("error" in row for row in rows)}
+        else:
+            summary = json.loads(golden["text"][json_key]["stdout"])
+        text = golden["text"][text_key]
+        _assert_labelled(summary, text["stdout"] + text["stderr"])
 
     def test_golden_has_no_stale_entries(self):
         now = _cli_golden_now()

@@ -53,6 +53,17 @@ class TestBatchProtocol:
                          plan=[TaskId("Z", 0)])
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")],
+                             ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("name", ["batch_interval", "heartbeat_interval",
+                                      "checkpoint_interval", "sync_interval"])
+    def test_interval_must_be_positive_and_finite(self, name, value):
+        # NaN passes a `<= 0` check and later dies converting to int.
+        with pytest.raises(SimulationError, match=name):
+            EngineConfig(**{name: value})
+
+
 class TestDeterminism:
     def test_two_runs_produce_identical_sink_output(self):
         a = build_engine(EngineConfig(checkpoint_interval=5.0))

@@ -591,6 +591,13 @@ class TestStructuredErrors:
         marked = tiny_scenario(name="marked", seed=MARKED_SEED)
         return [cells[0], marked, cells[1], cells[2]]
 
+    @pytest.mark.parametrize("timeout", [0.0, float("nan"), float("inf")],
+                             ids=["zero", "nan", "inf"])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        # A NaN budget used to mean "no timeout" without a word.
+        with pytest.raises(ScenarioError, match="timeout must be positive"):
+            GridSession(timeout=timeout)
+
     def test_timeout_surfaces_as_cell_error(self):
         cells = self.scenarios()
         report = GridSession(ProcessBackend(max_workers=2), timeout=0.75,

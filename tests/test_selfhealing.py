@@ -197,9 +197,8 @@ class TestDegradedCounters:
         assert broker.per_client["alice"].degraded == 1
         assert broker.totals.to_dict()["degraded"] == 1
 
-    def test_status_payload_and_rendering_carry_degraded(self, tmp_path,
-                                                         capsys):
-        from repro.service.cli import _print_status
+    def test_status_payload_and_rendering_carry_degraded(self, tmp_path):
+        from repro.service.cli import render_status
 
         server = SweepServer(cache=ScenarioCache(tmp_path / "cache")).start()
         try:
@@ -214,7 +213,6 @@ class TestDegradedCounters:
 
         # The operator-facing rendering spells the counter out, per
         # client, even when (as here) nothing degraded.
-        _print_status(status, as_json=False)
-        out = capsys.readouterr().out
+        out = render_status(status)
         assert "0 degraded" in out
         assert "  ops: " in out

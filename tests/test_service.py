@@ -595,3 +595,11 @@ class TestStatusWatch:
             service_cli.status_main(["127.0.0.1:1", "--watch", "0"])
         with pytest.raises(ServiceError, match="positive"):
             service_cli.status_main(["127.0.0.1:1", "--watch", "-2"])
+
+    @pytest.mark.parametrize("interval", ["nan", "inf"])
+    def test_watch_rejects_non_finite_intervals(self, interval):
+        # Both used to pass the check, then raise out of time.sleep.
+        from repro.service import cli as service_cli
+
+        with pytest.raises(ServiceError, match="finite"):
+            service_cli.status_main(["127.0.0.1:1", "--watch", interval])
