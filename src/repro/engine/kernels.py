@@ -34,6 +34,8 @@ from __future__ import annotations
 import os
 from typing import Any, Sequence
 
+from repro.engine.tuples import KeyCycleRun
+
 try:  # pragma: no cover - depends on the environment at import
     if os.environ.get("REPRO_PURE_PYTHON"):
         raise ImportError("numpy disabled by REPRO_PURE_PYTHON")
@@ -70,7 +72,7 @@ class BatchKernel:
 
     # ------------------------------------------------------------------
     def selectivity_take(self, items: Sequence[Any], selectivity: float,
-                         acc: float) -> tuple[list[Any], float]:
+                         acc: float) -> tuple[Sequence[Any], float]:
         """Batched deterministic-selectivity filter.
 
         Equivalent to the reference accumulator loop (``acc += s; if acc >=
@@ -79,9 +81,11 @@ class BatchKernel:
         loop.  This method owns the dispatch for *every* backend — the
         pass-through/empty/exactness guards live only here, so the backends
         can never disagree on which inputs take which path.  Dyadic
-        selectivities whose period divides the grid become a C-speed slice;
-        other dyadic selectivities go through :meth:`_general_dyadic` (the
-        backend hook); inexact selectivities always run the reference loop.
+        selectivities whose period divides the grid become a C-speed slice
+        (a :class:`~repro.engine.tuples.KeyCycleRun` input yields a lazy
+        run, every other input a fresh list); other dyadic selectivities go
+        through :meth:`_general_dyadic` (the backend hook); inexact
+        selectivities always run the reference loop.
         """
         if selectivity >= 1.0:
             # Pass-through: the reference emits everything, acc untouched.
@@ -98,9 +102,10 @@ class BatchKernel:
             # starting at the first index where the accumulator wraps.
             step = _Q // p
             first = -(-(_Q - a) // p) - 1  # ceil((_Q - a) / p) - 1
-            # A slice of a list or a KeyCycleRun is already a fresh list.
+            # A list's slice is a fresh list and a KeyCycleRun's a lazy
+            # run, so the kept tuples of a source run are never built here.
             out = items[first::step]
-            if type(out) is not list:
+            if type(out) not in (list, KeyCycleRun):
                 out = list(out)
             return out, ((a + n * p) % _Q) / _Q
         return self._general_dyadic(items, selectivity, acc, p, a)

@@ -9,6 +9,7 @@ capability object, and asks three policy objects
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, AbstractSet, Callable
 
 from repro.engine.config import EngineConfig
@@ -41,12 +42,16 @@ class RecoveryContext:
     schemes behind this facade means the engine's internals can evolve
     without breaking third-party schemes, and a scheme can be unit-tested
     against a stub context.
+
+    The context holds the engine through a weak proxy: the engine owns the
+    scheme, which owns the context, so a strong reference would make every
+    finished run a reference cycle that only the cycle collector frees.
     """
 
     __slots__ = ("_engine",)
 
     def __init__(self, engine: "StreamEngine"):
-        self._engine = engine
+        self._engine = weakref.proxy(engine)
 
     # -- static facts ---------------------------------------------------
     @property

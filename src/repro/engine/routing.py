@@ -141,8 +141,9 @@ class Router:
         is returned as the destination's bucket (and several such edges
         share it) when it is one of the
         :data:`~repro.engine.tuples.SHARED_SEQUENCES` — an operator's output
-        list, or a source's :class:`~repro.engine.tuples.KeyCycleRun`, whose
-        tuples are then never built here.  Callers must treat both the input
+        list, or the :class:`~repro.engine.tuples.KeyCycleRun` of a source or
+        of a periodic selectivity operator, whose tuples are then never built
+        here.  Callers must treat both the input
         and the returned buckets as immutable — they flow straight into
         :class:`Batch` objects.  Hash-partitioned edges fill fresh lists.
         """

@@ -15,18 +15,21 @@ incomplete inputs, which is how sink outputs are classified as tentative.
 Batch tuples are shared, never copied, between the router, the output
 history, inboxes and operator windows.  The sequence types that may be
 shared that way are listed once, in :data:`SHARED_SEQUENCES`: lists, tuples
-and :class:`KeyCycleRun` — the range-backed source batch that computes its
-``(key, (owner, n))`` tuples on demand, so a uniform-rate source batch costs
-four slots until an operator actually keeps some of its tuples.
+and :class:`KeyCycleRun` — strided id ranges that compute their ``(key,
+(owner, n))`` tuples on demand.  A source batch is one such range, a
+periodic selectivity take of a run is again a run, and an operator's takes
+of its upstreams concatenate into one, so on the Fig. 6 merge chain no
+tuple is built until it leaves the engine at the sink.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import cycle, islice, repeat
-from operator import eq
-from typing import Any, Iterator, Sequence
+from itertools import chain, cycle, repeat
+from math import gcd
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.topology.operators import TaskId
 
@@ -35,62 +38,108 @@ KeyedTuple = tuple[str, Any]
 
 
 class KeyCycleRun:
-    """A source batch ``(keys[n % len(keys)], (owner, n))`` for ``n`` in a range.
+    """Strided runs of key-cycle tuples, built on demand.
 
-    Item ``i`` of the run is the tuple with ``n = base + i``, for ``0 <= i <
-    count``; it is built on demand, so the run itself holds only ``keys``,
-    ``owner``, ``base`` and ``count``.  The run behaves as an immutable
-    sequence: ``len``, iteration, int indexing (negative indexes included)
-    and slicing, where a slice returns a ``list`` of real tuples.  It
-    compares equal to any sequence with the same items, is unhashable like
-    ``list``, pickles, and deep-copies to itself.
+    A run is a tuple of *segments* ``(keys, owner, base, step, count)``, read
+    one after the other.  Item ``i`` of a segment is ``(keys[n % len(keys)],
+    (owner, n))`` with ``n = base + i*step``, for ``0 <= i < count``; it is
+    built on demand, so the run itself holds only its segments.  A source
+    batch, ``KeyCycleRun(keys, owner, base, count)``, is one segment with
+    step 1; a selectivity take ``run[first::k]`` multiplies the step, and an
+    operator's per-upstream takes concatenate (:meth:`concat`), so an
+    ``n``-way merge chain stays lazy end to end.
+
+    The run behaves as an immutable sequence: ``len``, iteration, int
+    indexing (negative indexes included) and slicing, where a slice is
+    again a run.  It compares equal to any sequence with the same items, is
+    unhashable like ``list``, pickles, and deep-copies to itself.
 
     >>> run = KeyCycleRun(("a", "b", "c"), 7, 4, 3)
     >>> list(run)
     [('b', (7, 4)), ('c', (7, 5)), ('a', (7, 6))]
     >>> run[-1], run[::2]
-    (('a', (7, 6)), [('b', (7, 4)), ('a', (7, 6))])
+    (('a', (7, 6)), KeyCycleRun(<1 segment>, len=2))
+    >>> list(KeyCycleRun.concat([run[::2], run[1:]]))
+    [('b', (7, 4)), ('a', (7, 6)), ('c', (7, 5)), ('a', (7, 6))]
     >>> run == [("b", (7, 4)), ("c", (7, 5)), ("a", (7, 6))]
     True
     """
 
-    __slots__ = ("keys", "owner", "base", "count")
+    __slots__ = ("segments", "_len")
 
     def __init__(self, keys: tuple[str, ...], owner: int, base: int,
                  count: int):
-        self.keys = keys
-        self.owner = owner
-        self.base = base
-        self.count = count
+        # One step-1 segment: a source batch.  Takes and concatenations
+        # build their multi-segment runs through ``_run``.
+        self.segments = ((keys, owner, base, 1, count),) if count else ()
+        self._len = count
+
+    @staticmethod
+    def concat(runs: Iterable["KeyCycleRun"]) -> "KeyCycleRun":
+        """The runs read one after the other, as one run."""
+        segments: tuple = ()
+        length = 0
+        for run in runs:
+            segments += run.segments
+            length += run._len
+        return _run(segments, length)
 
     def __len__(self) -> int:
-        return self.count
+        return self._len
 
     def __iter__(self) -> Iterator[KeyedTuple]:
-        # Consecutive ids walk the key cycle in order, starting at base's
-        # key, so the tuples are built at C speed without indexing.
-        keys = islice(cycle(self.keys), self.base % len(self.keys), None)
-        ids = range(self.base, self.base + self.count)
-        return zip(keys, zip(repeat(self.owner), ids))
+        return chain.from_iterable(map(_segment_tuples, self.segments))
 
     def __getitem__(self, index):
-        try:
-            ids = range(self.base, self.base + self.count)[index]
-        except IndexError:
-            raise IndexError("KeyCycleRun index out of range") from None
-        keys, space, owner = self.keys, len(self.keys), self.owner
-        if type(ids) is range:
-            return [(keys[j % space], (owner, j)) for j in ids]
-        return (keys[ids % space], (owner, ids))
+        if isinstance(index, slice):
+            return self._slice(range(self._len)[index])
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("KeyCycleRun index out of range")
+        for keys, owner, base, step, count in self.segments:
+            if i < count:
+                n = base + i * step
+                return (keys[n % len(keys)], (owner, n))
+            i -= count
+
+    def _slice(self, picked: range) -> "KeyCycleRun":
+        """The items at positions ``picked``, in that order, as a run."""
+        if picked.step < 0:
+            # Take the same positions forwards, then reverse every segment
+            # and the segment order.
+            return _run(tuple(
+                (keys, owner, base + (count - 1) * step, -step, count)
+                for keys, owner, base, step, count
+                in reversed(self._slice(picked[::-1]).segments)
+            ), len(picked))
+        first, stride, total = picked.start, picked.step, len(picked)
+        segments = []
+        start = 0
+        for keys, owner, base, step, count in self.segments:
+            # Positions of ``picked`` inside [start, start + count) are its
+            # items lo..hi-1 (ceiling divisions, clamped to the range).
+            lo = -((first - start) // stride)
+            if lo < 0:
+                lo = 0
+            hi = -((first - start - count) // stride)
+            if hi > total:
+                hi = total
+            if hi > lo:
+                offset = first + lo * stride - start
+                segments.append((keys, owner, base + offset * step,
+                                 step * stride, hi - lo))
+            start += count
+        return _run(tuple(segments), total)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, KeyCycleRun):
-            if (self.keys, self.owner, self.base, self.count) == (
-                    other.keys, other.owner, other.base, other.count):
+            if self.segments == other.segments:
                 return True
         elif not isinstance(other, SequenceABC):
             return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     __hash__ = None  # type: ignore[assignment]  # unhashable, like list
 
@@ -99,11 +148,32 @@ class KeyCycleRun:
         return self
 
     def __reduce__(self):
-        return (KeyCycleRun, (self.keys, self.owner, self.base, self.count))
+        return (_run, (self.segments, self._len))
 
     def __repr__(self) -> str:
-        return (f"KeyCycleRun(<{len(self.keys)} keys>, owner={self.owner}, "
-                f"base={self.base}, count={self.count})")
+        n = len(self.segments)
+        return (f"KeyCycleRun(<{n} segment{'' if n == 1 else 's'}>, "
+                f"len={len(self)})")
+
+
+def _run(segments: tuple, length: int) -> KeyCycleRun:
+    """A run of non-empty ``segments`` holding ``length`` items in all."""
+    run = object.__new__(KeyCycleRun)
+    run.segments = segments
+    run._len = length
+    return run
+
+
+def _segment_tuples(segment: tuple[tuple[str, ...], int, int, int, int]
+                    ) -> Iterator[KeyedTuple]:
+    """The tuples of one run segment, built at C speed without indexing."""
+    keys, owner, base, step, count = segment
+    ids = range(base, base + step * count, step)
+    # Strided ids walk the key cycle with a period of len(keys) / gcd.
+    space = len(keys)
+    period = space // gcd(step, space)
+    cycled = cycle([keys[n % space] for n in ids[:period]])
+    return zip(cycled, zip(repeat(owner), ids))
 
 
 #: The sequence types a batch's ``tuples`` may share without copying: the
@@ -123,9 +193,10 @@ class Batch:
     then lives in the upstream's output history, in the downstream inbox and
     — for window operators — inside
     :class:`~repro.queries.windows.SlidingWindow` blocks.  On a
-    single-destination edge a uniform-rate source batch travels that whole
-    way as one zero-copy :class:`KeyCycleRun`.  Nobody may mutate a batch's
-    tuple sequence after construction.
+    single-destination edge a uniform-rate source batch, and a periodic
+    selectivity operator's output, travels that whole way as one zero-copy
+    :class:`KeyCycleRun`.  Nobody may mutate a batch's tuple sequence after
+    construction.
     """
 
     src: TaskId

@@ -10,11 +10,12 @@ and Storm's replay volume scale with rate and window length in Fig. 7–9.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Mapping, Sequence
 
 from repro.engine.kernels import active_kernel
 from repro.engine.logic import OperatorLogic
-from repro.engine.tuples import KeyedTuple
+from repro.engine.tuples import KeyCycleRun, KeyedTuple
 from repro.queries.windows import SlidingWindow
 from repro.topology.operators import TaskId
 
@@ -65,8 +66,8 @@ class WindowedSelectivityOperator(OperatorLogic):
 
     def process_batch(self, task: TaskId, batch_end_time: float,
                       inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                      ) -> list[KeyedTuple]:
-        out: list[KeyedTuple] = []
+                      ) -> Sequence[KeyedTuple]:
+        parts: list[Sequence[KeyedTuple]] = []
         window = self.window
         acc = self._accumulator
         selectivity = self.selectivity
@@ -75,10 +76,14 @@ class WindowedSelectivityOperator(OperatorLogic):
             batch = inputs[upstream]
             window.extend(batch_end_time, batch)
             taken, acc = kernel.selectivity_take(batch, selectivity, acc)
-            out += taken
+            if taken:
+                parts.append(taken)
         self._accumulator = acc
         window.evict(batch_end_time)
-        return out
+        # Periodic takes of lazy runs stay one lazy run downstream.
+        if parts and all(type(part) is KeyCycleRun for part in parts):
+            return KeyCycleRun.concat(parts)
+        return list(chain.from_iterable(parts))
 
     def process_batch_reference(self, task: TaskId, batch_end_time: float,
                                 inputs: Mapping[TaskId, Sequence[KeyedTuple]]

@@ -79,7 +79,7 @@ class SlidingWindow:
         Equivalent to calling :meth:`add` per item, but the whole batch
         becomes one shared block: the batch sequence types of
         :data:`~repro.engine.tuples.SHARED_SEQUENCES` (lists, tuples and
-        source :class:`~repro.engine.tuples.KeyCycleRun` batches) are
+        lazy :class:`~repro.engine.tuples.KeyCycleRun` batches) are
         referenced as-is (zero-copy — the caller must not mutate them
         afterwards), other iterables are materialised once.
         """

@@ -8,8 +8,9 @@ Both sources return a batch as a :class:`~repro.engine.tuples.KeyCycleRun`:
 a zero-copy, range-backed sequence that holds only the key cycle, the owner
 task, the first tuple id and the count.  It flows through the engine's
 shared ``Batch.tuples`` contract (source memo, output history, inboxes,
-window blocks) without being built; only the tuples an operator actually
-keeps — e.g. the ones a selectivity filter emits — become tuple objects.
+window blocks) without being built.  A periodic selectivity filter keeps a
+strided run of it, so on the Fig. 6 merge chain tuples become objects only
+where they leave the engine: at the sink and in hash-partitioned buckets.
 ``tuples_for_batch_reference`` builds the same batch as a full list: it is
 the parity oracle the tests hold the run to.
 """

@@ -14,7 +14,8 @@ measured metric.  These tests pin that down:
   batches fail loudly instead of replaying wrong data;
 * a source batch on a single-destination edge is one lazy
   :class:`~repro.engine.tuples.KeyCycleRun` from the source memo through
-  history and inbox into the operator's window;
+  history and inbox into the operator's window, and every operator of the
+  Fig. 6 merge chain keeps, emits and windows runs, never lists;
 * long runs keep bounded physical history, and the engine-throughput
   profile reaches :class:`ScenarioResult` and survives JSON round-trips.
 """
@@ -247,6 +248,43 @@ class TestSourceRunZeroCopy:
         assert inbox.tuples is run
         blocks = [items for _ts, items in receiver.logic.window._blocks]
         assert sum(items is run for items in blocks) == 1
+
+    def test_selectivity_outputs_stay_runs_down_the_fig6_chain(self):
+        """O1–O4 windows and every output history hold runs, never lists."""
+        bundle = fig6_bundle(200.0, 6.0, tuple_scale=8.0)
+        engine = StreamEngine(bundle.topology, bundle.make_logic(),
+                              EngineConfig(checkpoint_interval=None))
+        o1, o2 = TaskId("O1", 0), TaskId("O2", 0)
+        receiver = engine.runtime(o2)
+        delivered = []
+        inbox_put = receiver.inbox_put
+
+        def recording_put(batch):
+            delivered.append(batch)
+            return inbox_put(batch)
+
+        receiver.inbox_put = recording_put
+        engine.run(4.0)
+        for op, segments in (("O1", 2), ("O2", 4), ("O3", 8), ("O4", 16)):
+            for task in engine.topology.tasks_of(op):
+                blocks = [items for _ts, items in
+                          engine.runtime(task).logic.window._blocks]
+                assert blocks and all(type(b) is KeyCycleRun for b in blocks)
+                if op == "O1":
+                    continue
+                # Each window block is an upstream's output: a take of its
+                # two upstreams' inputs, concatenated.
+                assert {len(b.segments) for b in blocks} == {segments // 2}
+        histories = [batch for task in engine.topology.tasks()
+                     for per_dst in engine.runtime(task).history.values()
+                     for batch in per_dst.values()]
+        assert histories
+        assert all(type(b.tuples) is KeyCycleRun for b in histories)
+        emitted = engine.runtime(o1).history
+        inbox = [b for b in delivered if b.src == o1 and b.index in emitted]
+        assert inbox
+        for batch in inbox:
+            assert batch.tuples is emitted[batch.index][o2].tuples
 
 
 # ---------------------------------------------------------------------------

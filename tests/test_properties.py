@@ -12,7 +12,10 @@ failure sets, checking the invariants the algorithms rely on:
   document with any one value replaced (or removed) either decodes or
   raises :class:`~repro.errors.ScenarioError`, never another exception;
 * a synthetic source's lazy :class:`~repro.engine.tuples.KeyCycleRun`
-  batch is indistinguishable from the list its reference builds.
+  batch is indistinguishable from the list its reference builds, and so is
+  every run made from such batches by strided takes and concatenations, the
+  Fig. 6 merge shape included; a selectivity take of any of them equals the
+  take of its list bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+import struct
 
 import hypothesis.strategies as st
 import pytest
@@ -34,6 +38,7 @@ from repro.core import (
     worst_case_fidelity,
 )
 from repro.engine import KeyCycleRun
+from repro.engine.kernels import NumpyKernel, PythonKernel, numpy_available
 from repro.errors import ScenarioError
 from repro.scenarios import (
     EdgeDef,
@@ -327,6 +332,50 @@ def _batch_in_phase(source, index: int, burst: bool) -> int:
     return start + (index % high if burst else high + index % (period - high))
 
 
+_KERNELS = [PythonKernel()] + ([NumpyKernel()] if numpy_available() else [])
+
+
+def _assert_behaves_like(run, expected, data):
+    """``run`` is indistinguishable from the list ``expected``."""
+    assert type(run) is KeyCycleRun and type(expected) is list
+    n = len(expected)
+    assert len(run) == n and bool(run) == bool(expected)
+    assert list(run) == expected
+    for i in range(-n, n):
+        assert run[i] == expected[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            run[i]
+    # The selectivity kernel's periodic slice, then arbitrary ones.
+    for first in range(3):
+        assert run[first::2] == expected[first::2]
+    for _ in range(4):
+        cut = data.draw(st.slices(n + 2))
+        assert type(run[cut]) is KeyCycleRun
+        assert list(run[cut]) == expected[cut]
+        assert run[cut] == expected[cut]
+    assert run == expected and expected == run
+    assert not (run != expected) and not (expected != run)
+    other = expected[:-1] if n else [("k0", (0, 0))]
+    assert run != other and other != run
+    if n:
+        renamed = expected[:-1] + [("renamed", expected[-1][1])]
+        assert run != renamed and renamed != run
+    with pytest.raises(TypeError):
+        hash(run)
+    assert copy.deepcopy(run) is run
+    clone = pickle.loads(pickle.dumps(run))
+    assert type(clone) is KeyCycleRun and clone == run
+    # A take of the run is bit-identical to the take of its list.
+    for selectivity in (0.5, 0.25, 0.375, 0.3):
+        acc = data.draw(st.sampled_from([0.0, 0.125, 0.5, 0.875, 0.3]))
+        for kernel in _KERNELS:
+            taken, acc_run = kernel.selectivity_take(run, selectivity, acc)
+            ref, acc_ref = kernel.selectivity_take(expected, selectivity, acc)
+            assert list(taken) == ref and taken == ref
+            assert struct.pack("<d", acc_run) == struct.pack("<d", acc_ref)
+
+
 class TestSourceRunParity:
     @given(_sources, st.integers(0, 15), st.integers(0, 10_000),
            st.booleans(), st.data())
@@ -339,26 +388,7 @@ class TestSourceRunParity:
             assert source.is_burst(index) == burst
         run = source.tuples_for_batch(task, index)
         expected = source.tuples_for_batch_reference(task, index)
-        assert type(run) is KeyCycleRun and type(expected) is list
-        n = len(expected)
-        assert len(run) == n and bool(run) == bool(expected)
-        assert list(run) == expected
-        for i in range(-n, n):
-            assert run[i] == expected[i]
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                run[i]
-        # The selectivity kernel's periodic slice, then arbitrary ones.
-        for first in range(3):
-            assert run[first::2] == expected[first::2]
-        for _ in range(4):
-            cut = data.draw(st.slices(n + 2))
-            assert run[cut] == expected[cut]
-            assert type(run[cut]) is list
-        assert run == expected and expected == run
-        assert not (run != expected) and not (expected != run)
-        other = expected[:-1] if n else [("k0", (owner, 0))]
-        assert run != other and other != run
+        _assert_behaves_like(run, expected, data)
 
     @given(_sources, st.integers(0, 15), st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -369,3 +399,61 @@ class TestSourceRunParity:
         assert type(clone) is KeyCycleRun and clone == run
         with pytest.raises(TypeError):
             hash(run)
+
+
+def _source_pair(space: int, owner: int, base: int, count: int):
+    """A source run and the list of its tuples, built independently."""
+    keys = tuple(f"k{j}" for j in range(space))
+    run = KeyCycleRun(keys, owner, base, count)
+    return run, [(keys[n % space], (owner, n)) for n in range(base, base + count)]
+
+
+def _take(pair, first: int, step: int):
+    run, expected = pair
+    return run[first::step], expected[first::step]
+
+
+def _concat(pairs):
+    return (KeyCycleRun.concat(run for run, _ in pairs),
+            [item for _, expected in pairs for item in expected])
+
+
+def _source_pairs(counts=st.integers(0, 60)):
+    return st.builds(_source_pair, _key_spaces, st.integers(0, 15),
+                     st.integers(0, 10_000), counts)
+
+
+#: Chains of ``[first::k]`` takes and concatenations over source runs.
+_run_pairs = st.recursive(
+    _source_pairs(),
+    lambda children: st.one_of(
+        st.builds(_take, children, st.integers(0, 3), st.integers(1, 4)),
+        st.lists(children, min_size=2, max_size=3).map(_concat),
+    ),
+    max_leaves=8,
+)
+
+
+class TestStridedRunParity:
+    """A generalised run: takes and concatenations of source runs."""
+
+    @given(_run_pairs, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_taken_and_joined_runs_equal_their_lists(self, pair, data):
+        run, expected = pair
+        _assert_behaves_like(run, expected, data)
+
+    @given(st.lists(_source_pairs(st.integers(16, 40)), min_size=16,
+                    max_size=16), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_fig6_merge_chain_shape(self, level, data):
+        """16 sources, then O1..O4: each task takes half of two upstreams."""
+        for segments in (2, 4, 8, 16):
+            level = [
+                _concat([_take(up, data.draw(st.integers(0, 1)), 2)
+                         for up in (left, right)])
+                for left, right in zip(level[::2], level[1::2])
+            ]
+            assert all(len(run.segments) == segments for run, _ in level)
+        (run, expected), = level
+        _assert_behaves_like(run, expected, data)

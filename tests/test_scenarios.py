@@ -1,6 +1,7 @@
 """Tests for the declarative scenario API: spec, registries, runner, grid."""
 
 import functools
+import gc
 import json
 
 import pytest
@@ -357,6 +358,28 @@ class TestRunner:
         assert "ScenarioResult" in text
         assert "Greedy" in text
         assert "tasks killed" in text
+
+    @pytest.mark.parametrize("recovery", ["checkpoint-replay", "ppa"])
+    def test_a_finished_run_frees_itself_by_reference_counting(self,
+                                                               recovery):
+        """No engine, scheme or batch is left for the cycle collector."""
+        cell = Scenario.from_dict({
+            "workload": "synthetic",
+            "workload_params": {"rate_per_source": 200.0,
+                                "window_seconds": 5.0, "tuple_scale": 16.0},
+            "planner": "greedy", "budget_fraction": 0.5,
+            "recovery": recovery,
+            "failures": [{"model": "correlated", "at": 10.0}],
+            "duration": 20.0,
+        })
+        ScenarioRunner(cell).run()  # builds the workload memo
+        gc.collect()
+        gc.disable()
+        try:
+            ScenarioRunner(cell).run()
+            assert gc.collect() < 100
+        finally:
+            gc.enable()
 
 
 class TestEnginePlanArgument:
