@@ -1,7 +1,9 @@
 """Simulated MPSPE substrate: the paper's Storm-based system in virtual time.
 
 See DESIGN.md §2 for how this substitutes the paper's EC2 deployment, and
-:mod:`repro.engine.engine` for the protocols implemented.
+:mod:`repro.engine.engine` for the protocols implemented.  The synthetic
+operator's selectivity filter runs through the one batch kernel,
+:mod:`repro.engine.kernels`, pinned bit for bit to its per-tuple reference.
 """
 
 from repro.engine.checkpoint import Checkpoint, CheckpointStore, CheckpointTimings
@@ -9,13 +11,7 @@ from repro.engine.cluster import Cluster, Node, NodeKind, placement_node_map
 from repro.engine.config import CostModel, EngineConfig, PassiveStrategy
 from repro.engine.engine import StreamEngine
 from repro.engine.events import EventHandle, Simulator
-from repro.engine.kernels import (
-    BatchKernel,
-    active_kernel,
-    kernel_backend,
-    numpy_available,
-    set_kernel_backend,
-)
+from repro.engine.kernels import BatchKernel
 from repro.engine.logic import (
     LogicFactory,
     MemoizedSource,
@@ -76,12 +72,8 @@ __all__ = [
     "TaskCpu",
     "TaskRuntime",
     "TaskStatus",
-    "active_kernel",
     "create_scheme",
     "forged_batch",
-    "kernel_backend",
-    "numpy_available",
     "placement_node_map",
-    "set_kernel_backend",
     "stable_hash",
 ]

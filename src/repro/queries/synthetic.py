@@ -13,7 +13,7 @@ from collections import Counter
 from itertools import chain
 from typing import Mapping, Sequence
 
-from repro.engine.kernels import active_kernel
+from repro.engine.kernels import KERNEL
 from repro.engine.logic import OperatorLogic
 from repro.engine.tuples import KeyCycleRun, KeyedTuple
 from repro.queries.windows import SlidingWindow
@@ -51,8 +51,7 @@ class WindowedSelectivityOperator(OperatorLogic):
     Selectivity is applied with a deterministic accumulator (every
     ``1/selectivity``-th tuple is emitted), so replicas and recovered
     incarnations reproduce the exact same output.  The per-batch fast path
-    dispatches the accumulator to the active
-    :class:`~repro.engine.kernels.BatchKernel`;
+    runs the accumulator through :class:`~repro.engine.kernels.BatchKernel`;
     :meth:`process_batch_reference` keeps the per-tuple loop as the parity
     specification.
     """
@@ -71,11 +70,12 @@ class WindowedSelectivityOperator(OperatorLogic):
         window = self.window
         acc = self._accumulator
         selectivity = self.selectivity
-        kernel = active_kernel()
+        # Looked up per call, so a probe patched onto the class is seen.
+        take = KERNEL.selectivity_take
         for upstream in sorted(inputs):
             batch = inputs[upstream]
             window.extend(batch_end_time, batch)
-            taken, acc = kernel.selectivity_take(batch, selectivity, acc)
+            taken, acc = take(batch, selectivity, acc)
             if taken:
                 parts.append(taken)
         self._accumulator = acc

@@ -4,12 +4,12 @@ The operator compute plane (``repro.engine.kernels`` plus the kernelized
 ``process_batch`` implementations in ``repro.queries``) must be byte
 identical to the per-tuple ``process_batch_reference`` implementations —
 the same contract the routing fast path has with ``distribute_reference``.
-These tests pin it down with randomized batch sequences on both kernel
-backends (pure python always; numpy when importable):
+These tests pin it down with randomized batch sequences:
 
-* the selectivity accumulator kernel matches the reference loop bit-for-bit
-  (emitted items *and* the float accumulator) for periodic-dyadic, general
-  dyadic and non-dyadic selectivities;
+* the selectivity kernel matches the reference loop bit-for-bit (emitted
+  items *and* the float accumulator) for periodic-dyadic, non-periodic
+  dyadic and non-dyadic selectivities, on and off the exact grid, for
+  list, tuple and lazy-run inputs;
 * every query operator produces identical outputs and state sizes under
   randomized multi-upstream batch sequences, including across a mid-run
   snapshot/restore;
@@ -23,16 +23,13 @@ from __future__ import annotations
 import random
 import struct
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.engine import KeyCycleRun, Router, StreamEngine
 from repro.engine.config import EngineConfig
-from repro.engine.kernels import (
-    active_kernel,
-    kernel_backend,
-    numpy_available,
-    set_kernel_backend,
-)
+from repro.engine.kernels import KERNEL, _Q
 from repro.engine.logic import LogicFactory, MemoizedSource, OperatorLogic
 from repro.queries import (
     GlobalTopKOperator,
@@ -50,34 +47,6 @@ from repro.workloads import UniformRateSource
 from repro.workloads.bundles import QueryBundle, fig6_bundle, q1_bundle, q2_bundle
 
 from tests.engine_helpers import metrics_fingerprint
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    """Force one kernel backend for the duration of a test."""
-    set_kernel_backend(request.param)
-    yield request.param
-    set_kernel_backend(None)
-
-
-class TestBackendSelection:
-    def test_backend_forcing_round_trips(self):
-        original = kernel_backend()
-        set_kernel_backend("python")
-        assert kernel_backend() == "python"
-        set_kernel_backend(None)
-        assert kernel_backend() == original
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_kernel_backend("fortran")
-
-    @pytest.mark.skipif(numpy_available(), reason="numpy is importable here")
-    def test_numpy_backend_unavailable_raises(self):  # pragma: no cover
-        with pytest.raises(ValueError, match="numpy"):
-            set_kernel_backend("numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -101,49 +70,69 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-SELECTIVITIES = [0.0, 0.5, 0.25, 0.125, 0.75, 0.375, 1.0, 0.3, 0.7, 1 / 3]
+#: The paper's 0.5, other periodic dyadics (down to a 1024-item period),
+#: non-periodic dyadics (3/8, 5/16, 3/4), inexact ones and both ends.
+SELECTIVITIES = [0.0, 0.5, 0.25, 2 ** -10, 0.375, 5 / 16, 0.75, 0.3, 1 / 3,
+                 1.0]
 #: Selectivities whose takes are exactly periodic: a strided slice.
-PERIODIC = (0.5, 0.25)
+PERIODIC = (0.5, 0.25, 2 ** -10)
+_accumulators = st.one_of(
+    st.integers(0, _Q - 1).map(lambda a: a / _Q),
+    st.sampled_from([0.0, 0.125, 0.5, 0.875]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.1, 0.3, 1 / 3]),
+)
+
+
+def _on_grid(acc: float) -> bool:
+    return (acc * _Q).is_integer()
 
 
 class TestSelectivityKernel:
-    @pytest.mark.parametrize("selectivity", SELECTIVITIES)
-    def test_randomized_parity_with_carried_accumulator(self, backend,
-                                                        selectivity):
-        """Chained batches: emitted items and accumulator bit-identical."""
-        rng = random.Random(hash((backend, selectivity)) & 0xFFFFFFFF)
-        kernel = active_kernel()
-        acc_fast = acc_ref = 0.0
-        for _round in range(40):
-            items = [object() for _ in range(rng.randrange(0, 25))]
-            fast, acc_fast = kernel.selectivity_take(items, selectivity,
+    @given(st.sampled_from(SELECTIVITIES), _accumulators,
+           st.sampled_from(["list", "tuple", "run"]),
+           st.lists(st.integers(0, 2500), min_size=1, max_size=4),
+           st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_randomized_parity_with_carried_accumulator(
+            self, selectivity, acc, kind, sizes, base):
+        """Chained takes equal the loop: items, type and accumulator bits."""
+        acc_fast = acc_ref = acc
+        for size in sizes:
+            run = KeyCycleRun(("a", "b", "c"), 4, base, size)
+            base += size
+            items = {"list": list(run), "tuple": tuple(run), "run": run}[kind]
+            lazy = (kind == "run" and size > 0 and selectivity in PERIODIC
+                    and _on_grid(acc_fast))
+            fast, acc_fast = KERNEL.selectivity_take(items, selectivity,
                                                      acc_fast)
-            ref, acc_ref = _reference_take(items, selectivity, acc_ref)
-            assert fast == ref
+            ref, acc_ref = _reference_take(list(run), selectivity, acc_ref)
+            assert type(fast) is (KeyCycleRun if lazy else list)
+            assert fast is not items
+            assert list(fast) == ref and fast == ref
             assert _bits(acc_fast) == _bits(acc_ref)
 
-    def test_emitted_items_are_the_input_objects(self, backend):
+    def test_emitted_items_are_the_input_objects(self):
         items = [("k", i) for i in range(10)]
-        out, _acc = active_kernel().selectivity_take(items, 0.5, 0.0)
+        out, _acc = KERNEL.selectivity_take(items, 0.5, 0.0)
         assert all(any(o is i for i in items) for o in out)
 
-    def test_every_other_item_at_half_selectivity(self, backend):
-        out, acc = active_kernel().selectivity_take(list(range(10)), 0.5, 0.0)
+    def test_every_other_item_at_half_selectivity(self):
+        out, acc = KERNEL.selectivity_take(list(range(10)), 0.5, 0.0)
         assert out == [1, 3, 5, 7, 9]
         assert acc == 0.0
 
     @pytest.mark.parametrize("selectivity", [0.5, 0.375, 0.3])
-    def test_source_run_takes_like_its_list(self, backend, selectivity):
-        """Periodic slice, numpy general-dyadic and inexact loop on a run."""
-        kernel = active_kernel()
+    def test_source_run_takes_like_its_list(self, selectivity):
+        """Periodic slice, non-periodic dyadic and inexact loop on a run."""
         source = UniformRateSource(37.0, key_space=5)
         expected_type = KeyCycleRun if selectivity in PERIODIC else list
         acc_run = acc_list = 0.0
         for index in range(12):
             run = source.tuples_for_batch(TaskId("S", 3), index)
-            taken_run, acc_run = kernel.selectivity_take(run, selectivity,
+            taken_run, acc_run = KERNEL.selectivity_take(run, selectivity,
                                                          acc_run)
-            taken_list, acc_list = kernel.selectivity_take(
+            taken_list, acc_list = KERNEL.selectivity_take(
                 list(run), selectivity, acc_list)
             assert type(taken_run) is expected_type
             assert taken_run == taken_list
@@ -151,25 +140,24 @@ class TestSelectivityKernel:
 
     @pytest.mark.parametrize("kind", ["list", "tuple", "run"])
     @pytest.mark.parametrize("selectivity", [0.5, 0.25, 0.375, 0.3])
-    def test_result_is_a_fresh_list_for_every_input_type(self, backend, kind,
+    def test_result_is_a_fresh_list_for_every_input_type(self, kind,
                                                          selectivity):
         """A fresh list, except a periodic take of a run: a lazy run."""
         run = UniformRateSource(23.0, key_space=4).tuples_for_batch(
             TaskId("S", 1), 2)
         items = {"list": list(run), "tuple": tuple(run), "run": run}[kind]
-        out, acc = active_kernel().selectivity_take(items, selectivity, 0.125)
+        out, acc = KERNEL.selectivity_take(items, selectivity, 0.125)
         ref, acc_ref = _reference_take(list(run), selectivity, 0.125)
         lazy = kind == "run" and selectivity in PERIODIC
         assert type(out) is (KeyCycleRun if lazy else list) and out == ref
         assert out is not items
         assert _bits(acc) == _bits(acc_ref)
 
-    def test_pass_through_and_zero(self, backend):
-        kernel = active_kernel()
+    def test_pass_through_and_zero(self):
         items = list(range(7))
-        assert kernel.selectivity_take(items, 1.0, 0.25) == (items, 0.25)
-        assert kernel.selectivity_take(items, 0.0, 0.25) == ([], 0.25)
-        assert kernel.selectivity_take([], 0.5, 0.25) == ([], 0.25)
+        assert KERNEL.selectivity_take(items, 1.0, 0.25) == (items, 0.25)
+        assert KERNEL.selectivity_take(items, 0.0, 0.25) == ([], 0.25)
+        assert KERNEL.selectivity_take([], 0.5, 0.25) == ([], 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +217,9 @@ def _random_inputs(rng, value_fn):
     "name,factory,value_fn",
     [pytest.param(*case, id=case[0]) for case in _operator_cases()])
 class TestOperatorKernelParity:
-    def test_randomized_batch_sequences(self, backend, name, factory, value_fn):
+    def test_randomized_batch_sequences(self, name, factory, value_fn):
         """Kernel and reference instances stay output- and state-identical."""
-        rng = random.Random(hash((backend, name)) & 0xFFFFFFFF)
+        rng = random.Random(name)
         fast, ref = factory(), factory()
         task = TaskId("O", 0)
         for index in range(30):
@@ -243,10 +231,9 @@ class TestOperatorKernelParity:
             assert out_fast == out_ref, f"batch {index} diverged"
             assert fast.state_size() == ref.state_size()
 
-    def test_parity_across_snapshot_restore(self, backend, name, factory,
-                                            value_fn):
+    def test_parity_across_snapshot_restore(self, name, factory, value_fn):
         """Mid-run checkpoint restore preserves kernel-vs-reference parity."""
-        rng = random.Random(hash((backend, name, "restore")) & 0xFFFFFFFF)
+        rng = random.Random(f"{name}/restore")
         fast, ref = factory(), factory()
         task = TaskId("O", 0)
         for index in range(10):
@@ -266,7 +253,7 @@ class TestOperatorKernelParity:
             assert out_fast == out_ref, f"post-restore batch {index} diverged"
 
 
-def test_restore_of_a_window_holding_source_runs(backend):
+def test_restore_of_a_window_holding_source_runs():
     """Snapshot/restore with lazy source batches as window blocks."""
     source = UniformRateSource(20.0, key_space=6)
     upstreams = (TaskId("S", 0), TaskId("S", 1))
@@ -353,7 +340,7 @@ _BUNDLES = {
 
 
 @pytest.mark.parametrize("workload", sorted(_BUNDLES))
-def test_engine_runs_match_reference_path(backend, workload):
+def test_engine_runs_match_reference_path(workload):
     """Kernelized and reference-only engine runs are fingerprint identical."""
     make = _BUNDLES[workload]
     fast = _bundle_fingerprint(make(), reference=False, duration=20.0)

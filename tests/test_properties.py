@@ -38,7 +38,7 @@ from repro.core import (
     worst_case_fidelity,
 )
 from repro.engine import KeyCycleRun
-from repro.engine.kernels import NumpyKernel, PythonKernel, numpy_available
+from repro.engine.kernels import KERNEL
 from repro.errors import ScenarioError
 from repro.scenarios import (
     EdgeDef,
@@ -332,9 +332,6 @@ def _batch_in_phase(source, index: int, burst: bool) -> int:
     return start + (index % high if burst else high + index % (period - high))
 
 
-_KERNELS = [PythonKernel()] + ([NumpyKernel()] if numpy_available() else [])
-
-
 def _assert_behaves_like(run, expected, data):
     """``run`` is indistinguishable from the list ``expected``."""
     assert type(run) is KeyCycleRun and type(expected) is list
@@ -369,11 +366,10 @@ def _assert_behaves_like(run, expected, data):
     # A take of the run is bit-identical to the take of its list.
     for selectivity in (0.5, 0.25, 0.375, 0.3):
         acc = data.draw(st.sampled_from([0.0, 0.125, 0.5, 0.875, 0.3]))
-        for kernel in _KERNELS:
-            taken, acc_run = kernel.selectivity_take(run, selectivity, acc)
-            ref, acc_ref = kernel.selectivity_take(expected, selectivity, acc)
-            assert list(taken) == ref and taken == ref
-            assert struct.pack("<d", acc_run) == struct.pack("<d", acc_ref)
+        taken, acc_run = KERNEL.selectivity_take(run, selectivity, acc)
+        ref, acc_ref = KERNEL.selectivity_take(expected, selectivity, acc)
+        assert list(taken) == ref and taken == ref
+        assert struct.pack("<d", acc_run) == struct.pack("<d", acc_ref)
 
 
 class TestSourceRunParity:
