@@ -152,8 +152,16 @@ def generic_bundle(name: str, topology: Topology, source_rates: SourceRates, *,
     aggregate with the selectivity of its spec.  The rate model used for
     planning still comes from :func:`propagate_rates` on the real topology,
     so plans and fidelity predictions are exact even though the logic is
-    generic.
+    generic.  That logic keeps a fraction of its input, so a selectivity
+    above 1 (which the rate model allows) is rejected here, before any run.
     """
+    for spec in topology.operators():
+        if not spec.is_source and spec.selectivity > 1.0:
+            raise ScenarioError(
+                f"workload {name!r}: operator {spec.name!r} selectivity must "
+                f"be in [0, 1] for the generic windowed logic, got "
+                f"{spec.selectivity}"
+            )
     rates = propagate_rates(topology, source_rates)
 
     def make_logic() -> LogicFactory:

@@ -10,6 +10,7 @@ of an operator (:class:`OperatorSpec`) and the identifier of a single task
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -93,12 +94,12 @@ class OperatorSpec:
     kind:
         :class:`OperatorKind`; sources must use :attr:`OperatorKind.SOURCE`.
     selectivity:
-        Output rate divided by effective input rate. Used by the rate model
-        (:mod:`repro.topology.rates`); sources ignore it.
+        Output rate divided by effective input rate; finite and >= 0. Used
+        by the rate model (:mod:`repro.topology.rates`); sources ignore it.
     task_weights:
         Relative share of the operator's key space handled by each task
-        (the workload skew of Sec. VI-C). Normalised to sum to 1. Defaults
-        to uniform.
+        (the workload skew of Sec. VI-C); finite and non-negative. Normalised
+        to sum to 1. Defaults to uniform.
     """
 
     name: str
@@ -114,6 +115,10 @@ class OperatorSpec:
             raise TopologyError(
                 f"operator {self.name!r}: parallelism must be >= 1, got {self.parallelism}"
             )
+        if not math.isfinite(self.selectivity):
+            raise TopologyError(
+                f"operator {self.name!r}: selectivity must be finite, got {self.selectivity}"
+            )
         if self.selectivity < 0.0:
             raise TopologyError(
                 f"operator {self.name!r}: selectivity must be >= 0, got {self.selectivity}"
@@ -123,6 +128,10 @@ class OperatorSpec:
             raise TopologyError(
                 f"operator {self.name!r}: got {len(weights)} task weights "
                 f"for parallelism {self.parallelism}"
+            )
+        if not all(map(math.isfinite, weights)):
+            raise TopologyError(
+                f"operator {self.name!r}: task_weights must be finite, got {tuple(weights)!r}"
             )
         if any(w < 0.0 for w in weights):
             raise TopologyError(f"operator {self.name!r}: task weights must be non-negative")

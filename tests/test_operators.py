@@ -60,6 +60,16 @@ class TestOperatorSpec:
         with pytest.raises(TopologyError):
             OperatorSpec("O", 1, OperatorKind.INDEPENDENT, selectivity=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_selectivity(self, value):
+        with pytest.raises(TopologyError, match="operator 'O': selectivity must be finite"):
+            OperatorSpec("O", 1, OperatorKind.INDEPENDENT, selectivity=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weights(self, value):
+        with pytest.raises(TopologyError, match="operator 'O': task_weights must be finite"):
+            OperatorSpec("O", 2, OperatorKind.INDEPENDENT, task_weights=(value, 1.0))
+
     def test_rejects_wrong_weight_count(self):
         with pytest.raises(TopologyError):
             OperatorSpec("O", 3, OperatorKind.INDEPENDENT, task_weights=(0.5, 0.5))

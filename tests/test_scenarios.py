@@ -10,7 +10,7 @@ from repro.core.plans import ReplicationPlan
 from repro.engine.config import EngineConfig
 from repro.engine.engine import StreamEngine
 from repro.engine.logic import LogicFactory
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, TopologyError
 from repro.queries.synthetic import WindowedSelectivityOperator
 from repro.scenarios import (
     FAILURE_MODELS,
@@ -47,6 +47,10 @@ def tiny_recipe() -> TopologyRecipe:
             EdgeDef("A", "B", "merge"),
         ),
     )
+
+
+def _no_engine(*_args, **_kwargs):
+    raise AssertionError("the engine was built")
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -319,6 +323,32 @@ class TestRunner:
             failures=(FailureSpec("correlated", at=100.0),), duration=16.0
         )
         with pytest.raises(ScenarioError, match="after the run ends"):
+            run_scenario(scenario)
+
+    @pytest.mark.parametrize("field,value", [
+        ("selectivity", float("nan")),
+        ("selectivity", float("inf")),
+        ("task_weights", [float("nan"), 1.0]),
+    ])
+    def test_non_finite_operator_values_rejected_before_the_engine(
+            self, monkeypatch, field, value):
+        data = tiny_scenario().to_dict()
+        data["topology"]["operators"][1][field] = value
+        scenario = Scenario.from_dict(data)
+        monkeypatch.setattr(StreamEngine, "__init__", _no_engine)
+        with pytest.raises(TopologyError,
+                           match=f"operator 'A': {field} must be finite"):
+            run_scenario(scenario)
+
+    def test_custom_selectivity_above_one_rejected_before_the_engine(
+            self, monkeypatch):
+        data = tiny_scenario().to_dict()
+        data["topology"]["operators"][2]["selectivity"] = 1.5
+        scenario = Scenario.from_dict(data)
+        assert scenario.topology.build().operator("B").selectivity == 1.5
+        monkeypatch.setattr(StreamEngine, "__init__", _no_engine)
+        with pytest.raises(ScenarioError,
+                           match="operator 'B' selectivity must be in"):
             run_scenario(scenario)
 
     def test_fixed_planner_replays_task_list(self):
