@@ -76,6 +76,8 @@ SELECTIVITIES = [0.0, 0.5, 0.25, 2 ** -10, 0.375, 5 / 16, 0.75, 0.3, 1 / 3,
                  1.0]
 #: Selectivities whose takes are exactly periodic: a strided slice.
 PERIODIC = (0.5, 0.25, 2 ** -10)
+#: The input types a take accepts: materialised batches and lazy runs.
+KINDS = ["list", "tuple", "run"]
 _accumulators = st.one_of(
     st.integers(0, _Q - 1).map(lambda a: a / _Q),
     st.sampled_from([0.0, 0.125, 0.5, 0.875]),
@@ -89,13 +91,14 @@ def _on_grid(acc: float) -> bool:
 
 
 class TestSelectivityKernel:
-    @given(st.sampled_from(SELECTIVITIES), _accumulators,
-           st.sampled_from(["list", "tuple", "run"]),
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("selectivity", SELECTIVITIES)
+    @given(_accumulators,
            st.lists(st.integers(0, 2500), min_size=1, max_size=4),
            st.integers(0, 10_000))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=20, deadline=None)
     def test_randomized_parity_with_carried_accumulator(
-            self, selectivity, acc, kind, sizes, base):
+            self, selectivity, kind, acc, sizes, base):
         """Chained takes equal the loop: items, type and accumulator bits."""
         acc_fast = acc_ref = acc
         for size in sizes:
@@ -122,9 +125,9 @@ class TestSelectivityKernel:
         assert out == [1, 3, 5, 7, 9]
         assert acc == 0.0
 
-    @pytest.mark.parametrize("selectivity", [0.5, 0.375, 0.3])
+    @pytest.mark.parametrize("selectivity", SELECTIVITIES)
     def test_source_run_takes_like_its_list(self, selectivity):
-        """Periodic slice, non-periodic dyadic and inexact loop on a run."""
+        """Every take branch on a run: slice, loop, pass-through, zero."""
         source = UniformRateSource(37.0, key_space=5)
         expected_type = KeyCycleRun if selectivity in PERIODIC else list
         acc_run = acc_list = 0.0
@@ -138,8 +141,8 @@ class TestSelectivityKernel:
             assert taken_run == taken_list
             assert _bits(acc_run) == _bits(acc_list)
 
-    @pytest.mark.parametrize("kind", ["list", "tuple", "run"])
-    @pytest.mark.parametrize("selectivity", [0.5, 0.25, 0.375, 0.3])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("selectivity", SELECTIVITIES)
     def test_result_is_a_fresh_list_for_every_input_type(self, kind,
                                                          selectivity):
         """A fresh list, except a periodic take of a run: a lazy run."""
@@ -193,14 +196,12 @@ def _operator_cases():
                       else rng.uniform(0.0, 2.0))),
         ("incident-aggregate", lambda: IncidentAggregateOperator(3.0),
          lambda rng: (_segment(rng), f"inc{rng.randrange(12)}")),
-        ("selectivity-0.5", lambda: WindowedSelectivityOperator(3.0, 0.5),
-         lambda rng: (_segment(rng), rng.randrange(100))),
-        ("selectivity-0.375", lambda: WindowedSelectivityOperator(3.0, 0.375),
-         lambda rng: (_segment(rng), rng.randrange(100))),
-        ("selectivity-0.3", lambda: WindowedSelectivityOperator(3.0, 0.3),
-         lambda rng: (_segment(rng), rng.randrange(100))),
-        ("selectivity-1.0", lambda: WindowedSelectivityOperator(3.0, 1.0),
-         lambda rng: (_segment(rng), rng.randrange(100))),
+    ] + [
+        (f"selectivity-{selectivity}",
+         lambda selectivity=selectivity: WindowedSelectivityOperator(
+             3.0, selectivity),
+         lambda rng: (_segment(rng), rng.randrange(100)))
+        for selectivity in SELECTIVITIES
     ]
 
 
@@ -253,7 +254,8 @@ class TestOperatorKernelParity:
             assert out_fast == out_ref, f"post-restore batch {index} diverged"
 
 
-def test_restore_of_a_window_holding_source_runs():
+@pytest.mark.parametrize("selectivity", PERIODIC)
+def test_restore_of_a_window_holding_source_runs(selectivity):
     """Snapshot/restore with lazy source batches as window blocks."""
     source = UniformRateSource(20.0, key_space=6)
     upstreams = (TaskId("S", 0), TaskId("S", 1))
@@ -262,15 +264,15 @@ def test_restore_of_a_window_holding_source_runs():
     def inputs(index):
         return {u: source.tuples_for_batch(u, index) for u in upstreams}
 
-    live = WindowedSelectivityOperator(3.0, 0.5)
-    reference = WindowedSelectivityOperator(3.0, 0.5)
+    live = WindowedSelectivityOperator(3.0, selectivity)
+    reference = WindowedSelectivityOperator(3.0, selectivity)
     for index in range(5):
         live.process_batch(task, index + 1.0, inputs(index))
         reference.process_batch_reference(
             task, index + 1.0, {u: list(b) for u, b in inputs(index).items()})
     assert all(type(items) is KeyCycleRun
                for _ts, items in live.window._blocks)
-    restored = WindowedSelectivityOperator(3.0, 0.5)
+    restored = WindowedSelectivityOperator(3.0, selectivity)
     restored.restore(live.snapshot())
     for index in range(5, 12):
         batch_end = index + 1.0
