@@ -115,6 +115,30 @@ class TestGoldenParity:
         )
 
 
+PPA_SOURCE_REPLAY = json.loads(
+    (Path(__file__).parent / "golden" / "ppa_source_replay.json").read_text()
+)
+
+
+class TestPpaWithSourceReplay:
+    """PPA's replicas with a Storm-style passive path, pinned by bytes.
+
+    ``ppa_source_replay.json`` was recorded once, from ``ppa`` runs with a
+    non-empty plan and ``passive_strategy="source-replay"``, and is never
+    regenerated: it is the behaviour that combination must keep.
+    """
+
+    @pytest.mark.parametrize("key", sorted(PPA_SOURCE_REPLAY))
+    def test_matches_pinned_metrics(self, key):
+        entry = PPA_SOURCE_REPLAY[key]
+        data = json.loads(json.dumps(entry["scenario"]))
+        data["engine"]["passive_strategy"] = "source-replay"
+        engine = run_scenario_engine(Scenario.from_dict(data))
+        modes = {r.mode for r in engine.metrics.recoveries}
+        assert modes == {RecoveryMode.ACTIVE, RecoveryMode.SOURCE_REPLAY}
+        assert metrics_fingerprint(engine.metrics) == entry["fingerprint"]
+
+
 MATRIX = json.loads(
     (Path(__file__).parent / "golden" / "scheme_matrix.json").read_text()
 )
