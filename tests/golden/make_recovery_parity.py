@@ -70,8 +70,8 @@ GOLDEN_SCENARIOS: dict[str, tuple[str, dict]] = {
         "topology": _RECIPE,
         "workload_params": _CUSTOM_PARAMS,
         "planner": "none",
+        "recovery": "source-replay",
         "engine": {"checkpoint_interval": None, "heartbeat_interval": 2.0,
-                   "passive_strategy": "source-replay",
                    "source_replay_window_batches": 6},
         "failures": [{"model": "correlated", "at": 12.0}],
         "duration": 24.0,
