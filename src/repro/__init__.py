@@ -82,7 +82,6 @@ from repro.scenarios import (
     MemorySink,
     OperatorDef,
     ProgressEvent,
-    RecoveryContext,
     RecoveryScheme,
     ResultSink,
     Scenario,
@@ -151,7 +150,6 @@ __all__ = [
     "RECOVERY_SCHEMES",
     "RESULT_SINKS",
     "RateError",
-    "RecoveryContext",
     "RecoveryScheme",
     "ReplicationPlan",
     "ReproError",

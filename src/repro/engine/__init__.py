@@ -8,7 +8,7 @@ operator's selectivity filter runs through the one batch kernel,
 
 from repro.engine.checkpoint import Checkpoint, CheckpointStore, CheckpointTimings
 from repro.engine.cluster import Cluster, Node, NodeKind, placement_node_map
-from repro.engine.config import CostModel, EngineConfig, PassiveStrategy
+from repro.engine.config import CostModel, EngineConfig
 from repro.engine.engine import StreamEngine
 from repro.engine.events import EventHandle, Simulator
 from repro.engine.kernels import BatchKernel
@@ -26,7 +26,6 @@ from repro.engine.metrics import (
 )
 from repro.engine.recovery import (
     RECOVERY_SCHEMES,
-    RecoveryContext,
     RecoveryScheme,
     create_scheme,
 )
@@ -58,9 +57,7 @@ __all__ = [
     "Node",
     "NodeKind",
     "OperatorLogic",
-    "PassiveStrategy",
     "RECOVERY_SCHEMES",
-    "RecoveryContext",
     "RecoveryMode",
     "RecoveryRecord",
     "RecoveryScheme",

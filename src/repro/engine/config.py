@@ -10,22 +10,10 @@ window length and topology depth — follow from the protocol itself.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-
-
-class PassiveStrategy(enum.Enum):
-    """How tasks without an active replica are recovered."""
-
-    #: Restore the latest checkpoint, replay upstream output buffers (PPA,
-    #: Spark-Streaming style).
-    CHECKPOINT = "checkpoint"
-    #: No checkpoints: rebuild state by replaying source data through the
-    #: whole topology (vanilla Storm).
-    SOURCE_REPLAY = "source-replay"
 
 
 @dataclass(frozen=True)
@@ -35,6 +23,13 @@ class CostModel:
     Utilisation must stay below 1 for recovery to converge: with the default
     50 µs per tuple, a task receiving 2 000 tuples/s is 10 % utilised and can
     catch up on backlog at roughly 10× the arrival rate.
+
+    Every cost must be a finite number >= 0; the error names the field:
+
+    >>> CostModel(restart_delay=float("nan"))
+    Traceback (most recent call last):
+        ...
+    repro.errors.SimulationError: cost restart_delay must be >= 0 and finite, got nan
     """
 
     #: CPU seconds to process one input tuple.
@@ -60,8 +55,10 @@ class CostModel:
             "per_tuple_load", "per_tuple_resend", "network_delay",
             "restart_delay", "takeover_fixed",
         ):
-            if getattr(self, name) < 0:
-                raise SimulationError(f"cost {name} must be >= 0")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # also rejects NaN
+                raise SimulationError(
+                    f"cost {name} must be >= 0 and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +75,6 @@ class EngineConfig:
     #: Period at which a primary lets its active replica trim its output
     #: buffer (the "Active-5s" / "Active-30s" knob of Fig. 7/8).
     sync_interval: float = 5.0
-    #: Recovery path for tasks without an active replica.
-    passive_strategy: PassiveStrategy = PassiveStrategy.CHECKPOINT
     #: Forge batch-over punctuations for failed tasks so downstream tasks
     #: keep producing (tentative) output during recovery.
     tentative_outputs: bool = False

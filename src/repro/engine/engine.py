@@ -14,10 +14,11 @@ restore + upstream replay, source replay through the whole topology, forged
 batch-over punctuations — is delegated to a pluggable
 :class:`~repro.engine.recovery.RecoveryScheme` selected by
 :attr:`EngineConfig.recovery_scheme <repro.engine.config.EngineConfig>`
-(``"ppa"`` by default, the paper's partially-active replication).  Schemes
-interact with the run exclusively through a
-:class:`~repro.engine.recovery.RecoveryContext` capability object; see
-:mod:`repro.engine.recovery` for the strategy protocol and the
+(``"ppa"`` by default, the paper's partially-active replication).  The
+scheme holds a weak proxy of the engine and drives the run through its
+public data-plane methods (``send``, ``deliver``, ``try_process``,
+``produce_source_batch``, ``replay_batch``, ``schedule_source_emission``);
+see :mod:`repro.engine.recovery` for the strategy protocol and the
 :data:`~repro.engine.recovery.RECOVERY_SCHEMES` registry.
 
 Determinism: all scheduling goes through :class:`~repro.engine.events.Simulator`
@@ -38,7 +39,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.events import Simulator
 from repro.engine.logic import LogicFactory, MemoizedSource
 from repro.engine.metrics import MetricsCollector
-from repro.engine.recovery import RecoveryContext, create_scheme
+from repro.engine.recovery import create_scheme
 from repro.engine.routing import Router, stable_hash
 from repro.engine.tasks import TaskRuntime, TaskStatus
 from repro.engine.tuples import Batch, KeyedTuple, SinkRecord
@@ -106,14 +107,15 @@ class StreamEngine:
         # the *kill*, not the current node flag, so a node that flaps back up
         # before the next heartbeat still gets its dead tasks detected.
         self._pending_detection: set[str] = set()
-        self._end_time = 0.0
+        #: Virtual time at which sources stop emitting (set by :meth:`run`).
+        self.end_time = 0.0
         self._started = False
 
         # The fault-tolerance scheme decides which tasks get hot replicas
         # and owns everything that happens after a failure is detected.
         self.scheme = create_scheme(self.config.recovery_scheme,
                                     self.config.recovery_params)
-        self.scheme.attach(RecoveryContext(self))
+        self.scheme.attach(self)
         self.replicated = self.scheme.replicated_tasks(
             topology, self.plan.replicated
         )
@@ -218,10 +220,10 @@ class StreamEngine:
         if self._started:
             raise SimulationError("an engine instance runs exactly once")
         self._started = True
-        self._end_time = duration
+        self.end_time = duration
         wall_start = time.perf_counter()
         for task in self.topology.source_tasks():
-            self._schedule_source_emission(self.runtimes[task], 0)
+            self.schedule_source_emission(self.runtimes[task], 0)
         self.sim.at(self.config.heartbeat_interval, self._heartbeat, priority=-2)
         self.sim.run_until(duration)
         if settle:
@@ -239,9 +241,10 @@ class StreamEngine:
     # ------------------------------------------------------------------
     # Source emission
     # ------------------------------------------------------------------
-    def _schedule_source_emission(self, rt: TaskRuntime, index: int) -> None:
+    def schedule_source_emission(self, rt: TaskRuntime, index: int) -> None:
+        """Re-arm source ``rt``'s normal emission chain at batch ``index``."""
         due = (index + 1) * self.config.batch_interval
-        if due > self._end_time + 1e-9:
+        if due > self.end_time + 1e-9:
             return
         self.sim.at(due, self._emit_source, args=(rt, index))
 
@@ -250,12 +253,13 @@ class StreamEngine:
             return  # the emission chain is re-armed by recovery
         if index < rt.next_batch:
             # Already emitted (e.g. during a recovery backlog flush).
-            self._schedule_source_emission(rt, rt.next_batch)
+            self.schedule_source_emission(rt, rt.next_batch)
             return
-        self._produce_source_batch(rt, index)
-        self._schedule_source_emission(rt, index + 1)
+        self.produce_source_batch(rt, index)
+        self.schedule_source_emission(rt, index + 1)
 
-    def _produce_source_batch(self, rt: TaskRuntime, index: int) -> None:
+    def produce_source_batch(self, rt: TaskRuntime, index: int) -> None:
+        """Make source task ``rt`` produce batch ``index`` now."""
         assert rt.source_fn is not None
         tuples = rt.source_fn.tuples_for_batch(rt.task, index)
         cost = len(tuples) * self.config.costs.per_tuple_process
@@ -267,7 +271,7 @@ class StreamEngine:
         # The source log is regenerable from the (pure) source function, so
         # its physical buffer only keeps the replay retention window.
         rt.trim_history(index - self._retention_batches)
-        self._maybe_checkpoint(rt, index, state_tuples=0, state=None)
+        self._maybe_checkpoint(rt, index, state_tuples=0)
         if rt.status is TaskStatus.RECOVERING:  # pragma: no cover - defensive
             self.scheme.check_recovered(rt)
 
@@ -296,24 +300,26 @@ class StreamEngine:
             if rt.status is TaskStatus.FAILOVER:
                 rt.held_outputs.append((dst, batch))
             else:
-                self._send(batch)
+                self.send(batch)
 
-    def _send(self, batch: Batch) -> None:
-        self.sim.after(self.config.costs.network_delay, self._deliver,
+    def send(self, batch: Batch) -> None:
+        """Send ``batch`` downstream with the normal network delay."""
+        self.sim.after(self.config.costs.network_delay, self.deliver,
                        args=(batch,))
 
-    def _deliver(self, batch: Batch) -> None:
+    def deliver(self, batch: Batch) -> None:
+        """Deliver ``batch`` to its destination immediately (post-delay)."""
         rt = self.runtimes[batch.dst]
         if rt.status is TaskStatus.FAILED:
             return  # data sent to a dead, unreplicated task is lost
         if rt.inbox_put(batch):
-            self._try_process(rt)
+            self.try_process(rt)
 
-    def _try_process(self, rt: TaskRuntime) -> None:
+    def try_process(self, rt: TaskRuntime) -> None:
+        """Let ``rt`` (a FAILOVER task's replica included) process its next
+        batch if the inbox is ready."""
         if rt.is_source or rt.processing or not rt.alive():
             return
-        if rt.status is TaskStatus.FAILOVER:
-            pass  # the replica keeps processing during failover
         index = rt.next_batch
         if not rt.inbox_ready(index):
             return
@@ -353,19 +359,18 @@ class StreamEngine:
         else:
             self._emit_outputs(rt, index, outputs, complete)
 
-        self._maybe_checkpoint(rt, index, state_tuples=rt.logic.state_size(),
-                               state=None)
+        self._maybe_checkpoint(rt, index, state_tuples=rt.logic.state_size())
         if self.config.checkpoint_interval is None:
             self._ack_storm_style(rt, index)
         if rt.status is TaskStatus.RECOVERING:
             self.scheme.check_recovered(rt)
-        self._try_process(rt)
+        self.try_process(rt)
 
     # ------------------------------------------------------------------
     # Checkpoints and trimming
     # ------------------------------------------------------------------
     def _maybe_checkpoint(self, rt: TaskRuntime, index: int, *,
-                          state_tuples: int, state: object) -> None:
+                          state_tuples: int) -> None:
         period = self.scheme.checkpoint_period(rt)
         if period is None:
             return
@@ -417,14 +422,15 @@ class StreamEngine:
         up.trim_history(min(up.trimmed_upto,
                             up.emitted - self._retention_batches))
 
-    def _replay_batch(self, up: TaskRuntime, sub: TaskId, index: int) -> Batch:
-        """The batch ``up`` emitted to ``sub`` at ``index``, for replay resend.
+    def replay_batch(self, up: TaskRuntime, sub: TaskId, index: int) -> Batch:
+        """The output batch ``up`` sent to ``sub`` at ``index``, for resend.
 
-        Physically-retained content is returned as stored.  A trimmed
-        *source* batch is regenerated bit-for-bit from the memoized (pure)
-        source function and the deterministic router; a trimmed non-source
-        batch means the retention window was violated, which is an engine
-        bug and raises rather than silently replaying wrong data.
+        Reads the physically-retained buffer when the batch is still there;
+        physically-trimmed *source* batches are regenerated bit-for-bit from
+        the memoized (pure) source function and the deterministic router.  A
+        trimmed non-source batch means the retention window was violated,
+        which is an engine bug and raises rather than silently replaying
+        wrong data.
         """
         per_dst = up.history.get(index)
         if per_dst is not None:
@@ -476,7 +482,7 @@ class StreamEngine:
                         self.scheme.on_failure_detected(rt)
         undetected = bool(self._pending_detection)
         next_beat = self.sim.now + self.config.heartbeat_interval
-        if next_beat <= self._end_time + 1e-9 or undetected:
+        if next_beat <= self.end_time + 1e-9 or undetected:
             self.sim.at(next_beat, self._heartbeat, priority=-2)
 
     def _deferred_detection(self, rt: TaskRuntime, incarnation: int) -> None:

@@ -8,7 +8,7 @@ The queue is built for the engine's hot loop: entries are plain heap tuples
 ``(time, priority, sequence, event)`` whose comparison never reaches the
 event cell (sequence numbers are unique), and callbacks carry their
 arguments in the entry instead of closing over loop state, so schedulers can
-pass bound methods directly (``sim.at(t, self._deliver, args=(batch,))``)
+pass bound methods directly (``sim.at(t, self.deliver, args=(batch,))``)
 without allocating a closure per event.
 """
 

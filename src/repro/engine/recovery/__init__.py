@@ -6,11 +6,12 @@ punctuations — live behind a strategy interface so new fault-tolerance
 schemes plug in as registry entries instead of engine edits:
 
 * :class:`RecoveryScheme` — the one machinery class (``scheme.py``): every
-  protocol step, written once against
-* :class:`RecoveryContext` — the capability object handed to schemes.  It is
-  the *only* surface a scheme sees: virtual time and scheduling, config,
-  metrics, per-task runtimes, checkpoint store, and the engine's data-plane
-  operations (send/deliver/try-process/source emission);
+  protocol step, written once against the engine it is attached to (a weak
+  proxy of the run's :class:`~repro.engine.engine.StreamEngine`: virtual
+  time and scheduling, config, metrics, per-task runtimes, checkpoint
+  store, and the public data-plane methods ``send``/``deliver``/
+  ``try_process``/``produce_source_batch``/``replay_batch``/
+  ``schedule_source_emission``);
 * three policy families (``policies.py``) — *placement*, *catch-up* and
   checkpoint *cadence* — that the machinery asks wherever schemes differ;
 * :data:`RECOVERY_SCHEMES` — the string-keyed registry mirroring
@@ -26,18 +27,18 @@ nothing else; ``recovery_params`` go to the policy that declares them.
 ========================= ===================== =================== ================
 scheme                    placement             catch-up            cadence
 ========================= ===================== =================== ================
-``"ppa"``                 PlanPlacement         ConfiguredCatchUp   FixedCadence
+``"ppa"``                 PlanPlacement         CheckpointCatchUp   FixedCadence
 ``"checkpoint-replay"``   NoReplicas            CheckpointCatchUp   FixedCadence
 ``"source-replay"``       NoReplicas            SourceReplayCatchUp FixedCadence
-``"active-standby"``      AllReplicas           ConfiguredCatchUp   FixedCadence
+``"active-standby"``      AllReplicas           CheckpointCatchUp   FixedCadence
 ``"approximate-ft"``      NoReplicas            SkipWithinBound     FixedCadence
-``"k-safe"``              RackDisjointPlacement ConfiguredCatchUp   FixedCadence
+``"k-safe"``              RackDisjointPlacement CheckpointCatchUp   FixedCadence
 ``"adaptive-checkpoint"`` NoReplicas            CheckpointCatchUp   YoungDalyCadence
 ========================= ===================== =================== ================
 
 ``"ppa"`` is the paper's partially-active replication: planned tasks keep a
-hot replica, everything else recovers passively per
-``config.passive_strategy``.  ``"checkpoint-replay"`` and
+hot replica, everything else restores its latest checkpoint and replays
+upstream buffers.  ``"checkpoint-replay"`` and
 ``"source-replay"`` are the pure passive baselines (Spark-Streaming style /
 vanilla Storm), ``"active-standby"`` the fully-active upper bound.
 ``"approximate-ft"`` (Cheng et al., arXiv:1811.04570; parameter
@@ -71,6 +72,20 @@ Compose your own triple — a combination nobody registered is three lines:
 (0.3, 60.0)
 >>> RECOVERY_SCHEMES.unregister("ppa-approximate")
 
+PPA's replicas with a Storm-style passive path are the default triple with
+another catch-up policy:
+
+>>> from repro.engine.recovery.policies import SourceReplayCatchUp
+>>> @RECOVERY_SCHEMES.register("ppa-source-replay")
+... class PpaSourceReplay(RecoveryScheme):
+...     '''Replicas per the plan; the rest replay sources (vanilla Storm).'''
+...     name = "ppa-source-replay"
+...     catch_up = SourceReplayCatchUp
+>>> scheme = create_scheme("ppa-source-replay")
+>>> type(scheme.placement).__name__, scheme.passive_mode().value
+('PlanPlacement', 'source-replay')
+>>> RECOVERY_SCHEMES.unregister("ppa-source-replay")
+
 A scheme the families cannot express subclasses the machinery instead:
 
 >>> @RECOVERY_SCHEMES.register("sources-active")
@@ -90,7 +105,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.engine.recovery import policies
-from repro.engine.recovery.scheme import RecoveryContext, RecoveryScheme
+from repro.engine.recovery.scheme import RecoveryScheme
 from repro.errors import SimulationError
 from repro.registry import Registry
 

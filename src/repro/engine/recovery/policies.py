@@ -4,7 +4,7 @@ Against the Nasir taxonomy (arXiv:1605.00928) a fault-tolerance scheme is
 one choice on each of three independent axes: *placement* (which tasks keep
 a hot replica, and where it lives), *catch-up* (how a task without a live
 replica gets back to the live edge) and checkpoint *cadence*.  The first
-policy of each family — :class:`PlanPlacement`, :class:`ConfiguredCatchUp`,
+policy of each family — :class:`PlanPlacement`, :class:`CheckpointCatchUp`,
 :class:`FixedCadence` — is also the family's base class: it documents the
 hooks :class:`~repro.engine.recovery.RecoveryScheme` calls and gives the
 paper's PPA behaviour as the default.  Policies hold per-run state (one
@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping
 
 from repro.engine.checkpoint import CheckpointTimings
 from repro.engine.cluster import placement_node_map
-from repro.engine.config import PassiveStrategy
 from repro.engine.metrics import RecoveryMode
 from repro.engine.tasks import TaskRuntime
 from repro.errors import SimulationError
@@ -30,7 +29,7 @@ from repro.topology.operators import TaskId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.checkpoint import Checkpoint
-    from repro.engine.recovery.scheme import RecoveryContext
+    from repro.engine.engine import StreamEngine
 
 
 def policy_params(policy: type) -> tuple[str, ...]:
@@ -49,9 +48,10 @@ def _coerce(name: str, kind: type, value: object):
 
 
 class Policy:
-    """One axis of a scheme; :meth:`RecoveryScheme.attach` binds ``ctx``."""
+    """One axis of a scheme; :meth:`RecoveryScheme.attach` binds ``engine``
+    (a weak proxy of the run's :class:`~repro.engine.engine.StreamEngine`)."""
 
-    ctx: "RecoveryContext" = None  # type: ignore[assignment]
+    engine: "StreamEngine" = None  # type: ignore[assignment]
 
 
 # ----------------------------------------------------------------------
@@ -177,14 +177,12 @@ class RackDisjointPlacement(PlanPlacement):
 # ----------------------------------------------------------------------
 # Catch-up
 # ----------------------------------------------------------------------
-class ConfiguredCatchUp(Policy):
-    """Passive recovery per ``EngineConfig.passive_strategy`` (PPA)."""
+class CheckpointCatchUp(Policy):
+    """Restore the latest checkpoint and replay upstream buffers (PPA)."""
 
     def passive_mode(self) -> RecoveryMode:
         """How a task without a live replica rebuilds its state."""
-        if self.ctx.config.passive_strategy is PassiveStrategy.CHECKPOINT:
-            return RecoveryMode.CHECKPOINT
-        return RecoveryMode.SOURCE_REPLAY
+        return RecoveryMode.CHECKPOINT
 
     def skip_to(self, rt: TaskRuntime,
                 checkpoint: "Checkpoint | None") -> int | None:
@@ -206,14 +204,7 @@ class ConfiguredCatchUp(Policy):
         return ()
 
 
-class CheckpointCatchUp(ConfiguredCatchUp):
-    """Always restore the latest checkpoint and replay upstream buffers."""
-
-    def passive_mode(self) -> RecoveryMode:
-        return RecoveryMode.CHECKPOINT
-
-
-class SourceReplayCatchUp(ConfiguredCatchUp):
+class SourceReplayCatchUp(CheckpointCatchUp):
     """Vanilla Storm: never restore; replay sources through the topology."""
 
     def passive_mode(self) -> RecoveryMode:
@@ -246,7 +237,7 @@ class SkipWithinBound(CheckpointCatchUp):
 
     def skip_to(self, rt: TaskRuntime,
                 checkpoint: "Checkpoint | None") -> int | None:
-        ctx = self.ctx
+        engine = self.engine
         record = rt.recovery_record
         if record is not None:
             record.fidelity_bound = self.fidelity_bound
@@ -254,8 +245,9 @@ class SkipWithinBound(CheckpointCatchUp):
         if rt.is_source:
             return None  # sources resume from their log offset: no loss
         resume_from = 0 if checkpoint is None else checkpoint.batch_index + 1
-        start = max(int(ctx.now / ctx.config.batch_interval), resume_from)
-        window = max(1, ctx.source_replay_window_batches)
+        start = max(int(engine.sim.now / engine.config.batch_interval),
+                    resume_from)
+        window = max(1, engine.source_replay_window_batches)
         loss = min(1.0, (start - resume_from) / window)
         if loss > self.fidelity_bound:
             return None  # too much divergence: recover exactly
@@ -286,7 +278,7 @@ class FixedCadence(Policy):
     def checkpoint_period(self, rt: TaskRuntime) -> int | None:
         """Period for ``rt`` in whole batches, asked after every processed
         batch (so it may be retuned online); ``None`` disables."""
-        return self.ctx.config.checkpoint_batches
+        return self.engine.config.checkpoint_batches
 
     def on_checkpoint(self, rt: TaskRuntime, cost: float) -> None:
         """Observe one taken checkpoint and its measured CPU cost."""
@@ -329,7 +321,7 @@ class YoungDalyCadence(FixedCadence):
         self._failure_times: list[float] = []
 
     def on_task_failed(self, rt: TaskRuntime) -> None:
-        now = self.ctx.now
+        now = self.engine.sim.now
         if not self._failure_times or now > self._failure_times[-1] + 1e-9:
             self._failure_times.append(now)
 
@@ -341,7 +333,7 @@ class YoungDalyCadence(FixedCadence):
         return self.mtbf_prior
 
     def checkpoint_period(self, rt: TaskRuntime) -> int | None:
-        configured = self.ctx.config.checkpoint_batches
+        configured = self.engine.config.checkpoint_batches
         if configured is None:
             return None
         delta = self.timings.cost_estimate(rt.task)
@@ -349,7 +341,7 @@ class YoungDalyCadence(FixedCadence):
             return configured
         tau = math.sqrt(2.0 * delta * self.mtbf_estimate())
         tau = min(max(tau, self.min_interval), self.max_interval)
-        return max(1, round(tau / self.ctx.config.batch_interval))
+        return max(1, round(tau / self.engine.config.batch_interval))
 
     def on_checkpoint(self, rt: TaskRuntime, cost: float) -> None:
         self.timings.observe(rt.task, cost)

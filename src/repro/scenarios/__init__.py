@@ -55,7 +55,6 @@ results bit-for-bit), and a malformed document raises
 
 from repro.engine.recovery import (
     RECOVERY_SCHEMES,
-    RecoveryContext,
     RecoveryScheme,
     create_scheme,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "ProgressEvent",
     "RECOVERY_SCHEMES",
     "RESULT_SINKS",
-    "RecoveryContext",
     "RecoveryOutcome",
     "RecoveryScheme",
     "Registry",

@@ -30,7 +30,7 @@ from repro.core.plans import (
     ReplicationPlan,
     budget_from_fraction,
 )
-from repro.engine.config import CostModel, EngineConfig, PassiveStrategy
+from repro.engine.config import CostModel, EngineConfig
 from repro.engine.engine import StreamEngine
 from repro.engine.recovery import RECOVERY_SCHEMES, consumes_failure_domains
 from repro.engine.routing import Router
@@ -174,15 +174,6 @@ class ScenarioRunner:
                                      **dict(cost_overrides)})
             except TypeError as exc:
                 raise ScenarioError(f"engine costs: {exc}") from None
-        strategy = overrides.pop("passive_strategy", None)
-        if strategy is not None:
-            try:
-                overrides["passive_strategy"] = PassiveStrategy(strategy)
-            except ValueError:
-                choices = ", ".join(repr(s.value) for s in PassiveStrategy)
-                raise ScenarioError(
-                    f"unknown passive_strategy {strategy!r}; one of {choices}"
-                ) from None
         scheme = overrides.get("recovery_scheme")
         if self.scenario.recovery:
             if scheme is not None and scheme != self.scenario.recovery:

@@ -82,8 +82,9 @@ class TestApiSurface:
                    "TaskCriticality", "criticality_report", "explain_plan",
                    "fidelity_under_failures", "marginal_gains", "SshFleet",
                    "DEFAULT_SSH_CMD", "ParquetSink", "ThreadBackend",
-                   "CircuitBreaker"}
-        for package in (repro, repro.core, repro.cluster, repro.scenarios):
+                   "CircuitBreaker", "RecoveryContext", "PassiveStrategy"}
+        for package in (repro, repro.core, repro.cluster, repro.engine,
+                        repro.scenarios):
             assert deleted.isdisjoint(package.__all__), package.__name__
         for module in ("repro.core.adaptation", "repro.core.analysis"):
             with pytest.raises(ImportError):

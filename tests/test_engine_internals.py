@@ -177,9 +177,16 @@ class TestConfigValidation:
         assert EngineConfig(checkpoint_interval=2.5).checkpoint_batches == 2
         assert EngineConfig(checkpoint_interval=None).checkpoint_batches is None
 
-    def test_cost_model_rejects_negative(self):
-        with pytest.raises(SimulationError):
-            CostModel(per_tuple_process=-1.0)
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("name", [
+        "per_tuple_process", "per_tuple_serialize", "checkpoint_fixed",
+        "per_tuple_load", "per_tuple_resend", "network_delay",
+        "restart_delay", "takeover_fixed",
+    ])
+    def test_cost_model_rejects_negative(self, name, value):
+        with pytest.raises(SimulationError, match=name):
+            CostModel(**{name: value})
 
 
 class TestLogicFactory:

@@ -10,7 +10,6 @@ import pytest
 
 from repro.engine import (
     EngineConfig,
-    PassiveStrategy,
     RecoveryMode,
     TaskStatus,
 )
@@ -114,7 +113,7 @@ class TestRecoveryDisabled:
 
 class TestStormSourceReplay:
     CONFIG = EngineConfig(checkpoint_interval=None, heartbeat_interval=2.0,
-                          passive_strategy=PassiveStrategy.SOURCE_REPLAY)
+                          recovery_scheme="source-replay")
 
     def test_recovery_mode_recorded(self):
         _b, failed = _run_pair(self.CONFIG, [TaskId("L0", 1)], window=6.0)

@@ -27,7 +27,6 @@ import random
 import pytest
 
 from repro.engine import EngineConfig, KeyCycleRun, Router, StreamEngine
-from repro.engine.config import PassiveStrategy
 from repro.engine.logic import MemoizedSource
 from repro.errors import ScenarioError, SimulationError
 from repro.scenarios import Scenario, run_scenario
@@ -138,7 +137,7 @@ class TestRouterParity:
 _TRIM_SCENARIOS = {
     "checkpoint": EngineConfig(checkpoint_interval=4.0, heartbeat_interval=2.0),
     "storm": EngineConfig(checkpoint_interval=None, heartbeat_interval=2.0,
-                          passive_strategy=PassiveStrategy.SOURCE_REPLAY),
+                          recovery_scheme="source-replay"),
 }
 
 
@@ -187,7 +186,7 @@ class TestPhysicalTrimParity:
         dst = TaskId("L0", 0)
         original = src.history[5][dst]
         src.trim_history(10)
-        regenerated = engine._replay_batch(src, dst, 5)
+        regenerated = engine.replay_batch(src, dst, 5)
         assert regenerated == original
 
     def test_trimmed_non_source_batch_raises(self):
@@ -198,7 +197,7 @@ class TestPhysicalTrimParity:
         assert mid.history, "mid-topology task should have emitted output"
         mid.trim_history(max(mid.history))
         with pytest.raises(SimulationError, match="physically trimmed"):
-            engine._replay_batch(mid, TaskId("L1", 0), max(mid.output_sizes))
+            engine.replay_batch(mid, TaskId("L1", 0), max(mid.output_sizes))
 
 
 class TestMemoizedSource:

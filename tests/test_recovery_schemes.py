@@ -26,6 +26,7 @@ from repro.engine import (
 from repro.engine.recovery.policies import (
     PlanPlacement,
     SkipWithinBound,
+    SourceReplayCatchUp,
     YoungDalyCadence,
 )
 from repro.errors import ScenarioError, SimulationError
@@ -124,16 +125,30 @@ class TestPpaWithSourceReplay:
     """PPA's replicas with a Storm-style passive path, pinned by bytes.
 
     ``ppa_source_replay.json`` was recorded once, from ``ppa`` runs with a
-    non-empty plan and ``passive_strategy="source-replay"``, and is never
-    regenerated: it is the behaviour that combination must keep.
+    non-empty plan and the engine-wide source-replay passive path that the
+    composed triple below replaced.  It is never regenerated: it is the
+    behaviour that combination must keep.
     """
 
+    @pytest.fixture
+    def ppa_source_replay(self):
+        @RECOVERY_SCHEMES.register("ppa-source-replay")
+        class PpaSourceReplay(RecoveryScheme):
+            name = "ppa-source-replay"
+            placement = PlanPlacement
+            catch_up = SourceReplayCatchUp
+
+        yield "ppa-source-replay"
+        RECOVERY_SCHEMES.unregister("ppa-source-replay")
+
     @pytest.mark.parametrize("key", sorted(PPA_SOURCE_REPLAY))
-    def test_matches_pinned_metrics(self, key):
+    def test_composed_triple_matches_pinned_metrics(self, key,
+                                                    ppa_source_replay):
         entry = PPA_SOURCE_REPLAY[key]
-        data = json.loads(json.dumps(entry["scenario"]))
-        data["engine"]["passive_strategy"] = "source-replay"
-        engine = run_scenario_engine(Scenario.from_dict(data))
+        scenario = Scenario.from_dict(entry["scenario"]).with_overrides(
+            recovery=ppa_source_replay)
+        engine = run_scenario_engine(scenario)
+        assert engine.replicated == engine.plan.replicated != frozenset()
         modes = {r.mode for r in engine.metrics.recoveries}
         assert modes == {RecoveryMode.ACTIVE, RecoveryMode.SOURCE_REPLAY}
         assert metrics_fingerprint(engine.metrics) == entry["fingerprint"]

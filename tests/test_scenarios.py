@@ -361,17 +361,19 @@ class TestRunner:
     def test_engine_overrides_reach_the_config(self):
         runner = ScenarioRunner(tiny_scenario(
             engine={"checkpoint_interval": None, "tentative_outputs": True,
-                    "passive_strategy": "source-replay",
                     "costs": {"restart_delay": 0.5}},
         ))
         config = runner.engine_config(runner.bundle())
         assert config.checkpoint_interval is None
         assert config.tentative_outputs is True
-        assert config.passive_strategy.value == "source-replay"
         assert config.costs.restart_delay == 0.5
 
-    def test_bad_engine_key_raises_scenario_error(self):
-        runner = ScenarioRunner(tiny_scenario(engine={"checkpoint_every": 5.0}))
+    @pytest.mark.parametrize("engine", [
+        {"checkpoint_every": 5.0},
+        {"passive_strategy": "source-replay"},
+    ], ids=["unknown-key", "deleted-passive-strategy"])
+    def test_bad_engine_key_raises_scenario_error(self, engine):
+        runner = ScenarioRunner(tiny_scenario(engine=engine))
         with pytest.raises(ScenarioError, match="engine config"):
             runner.engine_config(runner.bundle())
 
