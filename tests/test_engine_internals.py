@@ -1,5 +1,8 @@
 """Unit tests for engine internals: runtimes, checkpoints store, metrics."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.engine import (
@@ -8,6 +11,7 @@ from repro.engine import (
     CheckpointStore,
     CostModel,
     EngineConfig,
+    KeyCycleRun,
     LogicFactory,
     MetricsCollector,
     RecoveryMode,
@@ -108,6 +112,58 @@ class TestBatches:
     def test_forged_batches_are_incomplete(self):
         batch = forged_batch(UP, T, 3)
         assert batch.forged and not batch.complete and batch.size == 0
+
+    @pytest.mark.parametrize("field", ["src", "dst", "index", "tuples",
+                                       "complete", "forged", "size", "extra"])
+    def test_assigning_an_attribute_raises(self, field):
+        batch = Batch(UP, T, 0, [("k", 1)])
+        with pytest.raises(AttributeError):
+            setattr(batch, field, None)
+        assert batch == Batch(UP, T, 0, [("k", 1)])
+
+    @pytest.mark.parametrize("tuples", [
+        [], [("k", 1), ("k", 2)], (("k", 1),), (),
+        KeyCycleRun(("a", "b", "c"), 2, 5, 7),
+        KeyCycleRun(("a", "b", "c"), 2, 5, 7)[1::3],
+    ], ids=["empty-list", "list", "tuple", "empty-tuple", "run", "taken-run"])
+    def test_size_is_the_tuple_count(self, tuples):
+        batch = Batch(UP, T, 4, tuples)
+        assert batch.size == len(tuples) == len(batch.tuples)
+        assert batch.tuples is tuples
+        assert forged_batch(UP, T, 4).size == 0
+
+    def test_equality_compares_every_field(self):
+        batch = Batch(UP, T, 1, [("k", 1)], complete=False)
+        assert batch == Batch(UP, T, 1, [("k", 1)], False, False)
+        run = KeyCycleRun(("a", "b"), 0, 0, 3)
+        assert Batch(UP, T, 1, run) == Batch(UP, T, 1, list(run))
+        for other in (Batch(UP2, T, 1, [("k", 1)], complete=False),
+                      Batch(UP, UP2, 1, [("k", 1)], complete=False),
+                      Batch(UP, T, 2, [("k", 1)], complete=False),
+                      Batch(UP, T, 1, [("k", 2)], complete=False),
+                      Batch(UP, T, 1, [("k", 1)]),
+                      Batch(UP, T, 1, [("k", 1)], False, True)):
+            assert batch != other and not batch == other
+        # Never equal to a plain tuple of the same fields, either way round.
+        fields = (batch.src, batch.dst, batch.index, batch.tuples,
+                  batch.complete, batch.forged, batch.size)
+        assert batch != fields and fields != batch
+        assert batch != fields[:6] and not batch == fields[:6]
+        assert hash(forged_batch(UP, T, 1)) == hash(forged_batch(UP, T, 1))
+
+    @pytest.mark.parametrize("tuples", [
+        [("k", 1)], (("k", 1), ("j", 2)),
+        KeyCycleRun(("a", "b", "c"), 2, 5, 7)[::2],
+    ], ids=["list", "tuple", "run"])
+    def test_pickle_and_deepcopy_round_trip(self, tuples):
+        batch = Batch(UP, T, 9, tuples, complete=False)
+        copies = [copy.deepcopy(batch), copy.copy(batch)] + [
+            pickle.loads(pickle.dumps(batch, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in copies:
+            assert type(clone) is Batch
+            assert clone == batch and clone.size == batch.size
+        assert pickle.loads(pickle.dumps(forged_batch(UP, T, 2))).forged
 
     def test_sink_record_tentative_flag(self):
         record = SinkRecord(T, 0, (), complete=False, emitted_at=1.0)

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulator core."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.engine import EventHandle, Simulator
 from repro.errors import SimulationError
@@ -184,3 +186,75 @@ class TestCallbackArgs:
         sim.after(0.5, lambda a, b: log.append(a + b), args=(1, 2))
         sim.drain()
         assert log == [3]
+
+
+# ----------------------------------------------------------------------
+# Ordering property: the hot loop may be rewritten, the order may not
+# ----------------------------------------------------------------------
+
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5])
+_PRIORITIES = st.integers(min_value=-2, max_value=2)
+#: What a fired event does: schedule children (``(delay, priority)``,
+#: a zero delay being the same instant) and cancel earlier events by index.
+_ACTIONS = st.tuples(
+    st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0]), _PRIORITIES),
+             max_size=3),
+    st.lists(st.integers(min_value=0, max_value=40), max_size=2),
+)
+
+
+class TestOrderingProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(initial=st.lists(st.tuples(_TIMES, _PRIORITIES, _ACTIONS),
+                            max_size=10),
+           cancelled_up_front=st.sets(st.integers(min_value=0, max_value=9)),
+           end=st.sampled_from([0.0, 0.75, 1.0, 2.0, 10.0]),
+           drain_only=st.booleans())
+    def test_events_fire_in_time_priority_sequence_order(
+            self, initial, cancelled_up_front, end, drain_only):
+        """Every event fires at its time, and only when it is the least
+        ``(time, priority, scheduling order)`` event still pending; the
+        cancelled ones never fire — under ``run_until`` and ``drain``."""
+        sim = Simulator()
+        handles: list = []
+        keys: list[tuple[float, int, int]] = []
+        pending: set[int] = set()
+        fired: list[int] = []
+        # Children of children do nothing, so every schedule is finite.
+        idle = ((), ())
+
+        def schedule(time: float, priority: int, actions) -> None:
+            event_id = len(handles)
+            handles.append(sim.at(time, fire, priority,
+                                  args=(event_id, actions)))
+            keys.append((time, priority, event_id))
+            pending.add(event_id)
+
+        def fire(event_id: int, actions) -> None:
+            assert event_id in pending, "cancelled or repeated event fired"
+            assert keys[event_id] == min(keys[i] for i in pending)
+            assert sim.now == keys[event_id][0]
+            pending.discard(event_id)
+            fired.append(event_id)
+            children, cancels = actions
+            for delay, priority in children:
+                schedule(sim.now + delay, priority, idle)
+            for target in cancels:
+                if target < len(handles):
+                    handles[target].cancel()
+                    pending.discard(target)
+
+        for time, priority, actions in initial:
+            schedule(time, priority, actions)
+        for target in sorted(cancelled_up_front):
+            if target < len(handles):
+                handles[target].cancel()
+                pending.discard(target)
+
+        if not drain_only:
+            sim.run_until(end)
+            assert all(keys[i][0] > end for i in pending)
+            assert sim.now >= end
+        sim.drain()
+        assert not pending
+        assert len(fired) == len(set(fired)) == sim.processed_events
