@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import SimulationError
 
@@ -111,14 +112,17 @@ class EngineConfig:
         if not self.recovery_scheme or not isinstance(self.recovery_scheme, str):
             raise SimulationError("recovery_scheme must be a non-empty string")
 
-    @property
+    # The two periods below are read once per simulated batch; computed on
+    # first read and then served from the instance dict (the config is
+    # frozen, so they can never go stale).
+    @cached_property
     def checkpoint_batches(self) -> int | None:
         """Checkpoint period expressed in whole batches (rounded up)."""
         if self.checkpoint_interval is None:
             return None
         return max(1, round(self.checkpoint_interval / self.batch_interval))
 
-    @property
+    @cached_property
     def sync_batches(self) -> int:
         """Replica trim period in whole batches (rounded up)."""
         return max(1, round(self.sync_interval / self.batch_interval))

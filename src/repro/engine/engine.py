@@ -24,6 +24,17 @@ see :mod:`repro.engine.recovery` for the strategy protocol and the
 Determinism: all scheduling goes through :class:`~repro.engine.events.Simulator`
 with stable tie-breaking, keys route via CRC32, and operator logic is
 required to be deterministic, so two runs with the same inputs are identical.
+
+The per-batch loop — ``_emit_source`` → ``produce_source_batch`` →
+``_emit_outputs`` → ``send`` → ``deliver`` → ``try_process`` →
+``_process_done`` — runs once per simulated event, several hundred
+thousand times in a recovery sweep, so it is kept lean: config constants
+are read once at construction, task statuses are compared against the
+module-level aliases of :mod:`repro.engine.tasks`, each task's CPU entry
+is bound to its runtime on first use, the inputs of a batch are walked
+once, a :class:`~repro.engine.tuples.Batch` counts its tuples once at
+construction, and ``state_size()`` is asked only when a checkpoint is
+due.  None of it changes which events run or in what order.
 """
 
 from __future__ import annotations
@@ -38,10 +49,10 @@ from repro.engine.cluster import Cluster
 from repro.engine.config import EngineConfig
 from repro.engine.events import Simulator
 from repro.engine.logic import LogicFactory, MemoizedSource
-from repro.engine.metrics import MetricsCollector
+from repro.engine.metrics import MetricsCollector, TaskCpu
 from repro.engine.recovery import create_scheme
 from repro.engine.routing import Router, stable_hash
-from repro.engine.tasks import TaskRuntime, TaskStatus
+from repro.engine.tasks import FAILED, FAILOVER, RECOVERING, TaskRuntime
 from repro.engine.tuples import Batch, KeyedTuple, SinkRecord
 from repro.errors import SimulationError
 from repro.topology.graph import Topology
@@ -86,6 +97,12 @@ class StreamEngine:
         self._retention_batches = (
             source_replay_window_batches + detection_slack + 8
         )
+        # Per-batch constants of the hot path, read from the (frozen)
+        # config once instead of once per simulated event.
+        self._batch_interval = cfg.batch_interval
+        self._network_delay = cfg.costs.network_delay
+        self._per_tuple_process = cfg.costs.per_tuple_process
+        self._storm_acks = cfg.checkpoint_interval is None
 
         self.sim = Simulator()
         self.metrics = MetricsCollector(plan=self.plan)
@@ -217,6 +234,9 @@ class StreamEngine:
         engine then drains remaining events so in-flight recoveries finish
         (the clock advances past ``duration`` as needed).
         """
+        if not 0.0 <= duration < math.inf:  # also rejects NaN
+            raise SimulationError(
+                f"duration must be >= 0 and finite, got {duration!r}")
         if self._started:
             raise SimulationError("an engine instance runs exactly once")
         self._started = True
@@ -243,13 +263,14 @@ class StreamEngine:
     # ------------------------------------------------------------------
     def schedule_source_emission(self, rt: TaskRuntime, index: int) -> None:
         """Re-arm source ``rt``'s normal emission chain at batch ``index``."""
-        due = (index + 1) * self.config.batch_interval
+        due = (index + 1) * self._batch_interval
         if due > self.end_time + 1e-9:
             return
-        self.sim.at(due, self._emit_source, args=(rt, index))
+        self.sim.at(due, self._emit_source, 0, (rt, index))
 
     def _emit_source(self, rt: TaskRuntime, index: int) -> None:
-        if rt.status in (TaskStatus.FAILED, TaskStatus.RECOVERING):
+        status = rt.status
+        if status is FAILED or status is RECOVERING:
             return  # the emission chain is re-armed by recovery
         if index < rt.next_batch:
             # Already emitted (e.g. during a recovery backlog flush).
@@ -262,18 +283,25 @@ class StreamEngine:
         """Make source task ``rt`` produce batch ``index`` now."""
         assert rt.source_fn is not None
         tuples = rt.source_fn.tuples_for_batch(rt.task, index)
-        cost = len(tuples) * self.config.costs.per_tuple_process
-        rt.busy_until = max(self.sim.now, rt.busy_until) + cost
-        self.metrics.cpu_of(rt.task).process += cost
-        self.metrics.tuples_processed += len(tuples)
+        count = len(tuples)
+        cost = count * self._per_tuple_process
+        now = self.sim.now
+        rt.busy_until = (rt.busy_until if rt.busy_until > now else now) + cost
+        (rt.cpu or self._cpu(rt)).process += cost
+        self.metrics.tuples_processed += count
         rt.next_batch = index + 1
-        self._emit_outputs(rt, index, tuples, complete=True)
+        self._emit_outputs(rt, index, tuples, True)
         # The source log is regenerable from the (pure) source function, so
         # its physical buffer only keeps the replay retention window.
         rt.trim_history(index - self._retention_batches)
-        self._maybe_checkpoint(rt, index, state_tuples=0)
-        if rt.status is TaskStatus.RECOVERING:  # pragma: no cover - defensive
+        self._maybe_checkpoint(rt, index)
+        if rt.status is RECOVERING:  # pragma: no cover - defensive
             self.scheme.check_recovered(rt)
+
+    def _cpu(self, rt: TaskRuntime) -> TaskCpu:
+        """Bind ``rt``'s CPU accounting entry (created on first use)."""
+        rt.cpu = self.metrics.cpu_of(rt.task)
+        return rt.cpu
 
     # ------------------------------------------------------------------
     # Batch processing
@@ -285,32 +313,33 @@ class StreamEngine:
         # (no per-destination re-tupling), and the same sequence objects are
         # then shared between the output history, the downstream inbox and
         # any operator windows.  Batch tuples are immutable by contract.
-        distributed = self.router.distribute(rt.task, tuples)
+        src = rt.task
         per_dst: dict[TaskId, Batch] = {}
-        for dst, dst_tuples in distributed.items():
-            per_dst[dst] = Batch(
-                src=rt.task, dst=dst, index=index,
-                tuples=dst_tuples, complete=complete,
-            )
+        for dst, dst_tuples in self.router.distribute(src, tuples).items():
+            per_dst[dst] = Batch(src, dst, index, dst_tuples, complete)
         rt.record_output(index, per_dst)
-        rt.emitted = max(rt.emitted, index)
+        if index > rt.emitted:
+            rt.emitted = index
         if rt.replicated and (index + 1) % self.config.sync_batches == 0:
             rt.replica_synced = index
-        for dst, batch in sorted(per_dst.items()):
-            if rt.status is TaskStatus.FAILOVER:
-                rt.held_outputs.append((dst, batch))
-            else:
-                self.send(batch)
+        # Destinations go out in task order; one needs no sort.
+        outputs = (sorted(per_dst.items()) if len(per_dst) > 1
+                   else per_dst.items())
+        if rt.status is FAILOVER:
+            rt.held_outputs.extend(outputs)
+            return
+        send = self.send
+        for _dst, batch in outputs:
+            send(batch)
 
     def send(self, batch: Batch) -> None:
         """Send ``batch`` downstream with the normal network delay."""
-        self.sim.after(self.config.costs.network_delay, self.deliver,
-                       args=(batch,))
+        self.sim.after(self._network_delay, self.deliver, 0, (batch,))
 
     def deliver(self, batch: Batch) -> None:
         """Deliver ``batch`` to its destination immediately (post-delay)."""
         rt = self.runtimes[batch.dst]
-        if rt.status is TaskStatus.FAILED:
+        if rt.status is FAILED:
             return  # data sent to a dead, unreplicated task is lost
         if rt.inbox_put(batch):
             self.try_process(rt)
@@ -318,69 +347,83 @@ class StreamEngine:
     def try_process(self, rt: TaskRuntime) -> None:
         """Let ``rt`` (a FAILOVER task's replica included) process its next
         batch if the inbox is ready."""
-        if rt.is_source or rt.processing or not rt.alive():
+        if rt.processing or rt.is_source or rt.status is FAILED:
             return
         index = rt.next_batch
         if not rt.inbox_ready(index):
             return
         inputs = rt.take_inbox(index)
-        cost = sum(b.size for b in inputs.values()) * self.config.costs.per_tuple_process
-        start = max(self.sim.now, rt.busy_until)
-        done = start + cost
+        count = 0
+        for batch in inputs.values():
+            count += batch.size
+        cost = count * self._per_tuple_process
+        now = self.sim.now
+        done = (rt.busy_until if rt.busy_until > now else now) + cost
         rt.busy_until = done
         rt.processing = True
-        incarnation = rt.incarnation
-        self.sim.at(done, self._process_done,
-                    args=(rt, index, inputs, cost, incarnation))
+        self.sim.at(done, self._process_done, 0,
+                    (rt, index, inputs, cost, rt.incarnation))
 
     def _process_done(self, rt: TaskRuntime, index: int,
                       inputs: dict[TaskId, Batch], cost: float,
                       incarnation: int) -> None:
-        if rt.incarnation != incarnation or not rt.alive():
+        if rt.incarnation != incarnation or rt.status is FAILED:
             return  # the task died while this batch was in flight
-        assert rt.logic is not None
-        self.metrics.cpu_of(rt.task).process += cost
-        ordered = {u: inputs[u].tuples for u in sorted(inputs)}
-        batch_end = (index + 1) * self.config.batch_interval
-        outputs = rt.logic.process_batch(rt.task, batch_end, ordered)
-        complete = all(b.complete for b in inputs.values())
-        for upstream, batch in inputs.items():
-            rt.progress[upstream] = max(rt.progress.get(upstream, -1), index)
+        logic = rt.logic
+        assert logic is not None
+        (rt.cpu or self._cpu(rt)).process += cost
+        # One pass over the inputs, in upstream order: the operator's view,
+        # the lineage flag, the progress vector and the tuple count.
+        ordered = {}
+        complete = True
+        tuples_in = 0
+        progress = rt.progress
+        for upstream in sorted(inputs):
+            batch = inputs[upstream]
+            ordered[upstream] = batch.tuples
+            if not batch.complete:
+                complete = False
             if not batch.forged:
-                self.metrics.tuples_processed += batch.size
-        self.metrics.batches_processed += 1
+                tuples_in += batch.size
+            if progress.get(upstream, -1) < index:
+                progress[upstream] = index
+        outputs = logic.process_batch(
+            rt.task, (index + 1) * self._batch_interval, ordered)
+        metrics = self.metrics
+        metrics.tuples_processed += tuples_in
+        metrics.batches_processed += 1
         rt.processing = False
         rt.next_batch = index + 1
 
         if rt.is_sink:
-            self.metrics.sink_records.append(
+            metrics.sink_records.append(
                 SinkRecord(rt.task, index, tuple(outputs), complete, self.sim.now)
             )
         else:
             self._emit_outputs(rt, index, outputs, complete)
 
-        self._maybe_checkpoint(rt, index, state_tuples=rt.logic.state_size())
-        if self.config.checkpoint_interval is None:
+        self._maybe_checkpoint(rt, index)
+        if self._storm_acks:
             self._ack_storm_style(rt, index)
-        if rt.status is TaskStatus.RECOVERING:
+        if rt.status is RECOVERING:
             self.scheme.check_recovered(rt)
         self.try_process(rt)
 
     # ------------------------------------------------------------------
     # Checkpoints and trimming
     # ------------------------------------------------------------------
-    def _maybe_checkpoint(self, rt: TaskRuntime, index: int, *,
-                          state_tuples: int) -> None:
+    def _maybe_checkpoint(self, rt: TaskRuntime, index: int) -> None:
         period = self.scheme.checkpoint_period(rt)
-        if period is None:
+        if period is None or (index + 1 - rt.checkpoint_phase) % period:
             return
-        if (index + 1 - rt.checkpoint_phase) % period != 0:
-            return
+        # Asked only now that a snapshot is due: sources hold no state.
+        logic = rt.logic
+        state_tuples = logic.state_size() if logic is not None else 0
         costs = self.config.costs
         cost = costs.checkpoint_fixed + state_tuples * costs.per_tuple_serialize
         rt.busy_until = max(self.sim.now, rt.busy_until) + cost
-        self.metrics.cpu_of(rt.task).checkpoint += cost
-        snapshot = rt.logic.snapshot() if rt.logic is not None else None
+        (rt.cpu or self._cpu(rt)).checkpoint += cost
+        snapshot = logic.snapshot() if logic is not None else None
         self.checkpoints.put(Checkpoint(
             task=rt.task, batch_index=index, state=snapshot,
             progress=rt.snapshot_progress(), state_tuples=state_tuples,
@@ -489,7 +532,7 @@ class StreamEngine:
         """Jittered per-task detection; dropped if the task was re-killed."""
         if rt.incarnation != incarnation:
             return
-        if rt.status in (TaskStatus.FAILED, TaskStatus.FAILOVER):
+        if rt.status is FAILED or rt.status is FAILOVER:
             self.scheme.on_failure_detected(rt)
 
     # ------------------------------------------------------------------

@@ -2,20 +2,36 @@
 
 Events are callbacks ordered by ``(time, priority, sequence)``; the
 monotonically increasing sequence number makes simultaneous events execute in
-scheduling order, so a run is fully deterministic.
+scheduling order, so a run is fully deterministic:
 
-The queue is built for the engine's hot loop: entries are plain heap tuples
+>>> sim = Simulator()
+>>> log = []
+>>> _ = sim.at(2.0, log.append, args=("late",))
+>>> _ = sim.at(1.0, log.append, args=("b",))
+>>> _ = sim.at(1.0, log.append, priority=-1, args=("a",))
+>>> sim.at(1.0, log.append, args=("cancelled",)).cancel()
+>>> sim.run_until(1.5)
+>>> log, sim.now, sim.processed_events
+(['a', 'b'], 1.5, 2)
+>>> sim.drain()
+>>> log, sim.now
+(['a', 'b', 'late'], 2.0)
+
+The queue is built for the engine's hot loop, which executes every
+simulated event of a run: entries are plain heap tuples
 ``(time, priority, sequence, event)`` whose comparison never reaches the
 event cell (sequence numbers are unique), and callbacks carry their
 arguments in the entry instead of closing over loop state, so schedulers can
 pass bound methods directly (``sim.at(t, self.deliver, args=(batch,))``)
-without allocating a closure per event.
+without allocating a closure per event.  A time is validated once per
+scheduling call: :meth:`Simulator.after` checks its delay and pushes
+directly rather than re-checking the sum through :meth:`Simulator.at`.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -80,9 +96,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past ({time:.6f} < now {now:.6f})"
             )
-        event = EventHandle(time if time > now else now, fn, args)
-        self._sequence += 1
-        heapq.heappush(self._queue, (event.time, priority, self._sequence, event))
+        if time < now:
+            time = now  # within the tolerance: now
+        event = EventHandle(time, fn, args)
+        self._sequence = sequence = self._sequence + 1
+        heappush(self._queue, (time, priority, sequence, event))
         return event
 
     def after(self, delay: float, fn: EventFn, priority: int = 0,
@@ -92,19 +110,28 @@ class Simulator:
             if not math.isfinite(delay):
                 raise SimulationError(f"delay must be finite, got {delay!r}")
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.at(self._now + delay, fn, priority, args)
+        # A finite delay >= 0 from a finite clock is never in the past.
+        time = self._now + delay
+        event = EventHandle(time, fn, args)
+        self._sequence = sequence = self._sequence + 1
+        heappush(self._queue, (time, priority, sequence, event))
+        return event
 
     def run_until(self, end_time: float) -> None:
-        """Execute all events with due time <= ``end_time``, advancing the clock."""
+        """Execute all events with due time <= ``end_time``, advancing the clock.
+
+        ``end_time`` must be finite: NaN would execute nothing, and infinity
+        would move the clock to where no event can be scheduled any more.
+        """
+        if not -_INF < end_time < _INF:
+            raise SimulationError(f"end_time must be finite, got {end_time!r}")
         queue = self._queue
-        pop = heapq.heappop
         bound = end_time + 1e-12
         while queue and queue[0][0] <= bound:
-            event = pop(queue)[3]
+            event = heappop(queue)[3]
             if event.cancelled:
                 continue
-            if event.time > self._now:
-                self._now = event.time
+            self._now = event.time
             self._processed += 1
             event.fn(*event.args)
         if end_time > self._now:
@@ -118,18 +145,16 @@ class Simulator:
         ``max_events`` events from an emptying queue succeeds.
         """
         queue = self._queue
-        pop = heapq.heappop
         executed = 0
         while queue:
-            event = pop(queue)[3]
+            event = heappop(queue)[3]
             if event.cancelled:
                 continue
             if executed >= max_events:
                 raise SimulationError(
                     f"drain() exceeded {max_events} events; likely a scheduling loop"
                 )
-            if event.time > self._now:
-                self._now = event.time
+            self._now = event.time
             self._processed += 1
             executed += 1
             event.fn(*event.args)

@@ -39,6 +39,7 @@ specification, as ``Router.distribute_reference`` does for routing;
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Sequence
 
 from repro.engine.tuples import KeyCycleRun
@@ -51,8 +52,13 @@ from repro.engine.tuples import KeyCycleRun
 _Q = 1 << 30
 
 
+@functools.lru_cache(maxsize=64)
 def _dyadic_numerator(value: float) -> int | None:
-    """``value * _Q`` when that is an exact integer, else ``None``."""
+    """``value * _Q`` when that is an exact integer, else ``None``.
+
+    Asked once per operator batch for its selectivity, of which a run has
+    a handful, so it is memoized.
+    """
     scaled = value * _Q
     numerator = int(scaled)
     return numerator if scaled == numerator else None
@@ -97,8 +103,11 @@ class BatchKernel:
         if n == 0:
             return [], acc
         p = _dyadic_numerator(selectivity)
-        a = _dyadic_numerator(acc)
-        if p is None or a is None or p <= 0 or _Q % p:
+        # The accumulator takes many values: its numerator is worked out
+        # inline rather than memoized.
+        scaled = acc * _Q
+        a = int(scaled)
+        if p is None or scaled != a or p <= 0 or _Q % p:
             return _selectivity_loop(items, selectivity, acc)
         # Emissions are exactly periodic: every (_Q // p)-th item, starting
         # at the first index where the accumulator wraps.

@@ -15,6 +15,7 @@ the policy that declares it.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping
@@ -32,8 +33,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import StreamEngine
 
 
+@functools.cache
 def policy_params(policy: type) -> tuple[str, ...]:
-    """The keyword-only parameters ``policy``'s constructor declares."""
+    """The keyword-only parameters ``policy``'s constructor declares.
+
+    A pure function of the class, asked for every policy of every scheme
+    built, so it is memoized per class (``inspect.signature`` is slow).
+    """
     return tuple(name for name, parameter
                  in inspect.signature(policy).parameters.items()
                  if parameter.kind is parameter.KEYWORD_ONLY)

@@ -28,7 +28,7 @@ from repro.topology.operators import TaskId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.logic import OperatorLogic, SourceFunction
-    from repro.engine.metrics import RecoveryRecord
+    from repro.engine.metrics import RecoveryRecord, TaskCpu
 
 
 class TaskStatus(enum.Enum):
@@ -43,6 +43,14 @@ class TaskStatus(enum.Enum):
     #: Primary dead; the active replica keeps processing with output held
     #: until takeover completes.
     FAILOVER = "failover"
+
+
+# Module-level aliases for the engine's per-batch status tests: a global
+# load is several times cheaper than an enum class-attribute lookup.
+RUNNING = TaskStatus.RUNNING
+FAILED = TaskStatus.FAILED
+RECOVERING = TaskStatus.RECOVERING
+FAILOVER = TaskStatus.FAILOVER
 
 
 class TaskRuntime:
@@ -60,7 +68,7 @@ class TaskRuntime:
         self.logic = logic
         self.source_fn = source_fn
 
-        self.status = TaskStatus.RUNNING
+        self.status = RUNNING
         #: Bumped on unreplicated failure; stale scheduled events check it.
         self.incarnation = 0
         #: Next batch index to process (non-source) / emit (source).
@@ -111,12 +119,14 @@ class TaskRuntime:
         self.pre_failure_progress: dict[TaskId, int] | None = None
         self.pre_failure_emitted: int | None = None
         self.recovery_record: "RecoveryRecord | None" = None
+        #: This task's CPU accounting entry, bound by the engine on first
+        #: use (``MetricsCollector.cpu_of`` creates entries on demand).
+        self.cpu: "TaskCpu | None" = None
 
     # ------------------------------------------------------------------
     def alive(self) -> bool:
         """Whether the task currently processes batches."""
-        return self.status in (TaskStatus.RUNNING, TaskStatus.FAILOVER,
-                               TaskStatus.RECOVERING)
+        return self.status is not FAILED
 
     def inbox_put(self, batch: Batch) -> bool:
         """Store an incoming batch; returns False for stale duplicates.
@@ -124,13 +134,15 @@ class TaskRuntime:
         A real batch replaces a forged placeholder for the same index, but a
         forged batch never overwrites real data.
         """
-        if batch.index < self.next_batch:
+        index = batch.index
+        if index < self.next_batch:
             return False
-        slot = self.inbox.setdefault(batch.index, {})
+        slot = self.inbox.get(index)
+        if slot is None:
+            self.inbox[index] = {batch.src: batch}
+            return True
         existing = slot.get(batch.src)
-        if existing is not None and not existing.forged:
-            return False
-        if existing is not None and batch.forged:
+        if existing is not None and (batch.forged or not existing.forged):
             return False
         slot[batch.src] = batch
         return True
@@ -140,7 +152,10 @@ class TaskRuntime:
         slot = self.inbox.get(index)
         if slot is None:
             return not self.expected_upstreams
-        return all(u in slot for u in self.expected_upstreams)
+        for upstream in self.expected_upstreams:
+            if upstream not in slot:
+                return False
+        return True
 
     def take_inbox(self, index: int) -> dict[TaskId, Batch]:
         """Remove and return the input batches of ``index``."""
@@ -165,7 +180,10 @@ class TaskRuntime:
     def record_output(self, index: int, per_dst: dict[TaskId, Batch]) -> None:
         """Store batch ``index``'s output content and its size skeleton."""
         self.history[index] = per_dst
-        self.output_sizes[index] = {dst: b.size for dst, b in per_dst.items()}
+        sizes = {}
+        for dst, batch in per_dst.items():
+            sizes[dst] = batch.size
+        self.output_sizes[index] = sizes
         n = len(self.history)
         if n > self.peak_history_batches:
             self.peak_history_batches = n

@@ -25,8 +25,9 @@ tuple is built until it leaves the engine at the sink.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 from math import gcd
 from typing import Any, Iterable, Iterator, Sequence
@@ -183,8 +184,14 @@ def _segment_tuples(segment: tuple[tuple[str, ...], int, int, int, int]
 SHARED_SEQUENCES = (list, tuple, KeyCycleRun)
 
 
-@dataclass(frozen=True)
-class Batch:
+#: The stored fields of a :class:`Batch`, ``size`` last.
+_BatchFields = namedtuple(
+    "_BatchFields", "src dst index tuples complete forged size")
+_new_tuple = tuple.__new__
+_tuple_eq = tuple.__eq__
+
+
+class Batch(_BatchFields):
     """One batch of tuples flowing along a substream.
 
     ``tuples`` is a *shared, immutable-by-contract* sequence, one of
@@ -197,20 +204,51 @@ class Batch:
     selectivity operator's output, travels that whole way as one zero-copy
     :class:`KeyCycleRun`.  Nobody may mutate a batch's tuple sequence after
     construction.
+
+    The engine builds one batch per emitted substream, so the class is a
+    tuple underneath: building one is a single C call, and ``size`` is
+    counted once, here, instead of on every read.  Fields are read by name;
+    assigning one raises, and batches compare equal only to batches with
+    equal fields, as a frozen dataclass would:
+
+    >>> b = Batch("S", "O", 3, ("a", "b"))
+    >>> b.size, b.complete, b.forged
+    (2, True, False)
+    >>> b == Batch("S", "O", 3, ("a", "b")), b == tuple(b), b != tuple(b)
+    (True, False, True)
+    >>> b.size = 5  # doctest: +IGNORE_EXCEPTION_DETAIL
+    Traceback (most recent call last):
+        ...
+    AttributeError: can't set attribute
     """
 
-    src: TaskId
-    dst: TaskId
-    index: int
-    tuples: Sequence[KeyedTuple] = field(default=())
-    #: False when the batch lineage lost data (tentative output path).
-    complete: bool = True
-    #: True when the batch is a fabricated empty punctuation for a dead task.
-    forged: bool = False
+    __slots__ = ()
 
-    @property
-    def size(self) -> int:
-        return len(self.tuples)
+    def __new__(cls, src: TaskId, dst: TaskId, index: int,
+                tuples: Sequence[KeyedTuple] = (), complete: bool = True,
+                forged: bool = False) -> "Batch":
+        # ``complete`` is False when the batch lineage lost data (the
+        # tentative output path); ``forged`` marks a fabricated empty
+        # punctuation for a dead task.
+        return _new_tuple(cls, (src, dst, index, tuples, complete, forged,
+                                len(tuples)))
+
+    def __getnewargs__(self) -> tuple:
+        # Pickle and deepcopy rebuild through ``__new__``: ``size`` is
+        # derived, not an argument.
+        return self[:6]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _tuple_eq(self, other)
+        # A plain tuple would otherwise answer for the batch's fields.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flags = "" if self.complete else " tentative"

@@ -72,16 +72,18 @@ class WindowedSelectivityOperator(OperatorLogic):
         selectivity = self.selectivity
         # Looked up per call, so a probe patched onto the class is seen.
         take = KERNEL.selectivity_take
+        lazy = True
         for upstream in sorted(inputs):
             batch = inputs[upstream]
             window.extend(batch_end_time, batch)
             taken, acc = take(batch, selectivity, acc)
             if taken:
                 parts.append(taken)
+                lazy = lazy and type(taken) is KeyCycleRun
         self._accumulator = acc
         window.evict(batch_end_time)
         # Periodic takes of lazy runs stay one lazy run downstream.
-        if parts and all(type(part) is KeyCycleRun for part in parts):
+        if parts and lazy:
             return KeyCycleRun.concat(parts)
         return list(chain.from_iterable(parts))
 

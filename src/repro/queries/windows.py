@@ -85,9 +85,10 @@ class SlidingWindow:
         """
         if type(items) not in SHARED_SEQUENCES:
             items = list(items)
-        if items:
+        count = len(items)
+        if count:
             self._blocks.append((timestamp, items))
-            self._size += len(items)
+            self._size += count
 
     def evict(self, now: float) -> int:
         """Drop entries with ``timestamp <= now − window_seconds``; return count."""

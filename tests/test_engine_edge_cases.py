@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Cluster, EngineConfig, StreamEngine, TaskStatus
+from repro.errors import SimulationError
 from repro.topology import TaskId
 
 from tests.engine_helpers import build_engine, sink_outputs, small_logic, small_topology
@@ -87,6 +88,20 @@ class TestRunSemantics:
         engine = build_engine(EngineConfig(checkpoint_interval=None))
         metrics = engine.run(0.0)
         assert metrics.batches_processed == 0
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"),
+                                          float("-inf"), -1.0])
+    def test_bad_duration_rejected_at_once(self, duration):
+        """Regression: ``run(nan)`` never returned, and ``run(inf)`` failed
+        later with an unrelated event-time error."""
+        engine = build_engine(EngineConfig(checkpoint_interval=4.0))
+        with pytest.raises(SimulationError,
+                           match=f"duration must be >= 0 and finite, "
+                                 f"got {duration!r}"):
+            engine.run(duration)
+        assert engine.sim.processed_events == 0
+        engine.run(2.0)  # the rejected call did not use up the run
+        assert engine.metrics.batches_processed > 0
 
 
 class TestSelectivityPipelines:

@@ -188,6 +188,24 @@ class TestCallbackArgs:
         assert log == [3]
 
 
+class TestRunBounds:
+    @pytest.mark.parametrize("end", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_end_time_rejected(self, end):
+        """Regression: ``run_until(nan)`` silently executed nothing and
+        ``run_until(inf)`` moved the clock to infinity, so the next
+        ``after()`` failed far from the cause."""
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, lambda: fired.append(True))
+        with pytest.raises(SimulationError,
+                           match=f"end_time must be finite, got {end!r}"):
+            sim.run_until(end)
+        assert fired == [] and sim.now == 0.0
+        sim.run_until(1.0)
+        assert fired == [True]
+
+
 # ----------------------------------------------------------------------
 # Ordering property: the hot loop may be rewritten, the order may not
 # ----------------------------------------------------------------------

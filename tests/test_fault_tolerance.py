@@ -24,6 +24,11 @@ import random
 import pytest
 
 from repro.engine import EngineConfig, StreamEngine, create_scheme
+from repro.engine.recovery.policies import (
+    FixedCadence,
+    SkipWithinBound,
+    policy_params,
+)
 from repro.errors import ScenarioError, SimulationError
 from repro.scenarios import (
     FAILURE_MODELS,
@@ -105,6 +110,23 @@ class TestApproximateFt:
             assert accepted in str(err.value)
         with pytest.raises(SimulationError, match="accept: none"):
             create_scheme("ppa", {"fidelity_bound": 0.5})
+
+    def test_memoized_policy_params_still_reject_unknown_parameters(self):
+        """``policy_params`` is cached per policy class; a cold and a warm
+        cache reject an unknown parameter with the same message."""
+        expected = ("recovery scheme 'approximate-ft' rejected parameters "
+                    "{'bogus': 1}: unknown parameter(s) 'bogus'; the "
+                    "scheme's policies accept: fidelity_bound")
+        policy_params.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SimulationError) as err:
+                create_scheme("approximate-ft", {"bogus": 1})
+            messages.append(str(err.value))
+        assert messages == [expected, expected]
+        assert policy_params.cache_info().hits >= 3
+        assert policy_params(SkipWithinBound) == ("fidelity_bound",)
+        assert policy_params(FixedCadence) == ()
 
     @pytest.mark.parametrize("scheme,params,parameter", [
         ("approximate-ft", {"fidelity_bound": "abc"}, "fidelity_bound"),
