@@ -431,6 +431,19 @@ class TestFlappingModel:
             model(topology, frozenset(), seed=0, operators=["A"],
                   tasks=[["A", 0]])
 
+    @pytest.mark.parametrize("name", ["rolling-restart", "flapping"])
+    @pytest.mark.parametrize("params, message", [
+        ({"operators": ["A"], "tasks": [["A", 0]]},
+         "'{}': pass operators or tasks, not both"),
+        ({"operators": []}, "'{}' selected no tasks"),
+    ])
+    def test_victim_selection_errors(self, name, params, message):
+        topology = _recipe_topology()
+        model = FAILURE_MODELS.get(name)
+        with pytest.raises(ScenarioError) as raised:
+            model(topology, frozenset(), seed=0, **params)
+        assert str(raised.value) == message.format(name)
+
     def test_empty_wave_rejected(self):
         from repro.scenarios import FailureWave
 
