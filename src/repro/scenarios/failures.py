@@ -274,6 +274,34 @@ def rack_correlated(topology: Topology, plan: AbstractSet[TaskId], *, seed: int,
 FAILURE_MODELS.register("rack_correlated")(rack_correlated)
 
 
+def _victims(model: str, topology: Topology,
+             operators: Sequence[str] | None, tasks: Iterable[object] | None,
+             include_sources: bool) -> tuple[TaskId, ...]:
+    """The victims of a staggered model, in deterministic order.
+
+    ``tasks`` pins an explicit list (in the given order), ``operators``
+    restricts to the named operators; the two are mutually exclusive.
+    Otherwise every non-source task is a victim, sources too with
+    ``include_sources``.
+    """
+    if operators is not None and tasks is not None:
+        raise ScenarioError(f"'{model}': pass operators or tasks, not both")
+    victims: list[TaskId]
+    if tasks is not None:
+        victims = [_task_from_param(topology, t) for t in tasks]
+    elif operators is not None:
+        victims = []
+        for name in operators:
+            victims.extend(topology.tasks_of(name))
+    else:
+        victims = list(
+            topology.tasks() if include_sources else synthetic_tasks(topology)
+        )
+    if not victims:
+        raise ScenarioError(f"'{model}' selected no tasks")
+    return tuple(victims)
+
+
 @FAILURE_MODELS.register("rolling-restart")
 def rolling_restart(topology: Topology, plan: AbstractSet[TaskId], *, seed: int,
                     stagger: float = 10.0,
@@ -298,21 +326,8 @@ def rolling_restart(topology: Topology, plan: AbstractSet[TaskId], *, seed: int,
         raise ScenarioError(
             f"'rolling-restart' stagger must be >= 0, got {stagger}"
         )
-    if operators is not None and tasks is not None:
-        raise ScenarioError("'rolling-restart': pass operators or tasks, not both")
-    victims: list[TaskId]
-    if tasks is not None:
-        victims = [_task_from_param(topology, t) for t in tasks]
-    elif operators is not None:
-        victims = []
-        for name in operators:
-            victims.extend(topology.tasks_of(name))
-    else:
-        victims = list(
-            topology.tasks() if include_sources else synthetic_tasks(topology)
-        )
-    if not victims:
-        raise ScenarioError("'rolling-restart' selected no tasks")
+    victims = _victims("rolling-restart", topology, operators, tasks,
+                       include_sources)
     return tuple(
         FailureWave(position * stagger, (task,))
         for position, task in enumerate(victims)
@@ -347,22 +362,8 @@ def flapping(topology: Topology, plan: AbstractSet[TaskId], *, seed: int,
         raise ScenarioError(f"'flapping' down time must be > 0, got {down}")
     if up < 0:
         raise ScenarioError(f"'flapping' up time must be >= 0, got {up}")
-    if operators is not None and tasks is not None:
-        raise ScenarioError("'flapping': pass operators or tasks, not both")
-    victims: list[TaskId]
-    if tasks is not None:
-        victims = [_task_from_param(topology, t) for t in tasks]
-    elif operators is not None:
-        victims = []
-        for name in operators:
-            victims.extend(topology.tasks_of(name))
-    else:
-        victims = list(
-            topology.tasks() if include_sources else synthetic_tasks(topology)
-        )
-    if not victims:
-        raise ScenarioError("'flapping' selected no tasks")
-    killed = tuple(victims)
+    killed = _victims("flapping", topology, operators, tasks,
+                      include_sources)
     waves: list[FailureWave] = []
     period = down + up
     for cycle in range(cycles):
