@@ -135,12 +135,6 @@ class ChaosSchedule:
             return 1.0
         return self.delay_fraction
 
-    @property
-    def wire_active(self) -> bool:
-        """Whether any wire fault can fire."""
-        return bool(self.drop_fraction or self.duplicate_fraction
-                    or (self.delay_ms and self.effective_delay_fraction))
-
     def kills(self) -> int:
         """How many ``kill`` events the schedule carries."""
         return sum(1 for e in self.events if e.action == "kill")

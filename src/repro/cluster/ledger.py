@@ -112,7 +112,6 @@ class CellLedger:
         self._timeout: float | None = None
         self._retries = 1
         self._runner: str | None = None
-        self._last_worker_present = time.monotonic()
 
     # -- workers ---------------------------------------------------------
     def register_worker(self, worker_id: str, capacity: int, *,
@@ -140,7 +139,6 @@ class CellLedger:
             else:
                 self._workers[worker_id] = WorkerInfo(worker_id, capacity)
                 self._rotation.append(worker_id)
-            self._last_worker_present = time.monotonic()
             self._assign()
 
     def heartbeat(self, worker_id: str) -> None:
@@ -160,13 +158,6 @@ class CellLedger:
     def worker_count(self) -> int:
         with self._lock:
             return len(self._workers)
-
-    def seconds_without_workers(self) -> float:
-        """How long the ledger has been workerless (0.0 while staffed)."""
-        with self._lock:
-            if self._workers:
-                return 0.0
-            return time.monotonic() - self._last_worker_present
 
     # -- batches ---------------------------------------------------------
     def restore_from_journal(self) -> int:
@@ -361,8 +352,6 @@ class CellLedger:
                         reason=f"lease expired after "
                                f"{self._timeout:g}s on worker "
                                f"{cell.worker!r}")
-            if self._workers:
-                self._last_worker_present = now
             self._assign()
         return dead
 

@@ -19,7 +19,6 @@ a test oracle for the DP's optimality.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 from repro.core.mc_trees import DEFAULT_LIMIT, enumerate_mc_trees
 from repro.core.plans import OF_OBJECTIVE, Planner, PlanObjective, ReplicationPlan
@@ -111,14 +110,3 @@ class BruteForcePlanner(Planner):
                 if value > best_value or (value == best_value and len(union) < len(best)):
                     best, best_value = union, value
         return self._finish(best, budget)
-
-
-def optimal_value_by_budget(topology: Topology, rates: StreamRates,
-                            budgets: Sequence[int],
-                            objective: PlanObjective = OF_OBJECTIVE) -> dict[int, float]:
-    """Objective value of the optimal plan at each budget (DP sweep helper)."""
-    planner = DynamicProgrammingPlanner(objective)
-    return {
-        budget: planner.plan(topology, rates, budget).value(topology, rates, objective)
-        for budget in budgets
-    }

@@ -137,10 +137,6 @@ class Cluster:
         """Names of the worker nodes hosting any of ``tasks`` (dedup, sorted)."""
         return sorted({self.primary_node(t).name for t in tasks})
 
-    def all_worker_names(self) -> list[str]:
-        """Names of every worker node, in creation order."""
-        return [n.name for n in self.workers]
-
     def failed_tasks(self) -> list[TaskId]:
         """Primary tasks currently on failed nodes."""
         return sorted(

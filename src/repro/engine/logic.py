@@ -163,7 +163,3 @@ class LogicFactory:
     def has_operator(self, name: str) -> bool:
         """Whether operator logic is registered for ``name``."""
         return name in self._operators
-
-    def has_source(self, name: str) -> bool:
-        """Whether a source function is registered for ``name``."""
-        return name in self._sources

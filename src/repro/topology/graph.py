@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.errors import TopologyError
 from repro.topology.operators import OperatorKind, OperatorSpec, TaskId
@@ -265,11 +265,6 @@ class Topology:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def restricted_upstream(self, name: str, within: Iterable[str]) -> tuple[str, ...]:
-        """Upstream neighbours of ``name`` that are inside ``within``."""
-        allowed = set(within)
-        return tuple(u for u in self.upstream_of(name) if u in allowed)
-
     def describe(self) -> str:
         """Human-readable multi-line summary used by examples and the CLI."""
         lines = [f"Topology with {len(self._operators)} operators / {self.num_tasks} tasks"]
