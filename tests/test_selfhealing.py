@@ -70,12 +70,14 @@ class FakeMismatchCoordinator:
                 return
             with conn:
                 conn.makefile("r").readline()   # the register attempt
+                # Count before replying: the worker may exit as soon as it
+                # reads the error, before a later increment would run.
+                self.rejections += 1
                 conn.sendall((json.dumps(
                     {"type": "error", "op": "register",
                      "code": "protocol-mismatch",
                      "message": "protocol 1 unsupported (coordinator "
                                 "speaks 99)"}) + "\n").encode())
-                self.rejections += 1
 
     def close(self):
         self._listener.close()
