@@ -3,8 +3,8 @@
 Each cell is a small custom-topology engine run (pure CPU, deterministic),
 so the processes backend shows real multi-core speedup.  The benchmark
 also asserts that every backend produces identical results — the
-ordering-independent collection path (and the prebuilt-worker fast path,
-which is the default runner) must not change outcomes.
+ordering-independent collection path and the per-process workload memo
+must not change outcomes.
 
 Scores are normalized with the same calibration loop as
 ``benchmarks/baseline.py`` (see ``benchmarks/calibration.py``): every

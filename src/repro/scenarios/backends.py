@@ -113,13 +113,6 @@ def _error_outcome(scenario: Scenario, exc: BaseException,
                      attempts)
 
 
-def _warm_worker(payload: tuple[str, ...]) -> None:
-    """Process-pool initializer: prebuild the grid's workloads once."""
-    from repro.scenarios import prebuilt
-
-    prebuilt.warm_from_payload(payload)
-
-
 class SerialBackend(ExecutionBackend):
     """Run every cell in-process, in input order (the default backend).
 
@@ -152,7 +145,7 @@ class SerialBackend(ExecutionBackend):
 
 
 class ProcessBackend(ExecutionBackend):
-    """Fan cells out over a prebuilt-worker ``ProcessPoolExecutor``.
+    """Fan cells out over a ``ProcessPoolExecutor``.
 
     True parallelism for CPU-bound engine runs.  A worker death (segfault,
     OOM kill, ``os._exit``) breaks the pool: the backend rebuilds it and
@@ -166,25 +159,9 @@ class ProcessBackend(ExecutionBackend):
     the next pending cell (work stealing) — and results are yielded in
     completion order.  Per-cell deadlines are measured from submission,
     which coincides with start because the window never exceeds the pool
-    width.
-
-    **Prebuilt workers.**  Every scenario run resolves its workload through
-    the per-process memo (see :mod:`repro.scenarios.prebuilt`), so the
-    backend builds each distinct workload's topology, router tables and
-    bundle *once per grid* and ships them to workers instead of rebuilding
-    per cell:
-
-    * ``fork`` (the default where available): the parent builds the
-      artefacts before the pool is created and forked workers inherit them
-      directly — nothing is pickled at all;
-    * ``forkserver``: the prebuilt module is preloaded into the fork
-      server, and each worker receives the distinct workload specs exactly
-      once through the pool initializer (pickle-once);
-    * ``spawn``: like forkserver, without the preload.
-
-    ``start_method`` pins a specific ``multiprocessing`` start method.  A
-    workload that fails to build is skipped by the warm-up, so only its own
-    cells fail, each with a :class:`CellError`.
+    width.  Each worker fills its own workload memo on first use (see
+    :mod:`repro.scenarios.prebuilt`), so a workload that cannot be built
+    fails only its own cells.
     """
 
     name = "processes"
@@ -192,68 +169,27 @@ class ProcessBackend(ExecutionBackend):
     #: Poll interval while waiting with deadlines armed (seconds).
     _TICK = 0.05
 
-    def __init__(self, max_workers: int | None = None, *,
-                 start_method: str | None = None):
+    def __init__(self, max_workers: int | None = None):
         if max_workers is not None and max_workers < 1:
             raise ScenarioError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
         self.max_workers = max_workers
-        if start_method is not None:
-            methods = multiprocessing.get_all_start_methods()
-            if start_method not in methods:
-                raise ScenarioError(
-                    f"unknown start method {start_method!r}; this platform "
-                    f"supports {methods}"
-                )
-        self.start_method = start_method
-        self._warm_payload: tuple[str, ...] | None = None
 
-    def _method(self) -> str | None:
-        if self.start_method is not None:
-            return self.start_method
-        methods = multiprocessing.get_all_start_methods()
-        # fork is only auto-picked where it is actually safe: macOS lists
-        # it but documents it as unreliable (Objective-C runtime aborts in
-        # forked children), so non-Linux platforms get forkserver (the
-        # preload + pickle-once path) or the platform default.
-        if sys.platform.startswith("linux") and "fork" in methods:
+    @staticmethod
+    def _method() -> str | None:
+        # fork is only picked where it is actually safe: macOS lists it but
+        # documents it as unreliable (Objective-C runtime aborts in forked
+        # children), so other platforms get their default start method.
+        if sys.platform.startswith("linux"):
             return "fork"
-        if "forkserver" in methods:
-            return "forkserver"
         return None
-
-    def _prepare(self, scenarios: Sequence[Scenario]) -> None:
-        """Collect the grid's distinct workloads for worker warmup."""
-        from repro.scenarios import prebuilt
-
-        self._warm_payload = None
-        payload = prebuilt.warm_payload(scenarios)
-        if len(payload) > prebuilt.CACHE_CAPACITY:
-            # More distinct workloads than the memo holds: eager warming
-            # would build everything only to evict most of it before any
-            # cell runs.  Let workers build lazily per cell instead.
-            return
-        self._warm_payload = payload
-        if self._method() == "fork":
-            # Forked workers inherit the parent's memo: build everything
-            # here once and the pool initializer below finds only hits.
-            prebuilt.warm(scenarios)
 
     def _new_pool(self, width: int) -> Executor:
         method = self._method()
         context = (multiprocessing.get_context(method)
                    if method is not None else None)
-        if method == "forkserver":
-            # Preload the prebuilt module (and everything it imports) into
-            # the fork server so forked workers share the warm import state.
-            context.set_forkserver_preload(["repro.scenarios.prebuilt"])
-        kwargs: dict[str, Any] = {}
-        if self._warm_payload:
-            kwargs.update(initializer=_warm_worker,
-                          initargs=(self._warm_payload,))
-        return ProcessPoolExecutor(max_workers=width, mp_context=context,
-                                   **kwargs)
+        return ProcessPoolExecutor(max_workers=width, mp_context=context)
 
     def _discard_pool(self, executor: Executor) -> None:
         """Shut down without waiting, force-killing stuck workers."""
@@ -274,7 +210,6 @@ class ProcessBackend(ExecutionBackend):
         scenarios = list(scenarios)
         if not scenarios:
             return
-        self._prepare(scenarios)
         width = self.max_workers or min(32, (os.cpu_count() or 2))
         width = max(1, min(width, len(scenarios)))
         pending: deque[tuple[int, Scenario, int]] = deque(

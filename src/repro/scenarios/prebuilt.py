@@ -4,28 +4,25 @@ A sweep of failure scenarios typically varies budgets, checkpoint intervals,
 failure models, recovery schemes and seeds over a *handful* of distinct
 workloads.  Each workload's topology graph, router dispatch tables, query
 bundle, plans, source batches and failure-free quality baseline are the
-same for all of those runs, so they are built once per process and shared:
+same for all of those runs, so they are built once per process and shared.
 
-* :func:`prebuilt_workload` keys each scenario by the part of its spec that
-  determines the workload artefacts — ``(workload, workload_params,
-  topology)``, canonically serialized — and memoizes the built
-  :class:`~repro.workloads.bundles.QueryBundle`, a shared
-  :class:`~repro.engine.routing.Router` and the workload's
-  :class:`~repro.scenarios.runner.WorkloadCaches` in a bounded LRU of
-  :data:`CACHE_CAPACITY` workloads.  Every
-  :class:`~repro.scenarios.runner.ScenarioRunner` resolves through it, so
-  :func:`~repro.scenarios.runner.run_scenario` is the one run path of the
-  CLI, grids, the sweep server, cluster workers and chaos.  :func:`clear`
-  drops the memo for memory-sensitive callers.
-* :func:`warm` / :func:`warm_payload` pre-populate the memo.  The processes
-  backend warms workers through their pool initializer: with the ``fork``
-  start method workers *inherit* the parent's already-built artefacts for
-  free; with ``forkserver`` the module is preloaded into the fork server
-  and each worker receives the distinct workload specs exactly once
-  (pickle-once — the payload rides along the initializer arguments instead
-  of being re-shipped per cell); plain ``spawn`` behaves like forkserver
-  without the preload.  A workload that fails to build is skipped by the
-  warm-up and left to fail its own cells.
+:func:`prebuilt_workload` keys each scenario by the part of its spec that
+determines the workload artefacts — ``(workload, workload_params,
+topology)``, canonically serialized — and memoizes the built
+:class:`~repro.workloads.bundles.QueryBundle`, a shared
+:class:`~repro.engine.routing.Router` and the workload's
+:class:`~repro.scenarios.runner.WorkloadCaches` in a bounded LRU of
+:data:`CACHE_CAPACITY` workloads.  Every
+:class:`~repro.scenarios.runner.ScenarioRunner` resolves through it, so
+:func:`~repro.scenarios.runner.run_scenario` is the one run path of the CLI,
+grids, the sweep server, cluster workers and chaos.  :func:`clear` drops the
+memo for memory-sensitive callers.
+
+A process fills its memo lazily: the first cell of a workload builds it,
+and every later cell of that workload in the same process is a hit.  This
+holds alike for the serial backend, process-pool workers and cluster
+workers.  A workload that fails to build raises inside the cell that asked
+for it, so only its own cells fail.
 
 Reusing a bundle across runs is sound because bundles are pure functions of
 their parameters and runs never mutate them: ``make_logic()`` builds fresh
@@ -42,7 +39,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.engine.routing import Router
 from repro.scenarios.spec import Scenario
@@ -125,56 +122,6 @@ def run_scenario_prebuilt(scenario: Scenario, *,
     from repro.scenarios.runner import run_scenario
 
     return run_scenario(scenario, profile=profile)
-
-
-def warm(scenarios: Iterable[Scenario]) -> int:
-    """Build every distinct workload of ``scenarios`` into the local memo.
-
-    Returns the number of distinct workloads.  Called in the grid parent
-    before a ``fork``-context pool is created, so workers inherit the built
-    artefacts without any pickling at all.  A workload that fails to build
-    is skipped: its cells raise the same error when they run, and only
-    they fail.
-    """
-    seen: set[str] = set()
-    for scenario in scenarios:
-        key = workload_key(scenario)
-        if key not in seen:
-            seen.add(key)
-            _try_build(scenario)
-    return len(seen)
-
-
-def _try_build(scenario: Scenario) -> None:
-    try:
-        prebuilt_workload(scenario)
-    except Exception:  # noqa: BLE001 - the cell reports it when it runs
-        pass
-
-
-def warm_payload(scenarios: Iterable[Scenario]) -> tuple[str, ...]:
-    """One canonical JSON spec per distinct workload (the pickle-once payload)."""
-    specs: dict[str, str] = {}
-    for scenario in scenarios:
-        key = workload_key(scenario)
-        if key not in specs:
-            specs[key] = json.dumps(workload_spec(scenario), sort_keys=True,
-                                    separators=(",", ":"))
-    return tuple(specs.values())
-
-
-def warm_from_payload(payload: Sequence[str]) -> None:
-    """Worker-side warmup: build each shipped workload spec once.
-
-    Used as the process-pool initializer, so it runs exactly once per
-    worker.  Under the ``fork`` start method the parent's memo was inherited
-    and every spec is already a cache hit.
-    """
-    for spec in payload:
-        # The spec's keys are (a subset of) Scenario fields, so it loads as
-        # a minimal scenario — exactly enough to resolve the bundle.  An
-        # initializer that raised would break the whole pool.
-        _try_build(Scenario.from_dict(json.loads(spec)))
 
 
 def clear() -> None:

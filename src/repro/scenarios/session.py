@@ -181,8 +181,8 @@ class GridSession:
         backend.  The default, :func:`~repro.scenarios.runner.run_scenario`,
         resolves workloads through the per-process memo of
         :mod:`repro.scenarios.prebuilt`, building each distinct
-        topology/router/bundle, plan and quality baseline once per process
-        instead of once per cell.  Tests substitute counting/faulty runners
+        topology/router/bundle, plan and quality baseline on its first use
+        in each process instead of once per cell.  Tests substitute counting/faulty runners
         here.
     """
 

@@ -332,33 +332,22 @@ class TestPrebuiltWorkloads:
             WORKLOADS.unregister("prebuilt-test")
             prebuilt.clear()
 
-    def test_warm_payload_covers_distinct_workloads_once(self):
-        grid = tiny_grid()  # six cells, one distinct workload
-        payload = prebuilt.warm_payload(grid)
-        assert len(payload) == 1
-        prebuilt.clear()
-        prebuilt.warm_from_payload(payload)
-        assert prebuilt.cache_info()["entries"] == 1
-        assert prebuilt.warm(grid) == 1  # idempotent: still one workload
-
     @pytest.mark.parametrize("start_method", ["fork", "forkserver"])
-    def test_prebuilt_pool_matches_serial(self, start_method):
+    def test_prebuilt_pool_matches_serial(self, start_method, monkeypatch):
         import multiprocessing
 
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable on this platform")
+        monkeypatch.setattr(ProcessBackend, "_method",
+                            staticmethod(lambda: start_method))
         grid = tiny_grid()
         baseline = [r.to_dict() for r in run_scenarios(grid, backend="serial")]
-        backend = ProcessBackend(max_workers=2, start_method=start_method)
+        backend = ProcessBackend(max_workers=2)
         results = run_scenarios(grid, backend=backend)
         assert [r.to_dict() for r in results] == baseline
 
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(ScenarioError, match="start method"):
-            ProcessBackend(start_method="teleport")
-
     def test_unbuildable_workload_fails_only_its_cells(self):
-        """The warm-up always runs, but skips a workload that cannot build."""
+        """Each worker builds lazily, so the failed build raises in its cell."""
         bad = tiny_scenario(name="bad", workload_params={"no_such_knob": 1})
         grid = [tiny_scenario(), bad, tiny_scenario(budget=0)]
         report = GridSession(backend=ProcessBackend(max_workers=2)).run(grid)
