@@ -34,162 +34,85 @@ engine) remain available for hand-wired pipelines:
 True
 """
 
-from repro.core import (
-    IC_OBJECTIVE,
-    OF_OBJECTIVE,
-    BruteForcePlanner,
-    DynamicProgrammingPlanner,
-    FullTopologyPlanner,
-    GreedyPlanner,
-    Planner,
-    PlanObjective,
-    ReplicationPlan,
-    StructureAwarePlanner,
-    StructuredTopologyPlanner,
-    budget_from_fraction,
-    enumerate_mc_trees,
-    internal_completeness,
-    output_fidelity,
-    worst_case_completeness,
-    worst_case_fidelity,
-)
-from repro.errors import (
-    ExperimentError,
-    MCTreeExplosionError,
-    PlanningError,
-    RateError,
-    ReproError,
-    ScenarioError,
-    SimulationError,
-    TopologyError,
-    WorkloadError,
-)
-from repro.scenarios import (
-    EXECUTION_BACKENDS,
-    FAILURE_MODELS,
-    PLANNERS,
-    RECOVERY_SCHEMES,
-    RESULT_SINKS,
-    WORKLOADS,
-    CellError,
-    EdgeDef,
-    ExecutionBackend,
-    FailureSpec,
-    FailureWave,
-    GridReport,
-    GridSession,
-    JsonlSink,
-    MemorySink,
-    OperatorDef,
-    ProgressEvent,
-    RecoveryScheme,
-    ResultSink,
-    Scenario,
-    ScenarioCache,
-    ScenarioResult,
-    ScenarioRunner,
-    SqliteSink,
-    TopologyRecipe,
-    expand_grid,
-    run_grid,
-    run_scenario,
-    run_scenarios,
-    scenario_digest,
-)
-from repro.topology import (
-    OperatorKind,
-    OperatorSpec,
-    Partitioning,
-    SourceRates,
-    StreamEdge,
-    StreamRates,
-    TaskId,
-    Topology,
-    TopologyBuilder,
-    TopologyClass,
-    TopologySpec,
-    WeightSkew,
-    generate_source_rates,
-    generate_topology,
-    linear_chain,
-    propagate_rates,
-    uniform_source_rates,
-)
+from repro.lazy import lazy_exports
+
+#: exported name -> the module it is imported from on first use.
+_EXPORTS = {
+    "BruteForcePlanner": "repro.core",
+    "CellError": "repro.scenarios",
+    "DynamicProgrammingPlanner": "repro.core",
+    "EXECUTION_BACKENDS": "repro.scenarios",
+    "EdgeDef": "repro.scenarios",
+    "ExecutionBackend": "repro.scenarios",
+    "ExperimentError": "repro.errors",
+    "FAILURE_MODELS": "repro.scenarios",
+    "FailureSpec": "repro.scenarios",
+    "FailureWave": "repro.scenarios",
+    "FullTopologyPlanner": "repro.core",
+    "GreedyPlanner": "repro.core",
+    "GridReport": "repro.scenarios",
+    "GridSession": "repro.scenarios",
+    "IC_OBJECTIVE": "repro.core",
+    "JsonlSink": "repro.scenarios",
+    "MCTreeExplosionError": "repro.errors",
+    "MemorySink": "repro.scenarios",
+    "OF_OBJECTIVE": "repro.core",
+    "OperatorDef": "repro.scenarios",
+    "OperatorKind": "repro.topology",
+    "OperatorSpec": "repro.topology",
+    "PLANNERS": "repro.scenarios",
+    "Partitioning": "repro.topology",
+    "PlanObjective": "repro.core",
+    "Planner": "repro.core",
+    "PlanningError": "repro.errors",
+    "ProgressEvent": "repro.scenarios",
+    "RECOVERY_SCHEMES": "repro.scenarios",
+    "RESULT_SINKS": "repro.scenarios",
+    "RateError": "repro.errors",
+    "RecoveryScheme": "repro.scenarios",
+    "ReplicationPlan": "repro.core",
+    "ReproError": "repro.errors",
+    "ResultSink": "repro.scenarios",
+    "Scenario": "repro.scenarios",
+    "ScenarioCache": "repro.scenarios",
+    "ScenarioError": "repro.errors",
+    "ScenarioResult": "repro.scenarios",
+    "ScenarioRunner": "repro.scenarios",
+    "SimulationError": "repro.errors",
+    "SourceRates": "repro.topology",
+    "SqliteSink": "repro.scenarios",
+    "StreamEdge": "repro.topology",
+    "StreamRates": "repro.topology",
+    "StructureAwarePlanner": "repro.core",
+    "StructuredTopologyPlanner": "repro.core",
+    "TaskId": "repro.topology",
+    "Topology": "repro.topology",
+    "TopologyBuilder": "repro.topology",
+    "TopologyClass": "repro.topology",
+    "TopologyError": "repro.errors",
+    "TopologyRecipe": "repro.scenarios",
+    "TopologySpec": "repro.topology",
+    "WORKLOADS": "repro.scenarios",
+    "WeightSkew": "repro.topology",
+    "WorkloadError": "repro.errors",
+    "budget_from_fraction": "repro.core",
+    "enumerate_mc_trees": "repro.core",
+    "expand_grid": "repro.scenarios",
+    "generate_source_rates": "repro.topology",
+    "generate_topology": "repro.topology",
+    "internal_completeness": "repro.core",
+    "linear_chain": "repro.topology",
+    "output_fidelity": "repro.core",
+    "propagate_rates": "repro.topology",
+    "run_grid": "repro.scenarios",
+    "run_scenario": "repro.scenarios",
+    "run_scenarios": "repro.scenarios",
+    "scenario_digest": "repro.scenarios",
+    "uniform_source_rates": "repro.topology",
+    "worst_case_completeness": "repro.core",
+    "worst_case_fidelity": "repro.core",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.1.0"
-
-__all__ = [
-    "BruteForcePlanner",
-    "CellError",
-    "DynamicProgrammingPlanner",
-    "EXECUTION_BACKENDS",
-    "EdgeDef",
-    "ExecutionBackend",
-    "ExperimentError",
-    "FAILURE_MODELS",
-    "FailureSpec",
-    "FailureWave",
-    "FullTopologyPlanner",
-    "GreedyPlanner",
-    "GridReport",
-    "GridSession",
-    "IC_OBJECTIVE",
-    "JsonlSink",
-    "MCTreeExplosionError",
-    "MemorySink",
-    "OF_OBJECTIVE",
-    "OperatorDef",
-    "OperatorKind",
-    "OperatorSpec",
-    "PLANNERS",
-    "Partitioning",
-    "PlanObjective",
-    "Planner",
-    "PlanningError",
-    "ProgressEvent",
-    "RECOVERY_SCHEMES",
-    "RESULT_SINKS",
-    "RateError",
-    "RecoveryScheme",
-    "ReplicationPlan",
-    "ReproError",
-    "ResultSink",
-    "Scenario",
-    "ScenarioCache",
-    "ScenarioError",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "SimulationError",
-    "SourceRates",
-    "SqliteSink",
-    "StreamEdge",
-    "StreamRates",
-    "StructureAwarePlanner",
-    "StructuredTopologyPlanner",
-    "TaskId",
-    "Topology",
-    "TopologyBuilder",
-    "TopologyClass",
-    "TopologyError",
-    "TopologyRecipe",
-    "TopologySpec",
-    "WORKLOADS",
-    "WeightSkew",
-    "WorkloadError",
-    "budget_from_fraction",
-    "enumerate_mc_trees",
-    "expand_grid",
-    "generate_source_rates",
-    "generate_topology",
-    "internal_completeness",
-    "linear_chain",
-    "output_fidelity",
-    "propagate_rates",
-    "run_grid",
-    "run_scenario",
-    "run_scenarios",
-    "scenario_digest",
-    "uniform_source_rates",
-    "worst_case_completeness",
-    "worst_case_fidelity",
-]

@@ -30,16 +30,15 @@ worker death mid-cell is a first-class path — the cell requeues with its
 attempt count intact and surfaces as ``GridReport.retries``.
 """
 
-from repro.cluster.backend import ClusterBackend
-from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.fleet import LocalFleet
-from repro.cluster.ledger import CellLedger
-from repro.cluster.worker import ClusterWorkerAgent
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CellLedger",
-    "ClusterBackend",
-    "ClusterCoordinator",
-    "ClusterWorkerAgent",
-    "LocalFleet",
-]
+#: exported name -> the module it is imported from on first use.
+_EXPORTS = {
+    "CellLedger": "repro.cluster.ledger",
+    "ClusterBackend": "repro.cluster.backend",
+    "ClusterCoordinator": "repro.cluster.coordinator",
+    "ClusterWorkerAgent": "repro.cluster.worker",
+    "LocalFleet": "repro.cluster.fleet",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 from typing import Sequence
 
-from repro.cluster.backend import ClusterBackend
 from repro.cluster.worker import ClusterWorkerAgent
 from repro.errors import ScenarioError
 from repro.resilience import RetryPolicy
@@ -129,6 +128,9 @@ def backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
             raise ScenarioError(
                 f"backend {args.backend!r} does not take --max-workers"
             ) from None
+    # Imported here: a ``worker`` process never loads the coordinator side.
+    from repro.cluster.backend import ClusterBackend
+
     local = args.cluster_local
     if local is None:
         local = args.max_workers

@@ -23,63 +23,38 @@ as one :func:`~repro.experiments.recovery.run_cells` batch (so each takes
 Run ``python -m repro.experiments all --fast`` for a quick pass.
 """
 
-from repro.experiments.accuracy import fig12, fig13, quality_scenario
-from repro.experiments.checkpoint_cost import checkpoint_cpu_ratio, fig9
-from repro.experiments.claims import claims, sa_vs_greedy_ratio, tentative_speedup
-from repro.experiments.random_topologies import (
-    VARIANTS,
-    fig14,
-    sweep_planner_fidelity,
-)
-from repro.experiments.recovery import (
-    DEFAULT_TECHNIQUES,
-    FigureResult,
-    Technique,
-    correlated_failure_latency,
-    fig7,
-    fig8,
-    fig10,
-    half_subtree_plan,
-    recovery_latency,
-    run_cells,
-    single_failure_latency,
-)
-from repro.experiments.tables import format_table
-from repro.workloads.bundles import (
-    QueryBundle,
-    calibrated_costs,
-    fig6_bundle,
-    q1_bundle,
-    q2_bundle,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_TECHNIQUES",
-    "FigureResult",
-    "QueryBundle",
-    "Technique",
-    "VARIANTS",
-    "calibrated_costs",
-    "checkpoint_cpu_ratio",
-    "claims",
-    "correlated_failure_latency",
-    "fig10",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig6_bundle",
-    "fig7",
-    "fig8",
-    "fig9",
-    "format_table",
-    "half_subtree_plan",
-    "q1_bundle",
-    "q2_bundle",
-    "quality_scenario",
-    "recovery_latency",
-    "run_cells",
-    "sa_vs_greedy_ratio",
-    "single_failure_latency",
-    "sweep_planner_fidelity",
-    "tentative_speedup",
-]
+#: exported name -> the module it is imported from on first use.
+_EXPORTS = {
+    "DEFAULT_TECHNIQUES": "repro.experiments.recovery",
+    "FigureResult": "repro.experiments.recovery",
+    "QueryBundle": "repro.workloads.bundles",
+    "Technique": "repro.experiments.recovery",
+    "VARIANTS": "repro.experiments.random_topologies",
+    "calibrated_costs": "repro.workloads.bundles",
+    "checkpoint_cpu_ratio": "repro.experiments.checkpoint_cost",
+    "claims": "repro.experiments.claims",
+    "correlated_failure_latency": "repro.experiments.recovery",
+    "fig10": "repro.experiments.recovery",
+    "fig12": "repro.experiments.accuracy",
+    "fig13": "repro.experiments.accuracy",
+    "fig14": "repro.experiments.random_topologies",
+    "fig6_bundle": "repro.workloads.bundles",
+    "fig7": "repro.experiments.recovery",
+    "fig8": "repro.experiments.recovery",
+    "fig9": "repro.experiments.checkpoint_cost",
+    "format_table": "repro.experiments.tables",
+    "half_subtree_plan": "repro.experiments.recovery",
+    "q1_bundle": "repro.workloads.bundles",
+    "q2_bundle": "repro.workloads.bundles",
+    "quality_scenario": "repro.experiments.accuracy",
+    "recovery_latency": "repro.experiments.recovery",
+    "run_cells": "repro.experiments.recovery",
+    "sa_vs_greedy_ratio": "repro.experiments.claims",
+    "single_failure_latency": "repro.experiments.recovery",
+    "sweep_planner_fidelity": "repro.experiments.random_topologies",
+    "tentative_speedup": "repro.experiments.claims",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -56,8 +56,10 @@ fault schedule — worker kills/pauses, coordinator crash-restarts on the
 write-ahead journal, wire delays/drops/duplicates — and exits 0 only
 when every cell still completed cleanly (see :mod:`repro.chaos`).
 
-Every subcommand is one entry of :data:`SUBCOMMANDS`, imported only when
-it runs: a figure run never loads the service or cluster stack.  Each
+Every subcommand is one entry of :data:`SUBCOMMANDS` and every figure one
+entry of :data:`FIGURES`, each imported only when it runs: a figure run
+never loads the service or cluster stack, and ``worker``, ``serve``,
+``submit`` or ``status`` never load a figure module.  Each
 command that reports counts builds one summary dict and prints it either
 as JSON or through :func:`counts_line` (one :data:`LABELS` table for every
 command), and every ``--progress`` line is one :func:`progress_line`.
@@ -72,20 +74,9 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import ReproError, ScenarioError
-from repro.experiments.accuracy import fig12, fig13
-from repro.experiments.checkpoint_cost import fig9
-from repro.experiments.claims import claims
-from repro.experiments.random_topologies import fig14
-from repro.experiments.recovery import (
-    FigureResult,
-    fig7,
-    fig8,
-    fig10,
-    scheme_sweep,
-)
 from repro.experiments.tables import format_table
 from repro.scenarios import (
     EXECUTION_BACKENDS,
@@ -100,6 +91,9 @@ from repro.scenarios import (
 )
 from repro.scenarios.grid import load_json, scenarios_from_document
 from repro.topology.operators import TaskId
+
+if TYPE_CHECKING:
+    from repro.experiments.recovery import FigureResult
 
 #: subcommand -> ``"module:function"`` of its ``fn(argv) -> exit code``
 #: entry point, imported on first use.
@@ -121,37 +115,51 @@ _FAST_Q2 = {"window_seconds": 20.0, "tuple_scale": 80.0}
 #: ... and of every figure on the Fig. 6 workload (one rate, coarser tuples).
 _FAST_FIG6 = {"rates": (1000.0,), "tuple_scale": 16.0}
 
-#: name -> (figure function, keyword arguments of each paper-scale table,
-#: keyword arguments of each ``--fast`` table).
-FIGURES: dict[str, tuple[Callable[..., FigureResult], list[dict], list[dict]]] = {
-    "fig7": (fig7, [{}], [{"windows": (10.0,), **_FAST_FIG6,
-                           "positions": (TaskId("O2", 0),)}]),
-    "fig8": (fig8, [{}], [{"windows": (10.0,), **_FAST_FIG6}]),
-    "fig9": (fig9, [{}], [{"intervals": (1.0, 15.0), **_FAST_FIG6,
-                           "duration": 45.0}]),
-    "fig10": (fig10, [{}], [{"checkpoint_intervals": (15.0,), **_FAST_FIG6}]),
-    "fig12": (fig12, [{"query": "q1"}, {"query": "q2"}],
+#: name -> (``"module:function"`` of the figure function, imported on first
+#: use, keyword arguments of each paper-scale table, keyword arguments of
+#: each ``--fast`` table).
+FIGURES: dict[str, tuple[str, list[dict], list[dict]]] = {
+    "fig7": ("repro.experiments.recovery:fig7", [{}],
+             [{"windows": (10.0,), **_FAST_FIG6,
+               "positions": (TaskId("O2", 0),)}]),
+    "fig8": ("repro.experiments.recovery:fig8", [{}],
+             [{"windows": (10.0,), **_FAST_FIG6}]),
+    "fig9": ("repro.experiments.checkpoint_cost:fig9", [{}],
+             [{"intervals": (1.0, 15.0), **_FAST_FIG6, "duration": 45.0}]),
+    "fig10": ("repro.experiments.recovery:fig10", [{}],
+              [{"checkpoint_intervals": (15.0,), **_FAST_FIG6}]),
+    "fig12": ("repro.experiments.accuracy:fig12",
+              [{"query": "q1"}, {"query": "q2"}],
               [{"query": "q1", "fractions": (0.3, 0.6),
                 "workload_params": _FAST_Q1},
                {"query": "q2", "fractions": (0.3, 0.6),
                 "workload_params": _FAST_Q2}]),
-    "fig13": (fig13, [{"query": "q1"}, {"query": "q2"}],
+    "fig13": ("repro.experiments.accuracy:fig13",
+              [{"query": "q1"}, {"query": "q2"}],
               [{"query": "q1", "fractions": (0.3, 0.6),
                 "workload_params": _FAST_Q1}]),
-    "fig14": (fig14,
+    "fig14": ("repro.experiments.random_topologies:fig14",
               [{"variant_key": key} for key in "abcd"],
               [{"variant_key": "a", "fractions": (0.2, 0.5, 0.8),
                 "n_topologies": 10}]),
-    "claims": (claims, [{}], [{"n_topologies": 10}]),
-    "schemes": (scheme_sweep, [{}],
+    "claims": ("repro.experiments.claims:claims", [{}],
+               [{"n_topologies": 10}]),
+    "schemes": ("repro.experiments.recovery:scheme_sweep", [{}],
                 [{"windows": (10.0,), **_FAST_FIG6,
                   "failure_models": ("correlated",)}]),
 }
 
 
+def resolve(target: str) -> Callable[..., Any]:
+    """Import and return the function a ``"module:function"`` string names."""
+    module, _, function = target.partition(":")
+    return getattr(importlib.import_module(module), function)
+
+
 def run_figure(name: str, fast: bool) -> list[FigureResult]:
     """Every table of figure ``name``, at paper scale or ``--fast``."""
-    function, full, quick = FIGURES[name]
+    target, full, quick = FIGURES[name]
+    function = resolve(target)
     return [function(**kwargs) for kwargs in (quick if fast else full)]
 
 
@@ -437,8 +445,7 @@ def cache_main(argv: Sequence[str]) -> int:
 
 def resolve_subcommand(name: str) -> Callable[[Sequence[str]], int]:
     """Import and return the entry point :data:`SUBCOMMANDS` maps ``name`` to."""
-    module, _, function = SUBCOMMANDS[name].partition(":")
-    return getattr(importlib.import_module(module), function)
+    return resolve(SUBCOMMANDS[name])
 
 
 def main(argv: Sequence[str] | None = None) -> int:

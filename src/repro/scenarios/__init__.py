@@ -53,102 +53,61 @@ results bit-for-bit), and a malformed document raises
 :class:`~repro.errors.ScenarioError` naming the offending field.
 """
 
-from repro.engine.recovery import (
-    RECOVERY_SCHEMES,
-    RecoveryScheme,
-    create_scheme,
-)
-from repro.registry import Registry
-from repro.scenarios import catalog as _catalog  # populate the registries
-from repro.scenarios.backends import (
-    EXECUTION_BACKENDS,
-    CellError,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from repro.scenarios.cache import CacheStats, ScenarioCache, scenario_digest
-from repro.scenarios.catalog import (
-    FixedPlanner,
-    NullPlanner,
-    ReplicateAllPlanner,
-    generic_bundle,
-    make_bundle,
-    make_planner,
-)
-from repro.scenarios.failures import FailureWave, as_waves, synthetic_tasks
-from repro.scenarios.grid import expand_grid, run_grid, run_scenarios
-from repro.scenarios.prebuilt import prebuilt_workload, workload_key
-from repro.scenarios.registry import FAILURE_MODELS, PLANNERS, WORKLOADS
-from repro.scenarios.results import RecoveryOutcome, ScenarioResult
-from repro.scenarios.runner import ScenarioRunner, run_scenario
-from repro.scenarios.session import GridReport, GridSession, ProgressEvent
-from repro.scenarios.sinks import (
-    RESULT_SINKS,
-    JsonlSink,
-    MemorySink,
-    ResultSink,
-    SqliteSink,
-    resolve_sink,
-    sink_for_path,
-)
-from repro.scenarios.spec import (
-    EdgeDef,
-    FailureSpec,
-    OperatorDef,
-    Scenario,
-    TopologyRecipe,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "CellError",
-    "EXECUTION_BACKENDS",
-    "EdgeDef",
-    "ExecutionBackend",
-    "FAILURE_MODELS",
-    "FailureSpec",
-    "FailureWave",
-    "FixedPlanner",
-    "GridReport",
-    "GridSession",
-    "JsonlSink",
-    "MemorySink",
-    "NullPlanner",
-    "OperatorDef",
-    "PLANNERS",
-    "ProcessBackend",
-    "ProgressEvent",
-    "RECOVERY_SCHEMES",
-    "RESULT_SINKS",
-    "RecoveryOutcome",
-    "RecoveryScheme",
-    "Registry",
-    "ReplicateAllPlanner",
-    "ResultSink",
-    "Scenario",
-    "ScenarioCache",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "SerialBackend",
-    "SqliteSink",
-    "TopologyRecipe",
-    "WORKLOADS",
-    "as_waves",
-    "create_scheme",
-    "expand_grid",
-    "generic_bundle",
-    "make_bundle",
-    "make_planner",
-    "prebuilt_workload",
-    "resolve_backend",
-    "resolve_sink",
-    "run_grid",
-    "run_scenario",
-    "run_scenarios",
-    "scenario_digest",
-    "sink_for_path",
-    "synthetic_tasks",
-    "workload_key",
-]
+#: exported name -> the module it is imported from on first use.
+_EXPORTS = {
+    "CacheStats": "repro.scenarios.cache",
+    "CellError": "repro.scenarios.backends",
+    "EXECUTION_BACKENDS": "repro.scenarios.backends",
+    "EdgeDef": "repro.scenarios.spec",
+    "ExecutionBackend": "repro.scenarios.backends",
+    "FAILURE_MODELS": "repro.scenarios.registry",
+    "FailureSpec": "repro.scenarios.spec",
+    "FailureWave": "repro.scenarios.failures",
+    "FixedPlanner": "repro.scenarios.catalog",
+    "GridReport": "repro.scenarios.session",
+    "GridSession": "repro.scenarios.session",
+    "JsonlSink": "repro.scenarios.sinks",
+    "MemorySink": "repro.scenarios.sinks",
+    "NullPlanner": "repro.scenarios.catalog",
+    "OperatorDef": "repro.scenarios.spec",
+    "PLANNERS": "repro.scenarios.registry",
+    "ProcessBackend": "repro.scenarios.backends",
+    "ProgressEvent": "repro.scenarios.session",
+    "RECOVERY_SCHEMES": "repro.engine.recovery",
+    "RESULT_SINKS": "repro.scenarios.sinks",
+    "RecoveryOutcome": "repro.scenarios.results",
+    "RecoveryScheme": "repro.engine.recovery",
+    "Registry": "repro.registry",
+    "ReplicateAllPlanner": "repro.scenarios.catalog",
+    "ResultSink": "repro.scenarios.sinks",
+    "Scenario": "repro.scenarios.spec",
+    "ScenarioCache": "repro.scenarios.cache",
+    "ScenarioResult": "repro.scenarios.results",
+    "ScenarioRunner": "repro.scenarios.runner",
+    "SerialBackend": "repro.scenarios.backends",
+    "SqliteSink": "repro.scenarios.sinks",
+    "TopologyRecipe": "repro.scenarios.spec",
+    "WORKLOADS": "repro.scenarios.registry",
+    "as_waves": "repro.scenarios.failures",
+    "create_scheme": "repro.engine.recovery",
+    "expand_grid": "repro.scenarios.grid",
+    "generic_bundle": "repro.scenarios.catalog",
+    "make_bundle": "repro.scenarios.catalog",
+    "make_planner": "repro.scenarios.catalog",
+    "prebuilt_workload": "repro.scenarios.prebuilt",
+    "resolve_backend": "repro.scenarios.backends",
+    "resolve_sink": "repro.scenarios.sinks",
+    "run_grid": "repro.scenarios.grid",
+    "run_scenario": "repro.scenarios.runner",
+    "run_scenarios": "repro.scenarios.grid",
+    "scenario_digest": "repro.scenarios.cache",
+    "sink_for_path": "repro.scenarios.sinks",
+    "synthetic_tasks": "repro.scenarios.failures",
+    "workload_key": "repro.scenarios.prebuilt",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+
+from repro.scenarios import catalog as _catalog  # noqa: E402  populate the registries

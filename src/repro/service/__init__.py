@@ -27,31 +27,23 @@ socket-free and unit-testable) < :mod:`~repro.service.server` /
 :mod:`~repro.service.client` (transport) < :mod:`~repro.service.cli`.
 """
 
-from repro.errors import ServiceError
-from repro.service.broker import JOURNAL_CLIENT, SweepBroker, SweepCounters
-from repro.service.client import JobOutcome, SweepClient
-from repro.service.journal import SweepJournal
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    dump_message,
-    outcome_from_wire,
-    outcome_to_wire,
-    parse_message,
-)
-from repro.service.server import SweepServer
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "JOURNAL_CLIENT",
-    "JobOutcome",
-    "PROTOCOL_VERSION",
-    "ServiceError",
-    "SweepBroker",
-    "SweepClient",
-    "SweepCounters",
-    "SweepJournal",
-    "SweepServer",
-    "dump_message",
-    "outcome_from_wire",
-    "outcome_to_wire",
-    "parse_message",
-]
+#: exported name -> the module it is imported from on first use.
+_EXPORTS = {
+    "JOURNAL_CLIENT": "repro.service.broker",
+    "JobOutcome": "repro.service.client",
+    "PROTOCOL_VERSION": "repro.service.protocol",
+    "ServiceError": "repro.errors",
+    "SweepBroker": "repro.service.broker",
+    "SweepClient": "repro.service.client",
+    "SweepCounters": "repro.service.broker",
+    "SweepJournal": "repro.service.journal",
+    "SweepServer": "repro.service.server",
+    "dump_message": "repro.service.protocol",
+    "outcome_from_wire": "repro.service.protocol",
+    "outcome_to_wire": "repro.service.protocol",
+    "parse_message": "repro.service.protocol",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -5,37 +5,25 @@ the :class:`~repro.workloads.bundles.QueryBundle` packages of the paper's
 evaluation workloads (Fig. 6 synthetic, Q1 top-k, Q2 incidents).
 """
 
-from repro.workloads.bundles import (
-    QueryBundle,
-    calibrated_costs,
-    fig6_bundle,
-    q1_bundle,
-    q2_bundle,
-)
-from repro.workloads.sources import SquareWaveSource, UniformRateSource
-from repro.workloads.traffic import (
-    Incident,
-    IncidentReportSource,
-    IncidentSchedule,
-    UserLocationSource,
-)
-from repro.workloads.worldcup import WorldCupAccessLog
-from repro.workloads.zipf import batch_rng, sample_zipf, zipf_probabilities
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Incident",
-    "IncidentReportSource",
-    "IncidentSchedule",
-    "QueryBundle",
-    "SquareWaveSource",
-    "UniformRateSource",
-    "UserLocationSource",
-    "WorldCupAccessLog",
-    "batch_rng",
-    "calibrated_costs",
-    "fig6_bundle",
-    "q1_bundle",
-    "q2_bundle",
-    "sample_zipf",
-    "zipf_probabilities",
-]
+#: exported name -> the module it is imported from on first use.
+_EXPORTS = {
+    "Incident": "repro.workloads.traffic",
+    "IncidentReportSource": "repro.workloads.traffic",
+    "IncidentSchedule": "repro.workloads.traffic",
+    "QueryBundle": "repro.workloads.bundles",
+    "SquareWaveSource": "repro.workloads.sources",
+    "UniformRateSource": "repro.workloads.sources",
+    "UserLocationSource": "repro.workloads.traffic",
+    "WorldCupAccessLog": "repro.workloads.worldcup",
+    "batch_rng": "repro.workloads.zipf",
+    "calibrated_costs": "repro.workloads.bundles",
+    "fig6_bundle": "repro.workloads.bundles",
+    "q1_bundle": "repro.workloads.bundles",
+    "q2_bundle": "repro.workloads.bundles",
+    "sample_zipf": "repro.workloads.zipf",
+    "zipf_probabilities": "repro.workloads.zipf",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

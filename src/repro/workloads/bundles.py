@@ -52,12 +52,6 @@ from repro.topology.operators import TaskId
 from repro.topology.partitioning import Partitioning
 from repro.topology.rates import SourceRates, StreamRates, propagate_rates
 from repro.workloads.sources import UniformRateSource
-from repro.workloads.traffic import (
-    IncidentReportSource,
-    IncidentSchedule,
-    UserLocationSource,
-)
-from repro.workloads.worldcup import WorldCupAccessLog
 
 #: Accuracy function signature: (tentative sink output, accurate sink output).
 AccuracyFn = Callable[[Sequence[KeyedTuple], Sequence[KeyedTuple]], float]
@@ -158,6 +152,9 @@ def q1_bundle(rate_per_source: float = 1000.0, *, tuple_scale: float = 4.0,
     Topology: 8 server sources -> O1 (8, slice aggregation, one-to-one) ->
     O2 (4, windowed merge, merge) -> O3 (1, global top-k, merge).
     """
+    # numpy loads with the Q1/Q2 sources, so only when one is built.
+    from repro.workloads.worldcup import WorldCupAccessLog
+
     topology = (
         TopologyBuilder()
         .source("S", 8)
@@ -214,6 +211,12 @@ def q2_bundle(location_rate: float = 20_000.0, *, tuple_scale: float = 40.0,
     shortens the window to keep simulated runs brief — the join semantics
     and loss behaviour are unchanged.
     """
+    from repro.workloads.traffic import (
+        IncidentReportSource,
+        IncidentSchedule,
+        UserLocationSource,
+    )
+
     topology = (
         TopologyBuilder()
         .source("Sloc", 4)

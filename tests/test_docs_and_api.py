@@ -11,17 +11,20 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.cluster
 import repro.core
 import repro.engine
 import repro.experiments
 import repro.queries
 import repro.scenarios
+import repro.service
 import repro.topology
 import repro.workloads
 
 
-PACKAGES = [repro, repro.core, repro.engine, repro.experiments,
-            repro.queries, repro.scenarios, repro.topology, repro.workloads]
+PACKAGES = [repro, repro.cluster, repro.core, repro.engine, repro.experiments,
+            repro.queries, repro.scenarios, repro.service, repro.topology,
+            repro.workloads]
 
 
 def _perf_importable() -> None:
@@ -110,6 +113,27 @@ class TestApiSurface:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_lazy_export_tables_match_all_and_dir(self):
+        lazy = [package for package in PACKAGES if "_EXPORTS" in vars(package)]
+        assert {package.__name__ for package in lazy} >= {
+            "repro", "repro.cluster", "repro.experiments", "repro.service",
+            "repro.workloads"}
+        for package in lazy:
+            listed = dir(package)
+            for name, module in package._EXPORTS.items():
+                assert name in package.__all__, f"{package.__name__}.{name}"
+                assert name in listed, f"{package.__name__}.{name}"
+                value = getattr(package, name)
+                assert value is getattr(importlib.import_module(module), name)
+
+    def test_a_loaded_submodule_never_shadows_an_export(self):
+        # Loading ``repro.experiments.claims`` binds the module onto the
+        # package as ``claims``; the exported ``claims`` function must stay.
+        module = importlib.import_module("repro.experiments.claims")
+        setattr(repro.experiments, "claims", module)
+        assert repro.experiments.claims is module.claims
+        assert inspect.isfunction(repro.experiments.claims)
+
     def test_cluster_backend_takes_no_ssh_parameters(self):
         from repro.cluster import ClusterBackend
 
@@ -128,6 +152,45 @@ class TestApiSurface:
 
 EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples")
                   .glob("*.py"))
+
+
+def _imported(*args: str) -> set[str]:
+    """The modules a fresh ``python -X importtime *args`` imports."""
+    src = Path(repro.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return {line.rpartition("|")[2].strip()
+            for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestColdStartImports:
+    """Every entry point imports only the code it runs.
+
+    A cluster worker's start-up is the restart phase of a fleet recovery,
+    and it is almost all import time.
+    """
+
+    def test_cluster_worker_loads_no_numpy_figure_or_broker_module(self):
+        loaded = _imported("-c", "import repro.cluster.worker")
+        assert "repro.cluster.worker" in loaded
+        assert "numpy" not in loaded
+        assert "repro.service.broker" not in loaded
+        assert not {m for m in loaded if m.startswith("repro.experiments.")}
+
+    def test_core_loads_neither_engine_nor_scenarios(self):
+        loaded = _imported("-c", "import repro.core")
+        assert "repro.core.structure_aware" in loaded
+        assert not {m for m in loaded
+                    if m.startswith(("repro.engine", "repro.scenarios"))}
+
+    def test_worker_subcommand_loads_no_figure_module(self):
+        loaded = _imported("-m", "repro.experiments", "worker", "--help")
+        assert "repro.cluster.worker" in loaded
+        assert {m for m in loaded if m.startswith("repro.experiments.")} \
+            <= {"repro.experiments.cli", "repro.experiments.tables"}
 
 
 class TestExamples:
