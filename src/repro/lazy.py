@@ -42,8 +42,8 @@ class _LazyPackage(ModuleType):
 
     Importing ``repro.experiments.claims`` binds the *module* onto the
     package as ``claims``, which would shadow the exported ``claims``
-    *function* that an eager ``from ... import`` used to bind afterwards.
-    Such a binding is skipped here; the submodule stays in ``sys.modules``.
+    *function*.  Such a binding is skipped; the submodule stays in
+    ``sys.modules``.
     """
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -63,8 +63,7 @@ def lazy_exports(package: str, exports: Mapping[str, str]) -> tuple[
     submodule never shadows an exported name.
     """
     module = sys.modules[package]
-    if type(module) is ModuleType:
-        module.__class__ = _LazyPackage
+    module.__class__ = _LazyPackage
 
     def __getattr__(name: str) -> Any:
         try:

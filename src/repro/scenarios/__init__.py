@@ -54,6 +54,7 @@ results bit-for-bit), and a malformed document raises
 """
 
 from repro.lazy import lazy_exports
+from repro.scenarios import catalog as _catalog  # populate the registries
 
 #: exported name -> the module it is imported from on first use.
 _EXPORTS = {
@@ -109,5 +110,3 @@ _EXPORTS = {
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
-
-from repro.scenarios import catalog as _catalog  # noqa: E402  populate the registries
