@@ -33,8 +33,10 @@ are read once at construction, task statuses are compared against the
 module-level aliases of :mod:`repro.engine.tasks`, each task's CPU entry
 is bound to its runtime on first use, the inputs of a batch are walked
 once, a :class:`~repro.engine.tuples.Batch` counts its tuples once at
-construction, and ``state_size()`` is asked only when a checkpoint is
-due.  None of it changes which events run or in what order.
+construction, a :class:`~repro.engine.tuples.SinkRecord` keeps the sink
+operator's output sequence instead of copying it, and ``state_size()`` is
+asked only when a checkpoint is due.  None of it changes which events run
+or in what order.
 """
 
 from __future__ import annotations
@@ -397,7 +399,7 @@ class StreamEngine:
 
         if rt.is_sink:
             metrics.sink_records.append(
-                SinkRecord(rt.task, index, tuple(outputs), complete, self.sim.now)
+                SinkRecord(rt.task, index, outputs, complete, self.sim.now)
             )
         else:
             self._emit_outputs(rt, index, outputs, complete)

@@ -26,12 +26,18 @@ class OperatorLogic(abc.ABC):
     @abc.abstractmethod
     def process_batch(self, task: TaskId, batch_end_time: float,
                       inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                      ) -> list[KeyedTuple]:
+                      ) -> Sequence[KeyedTuple]:
         """Consume one aligned input batch, return the output tuples.
 
         ``inputs`` maps each upstream task to the tuples it contributed to
         this batch (possibly empty).  Tuples must be processed in the
         deterministic order given (upstream tasks are pre-sorted).
+
+        The returned sequence is shared, not copied: the router hands it
+        downstream as a batch's tuples, and a sink task's
+        :class:`~repro.engine.tuples.SinkRecord` keeps it.  Return a fresh
+        list or a :class:`~repro.engine.tuples.KeyCycleRun`, and never
+        mutate it after returning it.
         """
 
     def process_batch_reference(self, task: TaskId, batch_end_time: float,

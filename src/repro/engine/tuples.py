@@ -18,8 +18,9 @@ shared that way are listed once, in :data:`SHARED_SEQUENCES`: lists, tuples
 and :class:`KeyCycleRun` — strided id ranges that compute their ``(key,
 (owner, n))`` tuples on demand.  A source batch is one such range, a
 periodic selectivity take of a run is again a run, and an operator's takes
-of its upstreams concatenate into one, so on the Fig. 6 merge chain no
-tuple is built until it leaves the engine at the sink.
+of its upstreams concatenate into one, and a :class:`SinkRecord` keeps the
+sink operator's sequence as-is, so on the Fig. 6 merge chain no tuple is
+built until a reader of a sink record asks for it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from itertools import chain, cycle, repeat
 from math import gcd
 from typing import Any, Iterable, Iterator, Sequence
@@ -261,17 +262,70 @@ def forged_batch(src: TaskId, dst: TaskId, index: int) -> Batch:
     return Batch(src=src, dst=dst, index=index, tuples=(), complete=False, forged=True)
 
 
-@dataclass(frozen=True)
 class SinkRecord:
-    """One batch of final output captured at a sink task."""
+    """One batch of final output captured at a sink task.
 
-    task: TaskId
-    index: int
-    tuples: tuple[KeyedTuple, ...]
-    complete: bool
-    emitted_at: float
+    ``outputs`` is the sequence the sink operator returned, kept as-is: one
+    of :data:`SHARED_SEQUENCES`, under the same never-mutate contract as
+    :attr:`Batch.tuples`.  ``tuples`` builds the tuple of its items on each
+    read, so a run builds no output tuple that nobody reads.  Otherwise it
+    behaves as a frozen dataclass of ``(task, index, tuples, complete,
+    emitted_at)``: constructor, repr, equality, hash and pickle bytes do not
+    depend on which sequence type it holds.
+
+    >>> record = SinkRecord("K", 4, KeyCycleRun(("a", "b"), 7, 0, 2), True, 2.5)
+    >>> record.outputs
+    KeyCycleRun(<1 segment>, len=2)
+    >>> record
+    SinkRecord(task='K', index=4, tuples=(('a', (7, 0)), ('b', (7, 1))), complete=True, emitted_at=2.5)
+    >>> record == SinkRecord("K", 4, [("a", (7, 0)), ("b", (7, 1))], True, 2.5)
+    True
+    """
+
+    __slots__ = ("task", "index", "outputs", "complete", "emitted_at")
+
+    def __init__(self, task: TaskId, index: int,
+                 tuples: Sequence[KeyedTuple], complete: bool,
+                 emitted_at: float):
+        self.__setstate__({"task": task, "index": index, "tuples": tuples,
+                           "complete": complete, "emitted_at": emitted_at})
+
+    @property
+    def tuples(self) -> tuple[KeyedTuple, ...]:
+        """The output items as a tuple, built on each read (a tuple
+        ``outputs`` is returned as-is)."""
+        return tuple(self.outputs)
 
     @property
     def tentative(self) -> bool:
         """Whether this output was produced from incomplete inputs."""
         return not self.complete
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The dataclass's instance dict, so pickles stay byte-identical.
+        return {"task": self.task, "index": self.index, "tuples": self.tuples,
+                "complete": self.complete, "emitted_at": self.emitted_at}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        setter = object.__setattr__
+        for name, value in state.items():
+            setter(self, "outputs" if name == "tuples" else name, value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__getstate__() == other.__getstate__()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__getstate__().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in self.__getstate__().items())
+        return f"{self.__class__.__qualname__}({fields})"

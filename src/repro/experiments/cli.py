@@ -82,14 +82,10 @@ from repro.scenarios import (
     EXECUTION_BACKENDS,
     FAILURE_MODELS,
     RECOVERY_SCHEMES,
-    GridSession,
     Scenario,
-    ScenarioCache,
     ScenarioResult,
     run_scenario,
-    sink_for_path,
 )
-from repro.scenarios.grid import load_json, scenarios_from_document
 from repro.topology.operators import TaskId
 
 if TYPE_CHECKING:
@@ -195,6 +191,8 @@ def load_grid(path: str, recovery: Sequence[str] = ()) -> list[Scenario]:
     Shared by ``grid``, ``submit`` and ``chaos``, so all three reject an
     unregistered scheme or failure model before any work starts.
     """
+    from repro.scenarios.grid import load_json, scenarios_from_document
+
     scenarios = scenarios_from_document(load_json(path))
     _check_names(scenarios, recovery)
     return scenarios
@@ -305,6 +303,8 @@ def scenario_main(argv: Sequence[str]) -> int:
                         help="print the full ScenarioResult as JSON")
     args = parser.parse_args(argv)
 
+    from repro.scenarios.grid import load_json
+
     scenario = Scenario.from_dict(load_json(args.file))
     _check_names((scenario,), (args.recovery,) if args.recovery else ())
     if args.recovery:
@@ -366,8 +366,10 @@ def grid_main(argv: Sequence[str]) -> int:
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print every outcome as a JSON array")
     # Imported lazily (like serve/submit/status): plain grid runs should
-    # not pay for — or be able to break on — the cluster stack.
+    # not pay for — or be able to break on — the cluster stack, and no
+    # other command loads the session, sinks (sqlite3) or cache.
     from repro.cluster.cli import add_cluster_arguments, backend_from_args
+    from repro.scenarios import GridSession, ScenarioCache, sink_for_path
 
     add_cluster_arguments(parser)
     args = parser.parse_args(argv)
@@ -428,6 +430,8 @@ def cache_main(argv: Sequence[str]) -> int:
                         help="entries to keep when pruning (required for "
                              "'prune')")
     args = parser.parse_args(argv)
+
+    from repro.scenarios import ScenarioCache
 
     if not Path(args.dir).is_dir():
         raise ScenarioError(f"{args.dir!r} is not a directory")

@@ -336,8 +336,10 @@ class ScenarioRunner:
             "measure_until", scenario.duration - 2.0 * interval,
         ))
         baseline = self._sink_baseline(bundle, config)
+        # Scored from the records' shared sequences: a batch outside the
+        # window is never read, so it is never materialised.
         produced = {
-            record.index: record.tuples
+            record.index: record.outputs
             for record in engine.metrics.sink_records
             if record.task == bundle.sink_task
         }

@@ -409,7 +409,10 @@ class TestClusterEndToEnd:
             thread = threading.Thread(target=clone.run, daemon=True)
             thread.start()
             deadline = time.monotonic() + 10.0
-            while coordinator.worker_count() < 3:
+            # The coordinator counts an agent before its welcome reaches
+            # the agent, so wait for every agent's id as well.
+            while coordinator.worker_count() < 3 or any(
+                    agent.worker_id is None for agent in (*agents, clone)):
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
             ids = {agent.worker_id for agent in agents} | {clone.worker_id}

@@ -313,6 +313,20 @@ class TestLedgerRestore:
 # Live coordinator crash + self-healing worker over loopback TCP
 # ---------------------------------------------------------------------------
 
+def _stuck_report(ledger: CellLedger, grid_size: int, drained,
+                  agent: ClusterWorkerAgent) -> str:
+    """Where a restarted grid stuck: undrained indices, per-cell ledger
+    state (queued or leased, to whom, attempts) and the agent's sessions."""
+    with ledger._lock:
+        cells = sorted(
+            (cell.index, cell.state, cell.worker, cell.attempts)
+            for cell in ledger._cells.values())
+    return (f"restart never finished: undrained "
+            f"{sorted(set(range(grid_size)) - set(drained))}; ledger cells "
+            f"(index, state, worker, attempts) {cells}; agent sessions "
+            f"{agent.sessions}")
+
+
 class TestCoordinatorCrashRestart:
     def test_sigkilled_coordinator_restarts_and_finishes_the_grid(
             self, tmp_path):
@@ -345,7 +359,8 @@ class TestCoordinatorCrashRestart:
 
             deadline = time.monotonic() + 30.0
             while len(outcomes) < len(grid):
-                assert time.monotonic() < deadline, "restart never finished"
+                assert time.monotonic() < deadline, _stuck_report(
+                    successor.ledger, len(grid), outcomes, agent)
                 item = successor.ledger.next_outcome(timeout=5.0)
                 if item is not None:
                     # First completion wins across the restart; replayed

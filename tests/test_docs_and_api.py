@@ -154,16 +154,34 @@ EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples")
                   .glob("*.py"))
 
 
+#: Runs ``-c CODE`` or ``-m MODULE ARG...`` as ``python`` would and prints
+#: every loaded module to stderr at exit, after a marker line.
+_MODULES_AT_EXIT = """\
+import atexit, runpy, sys
+atexit.register(lambda: print("--modules--", *sys.modules, sep="\\n",
+                              file=sys.stderr))
+flag, target, *rest = sys.argv[1:]
+if flag == "-m":
+    sys.argv = [target, *rest]
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    exec(target)
+"""
+
+
 def _imported(*args: str) -> set[str]:
-    """The modules a fresh ``python -X importtime *args`` imports."""
+    """The modules a fresh ``python *args`` has loaded when it exits.
+
+    Read from ``sys.modules``: ``-X importtime`` does not report modules
+    loaded through ``importlib.import_module``, which is how every lazy
+    package export resolves.
+    """
     src = Path(repro.__file__).resolve().parent.parent
-    done = subprocess.run([sys.executable, "-X", "importtime", *args],
+    done = subprocess.run([sys.executable, "-c", _MODULES_AT_EXIT, *args],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    return {line.rpartition("|")[2].strip()
-            for line in done.stderr.splitlines()
-            if line.startswith("import time:")}
+    return set(done.stderr.rpartition("--modules--\n")[2].splitlines())
 
 
 class TestColdStartImports:
@@ -191,6 +209,14 @@ class TestColdStartImports:
         assert "repro.cluster.worker" in loaded
         assert {m for m in loaded if m.startswith("repro.experiments.")} \
             <= {"repro.experiments.cli", "repro.experiments.tables"}
+
+    def test_worker_subcommand_loads_no_grid_side_module(self):
+        loaded = _imported("-m", "repro.experiments", "worker", "--help")
+        assert "repro.cluster.worker" in loaded
+        assert not loaded & {"repro.scenarios.session",
+                             "repro.scenarios.sinks",
+                             "repro.scenarios.cache",
+                             "repro.scenarios.grid", "sqlite3"}
 
 
 class TestExamples:

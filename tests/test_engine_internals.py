@@ -16,11 +16,14 @@ from repro.engine import (
     MetricsCollector,
     RecoveryMode,
     SinkRecord,
+    StreamEngine,
     forged_batch,
 )
 from repro.engine.tasks import TaskRuntime, TaskStatus
 from repro.errors import SimulationError
 from repro.topology import TaskId
+from repro.workloads.bundles import fig6_bundle
+from tests.engine_helpers import metrics_fingerprint
 
 T = TaskId("A", 0)
 UP = TaskId("S", 0)
@@ -169,6 +172,56 @@ class TestBatches:
         record = SinkRecord(T, 0, (), complete=False, emitted_at=1.0)
         assert record.tentative
         assert not SinkRecord(T, 0, (), True, 1.0).tentative
+
+
+class TestSinkRecord:
+    RUN = KeyCycleRun(("a", "b", "c"), 2, 5, 7)[::2]
+
+    @pytest.mark.parametrize("outputs", [
+        RUN, list(RUN), tuple(RUN)], ids=["run", "list", "tuple"])
+    def test_keeps_the_shared_sequence_and_reads_as_a_tuple(self, outputs):
+        record = SinkRecord(T, 3, outputs, False, 2.5)
+        assert record.outputs is outputs
+        assert type(record.tuples) is tuple
+        assert record.tuples == tuple(self.RUN)
+        assert record.tentative
+        assert not SinkRecord(T, 3, outputs, True, 2.5).tentative
+        assert record == SinkRecord(T, 3, tuple(self.RUN), False, 2.5)
+        assert hash(record) == hash(SinkRecord(T, 3, self.RUN, False, 2.5))
+        assert record != SinkRecord(T, 3, self.RUN, True, 2.5)
+        assert repr(record) == (
+            f"SinkRecord(task={T!r}, index=3, tuples={tuple(self.RUN)!r}, "
+            f"complete=False, emitted_at=2.5)")
+        copies = [copy.deepcopy(record), copy.copy(record)] + [
+            pickle.loads(pickle.dumps(record, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in copies:
+            assert type(clone) is SinkRecord and clone == record
+            assert clone.tuples == record.tuples
+
+    def test_keyword_construction_and_frozen_fields(self):
+        record = SinkRecord(task=T, index=0, tuples=[("k", 1)],
+                            complete=True, emitted_at=1.0)
+        assert record.tuples == (("k", 1),)
+        with pytest.raises(AttributeError):
+            record.tuples = ()
+        with pytest.raises(AttributeError):
+            record.complete = False
+
+    def test_engine_builds_no_sink_tuple(self):
+        bundle = fig6_bundle(1000.0, 10.0, tuple_scale=16.0)
+        engine = StreamEngine(bundle.topology, bundle.make_logic(),
+                              EngineConfig(checkpoint_interval=15.0))
+        engine.run(20.0)
+        records = engine.metrics.sink_records
+        assert len(records) == 20
+        for record in records:
+            assert type(record.outputs) is KeyCycleRun
+            assert type(record.tuples) is tuple
+            assert list(record.tuples) == list(record.outputs)
+        # The sink log digest the parity goldens are built from.
+        assert metrics_fingerprint(engine.metrics)["sink_sha256"] == (
+            "5be8ecad0027da3242619bcc903a56e30158a02e7cb55c9dc9e714ff764a5854")
 
 
 class TestCheckpointStore:
