@@ -22,10 +22,7 @@ from repro.core.fidelity import (
 )
 from repro.core.full_topology import FullTopologyPlanner
 from repro.core.greedy import GreedyPlanner
-from repro.core.loss import (
-    propagate_information_loss,
-    propagate_information_loss_reference,
-)
+from repro.core.loss import propagate_information_loss
 from repro.core.mc_trees import (
     count_mc_tree_derivations,
     enumerate_mc_trees,
@@ -68,7 +65,6 @@ __all__ = [
     "minimum_tree_size",
     "output_fidelity",
     "propagate_information_loss",
-    "propagate_information_loss_reference",
     "single_failure_completeness",
     "single_failure_fidelity",
     "split_into_units",

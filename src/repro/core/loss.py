@@ -38,10 +38,10 @@ weak references to both and is only served while they are the very same
 objects, so an ``id()`` recycled after garbage collection can never alias.
 
 Bit-identity contract: the program performs the same float operations in the
-same order as :func:`propagate_information_loss_reference`, the dict-walking
-original kept as the test oracle, so every result is ``==``, not merely
-close.  In particular the program calls builtin ``sum()`` exactly where the
-reference does and accumulates with ``+=`` where the reference does: from
+same order as the dict-walking original, which ``tests/test_loss_program.py``
+keeps as its oracle, so every result is ``==``, not merely close.  In
+particular the program calls builtin ``sum()`` exactly where the original
+does and accumulates with ``+=`` where the original does: from
 Python 3.12 on ``sum()`` of floats is compensated and a hand-rolled loop is
 not, so swapping one for the other (or vectorising with numpy, whose
 reductions reorder additions) changes last digits.
@@ -53,37 +53,11 @@ import threading
 import weakref
 from collections import OrderedDict
 from operator import mul
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable
 
 from repro.topology.graph import Topology
 from repro.topology.operators import TaskId
 from repro.topology.rates import StreamRates
-
-
-def _clamp01(value: float) -> float:
-    if value < 0.0:
-        return 0.0
-    if value > 1.0:
-        return 1.0
-    return value
-
-
-def input_stream_loss(loss_by_task: Mapping[TaskId, float], rates: StreamRates,
-                      task: TaskId, substreams: tuple[tuple[TaskId, float], ...]) -> float:
-    """Eq. 1: rate-weighted average loss over the substreams of one input stream.
-
-    An input stream whose total pre-failure rate is zero carries no
-    information; its loss is conservatively reported as 1.
-    """
-    weighted = 0.0
-    total = 0.0
-    for src, _weight in substreams:
-        rate = rates.substream_rate(src, task)
-        weighted += rate * loss_by_task[src]
-        total += rate
-    if total <= 0.0:
-        return 1.0
-    return _clamp01(weighted / total)
 
 
 class _LossProgram:
@@ -239,52 +213,3 @@ def propagate_information_loss(topology: Topology, rates: StreamRates,
     loss = program.failed_state(failed)
     program.propagate(loss, ignore_correlation)
     return dict(zip(program.tasks, loss))
-
-
-def propagate_information_loss_reference(
-        topology: Topology, rates: StreamRates, failed: AbstractSet[TaskId], *,
-        ignore_correlation: bool = False) -> dict[TaskId, float]:
-    """The dict-walking original of :func:`propagate_information_loss`.
-
-    Kept as the test oracle: the compiled program must return ``==`` floats.
-    """
-    loss: dict[TaskId, float] = {}
-    for name in topology.topological_order():
-        spec = topology.operator(name)
-        correlated = spec.is_correlated and not ignore_correlation
-        for task in spec.tasks():
-            if task in failed:
-                loss[task] = 1.0
-                continue
-            if spec.is_source:
-                loss[task] = 0.0
-                continue
-            stream_losses: list[float] = []
-            stream_rates: list[float] = []
-            for stream in topology.input_streams(task):
-                stream_losses.append(
-                    input_stream_loss(loss, rates, task, stream.substreams)
-                )
-                stream_rates.append(
-                    rates.input_stream_rate(task, stream.upstream_operator)
-                )
-            loss[task] = _combine_stream_losses(stream_losses, stream_rates, correlated)
-    return loss
-
-
-def _combine_stream_losses(stream_losses: list[float], stream_rates: list[float],
-                           correlated: bool) -> float:
-    """Eq. 2 (correlated) or Eq. 3 (independent) over per-stream losses."""
-    if not stream_losses:
-        # A non-source task with no input stream cannot receive information.
-        return 1.0
-    if correlated:
-        survival = 1.0
-        for il in stream_losses:
-            survival *= 1.0 - il
-        return _clamp01(1.0 - survival)
-    total = sum(stream_rates)
-    if total <= 0.0:
-        return 1.0
-    weighted = sum(r * il for r, il in zip(stream_rates, stream_losses))
-    return _clamp01(weighted / total)

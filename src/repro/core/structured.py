@@ -9,8 +9,8 @@ that are already replicated, then higher-rate substreams.  Candidates are
 ranked by profit density ``(value(P ∪ CG) − value(P)) / |CG − P|`` and the
 densest one is applied per step.
 
-The published pseudocode of Algorithm 3 contains several typos (see
-DESIGN.md §6); this implementation follows the prose semantics.
+Where the published pseudocode of Algorithm 3 and the paper's prose
+disagree, this implementation follows the prose.
 """
 
 from __future__ import annotations

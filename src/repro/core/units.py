@@ -15,8 +15,8 @@ Boundary rules for an internal edge ``U -> D``:
 * pattern ``MERGE`` and ``D`` is a correlated-input operator — Fig. 3(b);
 * pattern ``MERGE`` and ``D`` has a split (or full) output — Fig. 3(a);
 * pattern ``MERGE`` and ``U``'s unit already contains a merge edge — keeps
-  merges from stacking in series within one unit (our addition, documented
-  in DESIGN.md §6).
+  merges from stacking in series within one unit (our addition: the case
+  above that the paper's bound requires but its prose does not state).
 """
 
 from __future__ import annotations

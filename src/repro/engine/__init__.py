@@ -1,9 +1,11 @@
 """Simulated MPSPE substrate: the paper's Storm-based system in virtual time.
 
-See DESIGN.md §2 for how this substitutes the paper's EC2 deployment, and
-:mod:`repro.engine.engine` for the protocols implemented.  The synthetic
-operator's selectivity filter runs through the one batch kernel,
-:mod:`repro.engine.kernels`, pinned bit for bit to its per-tuple reference.
+Instead of the paper's 36-node EC2 deployment, every task runs in one
+process on a discrete-event clock, with per-tuple and per-batch costs taken
+from :class:`CostModel`; :mod:`repro.engine.engine` implements the
+protocols.  The synthetic operator's selectivity filter runs through the
+one batch kernel, :mod:`repro.engine.kernels`, which the kernel tests pin
+bit for bit to a per-tuple accumulator loop.
 """
 
 from repro.engine.checkpoint import Checkpoint, CheckpointStore, CheckpointTimings

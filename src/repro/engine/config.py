@@ -1,7 +1,8 @@
 """Engine configuration: virtual-time cost model and protocol intervals.
 
-The simulator substitutes the paper's 36-node EC2 cluster (see DESIGN.md §2).
-All durations are in *virtual seconds*; the defaults are calibrated so that
+The simulator stands in for the paper's 36-node EC2 Storm cluster: every
+task runs in one process on a virtual clock, and CPU, network and restart
+work are charged from a cost model instead of being measured.  All durations are in *virtual seconds*; the defaults are calibrated so that
 the absolute recovery latencies land in the paper's ballpark (single-digit
 seconds for active replicas, tens of seconds for checkpoint restores at high
 rates), while the *shapes* — scaling with input rate, checkpoint interval,

@@ -32,9 +32,9 @@ every other take is a fresh list:
 >>> _selectivity_loop(items, 0.375, 0.0)
 ([2, 5, 7], 0.0)
 
-Each operator's per-tuple ``process_batch_reference`` stays the executable
-specification, as ``Router.distribute_reference`` does for routing;
-``tests/test_kernels.py`` pins the kernel to it.
+``tests/test_kernels.py`` pins the kernel, and every kernelized operator,
+to a per-tuple reference operator kept with the tests
+(``tests/reference_ops.py``).
 """
 
 from __future__ import annotations

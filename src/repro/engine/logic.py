@@ -40,21 +40,6 @@ class OperatorLogic(abc.ABC):
         mutate it after returning it.
         """
 
-    def process_batch_reference(self, task: TaskId, batch_end_time: float,
-                                inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                                ) -> list[KeyedTuple]:
-        """Per-tuple executable specification of :meth:`process_batch`.
-
-        Kernelized operators (see :mod:`repro.engine.kernels`) override this
-        with the original per-tuple implementation so randomized parity
-        tests can pin the batch kernels to it — the same contract as
-        :meth:`repro.engine.routing.Router.distribute_reference`.  The two
-        paths may maintain differently-shaped internal state, so drive each
-        on its own operator instance; for operators without a kernel the
-        default simply runs the (single) implementation.
-        """
-        return self.process_batch(task, batch_end_time, inputs)
-
     def state_size(self) -> int:
         """Approximate number of tuples held in state (checkpoint cost)."""
         return 0

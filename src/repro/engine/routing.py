@@ -12,18 +12,18 @@ interned destination :class:`TaskId` instances and (for hash-partitioned
 edges) a memoized ``key -> destination index`` table that grows as keys are
 seen.  :meth:`Router.distribute` is then a single pass per downstream
 operator — no per-tuple CRC32 for repeated keys, no per-tuple ``TaskId``
-allocation, no per-destination re-scan.  The original per-tuple routing
-functions are kept as :meth:`Router.distribute_reference` so parity tests can
-assert the two paths agree on arbitrary topologies.
+allocation, no per-destination re-scan.  ``tests/test_fast_path.py`` holds
+it to a per-tuple reference router, built from the topology's partitioning
+patterns alone, on arbitrary topologies.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.engine.tuples import SHARED_SEQUENCES, KeyedTuple
-from repro.topology.graph import StreamEdge, Topology
+from repro.topology.graph import Topology
 from repro.topology.operators import TaskId
 from repro.topology.partitioning import Partitioning
 
@@ -31,10 +31,6 @@ from repro.topology.partitioning import Partitioning
 def stable_hash(key: str) -> int:
     """Deterministic, process-independent hash of a key."""
     return zlib.crc32(key.encode("utf-8"))
-
-
-def _split_members(upstream_index: int, n_up: int, n_down: int) -> list[int]:
-    return [j for j in range(n_down) if j * n_up // n_down == upstream_index]
 
 
 #: Per-edge key-memo capacity.  Repeated keys (the common, bounded-key-space
@@ -69,9 +65,6 @@ class Router:
 
     def __init__(self, topology: Topology):
         self._topology = topology
-        self._route_fns: dict[tuple[str, str], Callable[[TaskId, str], int]] = {}
-        for edge in topology.edges():
-            self._route_fns[(edge.upstream, edge.downstream)] = self._make_route(edge)
         self._plans: dict[TaskId, tuple[_DispatchPlan, ...]] = {}
         self._build_plans()
 
@@ -95,7 +88,7 @@ class Router:
             )
             for src in topology.tasks_of(edge.upstream):
                 # The substream targets on this edge, in downstream-index
-                # order — the same set the per-tuple route functions hit.
+                # order — every destination the edge's pattern can reach.
                 targets = tuple(
                     dst for dst, _w in topology.output_substreams(src)
                     if dst.operator == edge.downstream
@@ -107,25 +100,6 @@ class Router:
                 self._plans[src] = self._plans.get(src, ()) + (plan,)
         for task in topology.tasks():
             self._plans.setdefault(task, ())
-
-    def _make_route(self, edge: StreamEdge) -> Callable[[TaskId, str], int]:
-        n_up = self._topology.operator(edge.upstream).parallelism
-        n_down = self._topology.operator(edge.downstream).parallelism
-
-        if edge.pattern is Partitioning.ONE_TO_ONE:
-            return lambda src, key: src.index
-        if edge.pattern is Partitioning.MERGE:
-            return lambda src, key: src.index * n_down // n_up
-        if edge.pattern is Partitioning.SPLIT:
-            members_of = {i: _split_members(i, n_up, n_down) for i in range(n_up)}
-
-            def route_split(src: TaskId, key: str) -> int:
-                members = members_of[src.index]
-                return members[stable_hash(key) % len(members)]
-
-            return route_split
-        # FULL: hash-partition over all downstream tasks.
-        return lambda src, key: stable_hash(key) % n_down
 
     # ------------------------------------------------------------------
     # Distribution
@@ -171,23 +145,4 @@ class Router:
                 buckets[pos].append(item)
             for dst, bucket in zip(targets, buckets):
                 out[dst] = bucket
-        return out
-
-    def distribute_reference(self, src: TaskId, tuples: Sequence[KeyedTuple]
-                             ) -> dict[TaskId, list[KeyedTuple]]:
-        """Per-tuple reference implementation of :meth:`distribute`.
-
-        Routes every tuple through the original per-edge routing functions.
-        Kept (and exercised by the parity tests) as the executable
-        specification the table-driven fast path must match exactly.
-        """
-        out: dict[TaskId, list[KeyedTuple]] = {
-            dst: [] for dst, _w in self._topology.output_substreams(src)
-        }
-        for downstream_op in self._topology.downstream_of(src.operator):
-            route = self._route_fns[(src.operator, downstream_op)]
-            for key, value in tuples:
-                dst = TaskId(downstream_op, route(src, key))
-                # Patterns guarantee dst is one of src's substream targets.
-                out[dst].append((key, value))
         return out

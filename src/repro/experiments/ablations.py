@@ -1,4 +1,4 @@
-"""Ablations of the reproduction's design choices (see DESIGN.md §5).
+"""Ablations of the reproduction's design choices.
 
 Three ablations back the decisions the simulator's results rest on:
 

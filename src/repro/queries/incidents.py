@@ -16,8 +16,9 @@ predictor and OF a good one in Fig. 12(b).
 
 Each operator's ``process_batch`` is a batch kernel (incremental per-key
 window aggregates retired via :meth:`SlidingWindow.evict_collect` instead of
-per-batch window rescans); the original per-tuple loops are kept as
-``process_batch_reference`` and pinned by the randomized parity tests.
+per-batch window rescans).  The randomized parity tests hold each kernel to
+a per-tuple reference subclass that lives with the tests
+(``tests/reference_ops.py``).
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class SegmentSpeedOperator(OperatorLogic):
     def process_batch(self, task: TaskId, batch_end_time: float,
                       inputs: Mapping[TaskId, Sequence[KeyedTuple]]
                       ) -> list[KeyedTuple]:
-        # Mutable [total, count] cells kill the per-tuple tuple rebuild of
-        # the reference; the additions run in the same order, so the float
-        # totals (and the 0.0 + x normalisation) are bit-identical.
+        # Mutable [total, count] cells avoid a tuple rebuild per input
+        # tuple; the additions run in input order, so the float totals
+        # (and the 0.0 + x normalisation) match a per-tuple loop bit for bit.
         sums: dict[str, list] = {}
         get = sums.get
         for upstream in sorted(inputs):
@@ -55,20 +56,6 @@ class SegmentSpeedOperator(OperatorLogic):
         return [
             (segment, total / count)
             for segment, (total, count) in sorted(sums.items())
-        ]
-
-    def process_batch_reference(self, task: TaskId, batch_end_time: float,
-                                inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                                ) -> list[KeyedTuple]:
-        sums: dict[str, tuple[float, int]] = {}
-        for upstream in sorted(inputs):
-            for segment, speed in inputs[upstream]:
-                total, count = sums.get(segment, (0.0, 0))
-                sums[segment] = (total + float(speed), count + 1)
-        return [
-            (segment, total / count)
-            for segment, (total, count) in sorted(sums.items())
-            if count > 0
         ]
 
     def state_size(self) -> int:
@@ -102,21 +89,6 @@ class IncidentCombineOperator(OperatorLogic):
                     continue
                 seen.add(incident_id)
                 window.add(batch_end_time, incident_id)
-                out.append((segment, incident_id))
-        return sorted(out)
-
-    def process_batch_reference(self, task: TaskId, batch_end_time: float,
-                                inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                                ) -> list[KeyedTuple]:
-        self.window.evict(batch_end_time)
-        self._seen = {incident for _ts, incident in self.window.timestamped()}
-        out: list[KeyedTuple] = []
-        for upstream in sorted(inputs):
-            for segment, incident_id in inputs[upstream]:
-                if incident_id in self._seen:
-                    continue
-                self._seen.add(incident_id)
-                self.window.add(batch_end_time, incident_id)
                 out.append((segment, incident_id))
         return sorted(out)
 
@@ -168,30 +140,6 @@ class SpeedIncidentJoinOperator(OperatorLogic):
             retire_count(pairs, pair)
         return sorted(pair for pair in pairs if pair[0] in slow)
 
-    def process_batch_reference(self, task: TaskId, batch_end_time: float,
-                                inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                                ) -> list[KeyedTuple]:
-        for upstream in sorted(inputs):
-            for key, value in inputs[upstream]:
-                if isinstance(value, str):
-                    self.incidents.add(batch_end_time, (key, value))
-                else:
-                    self.speeds.add(batch_end_time, (key, float(value)))
-        self.speeds.evict(batch_end_time)
-        self.incidents.evict(batch_end_time)
-
-        slow_segments = {
-            segment
-            for segment, speed in self.speeds.items()
-            if speed <= self.jam_speed
-        }
-        out = sorted({
-            (segment, incident_id)
-            for segment, incident_id in self.incidents.items()
-            if segment in slow_segments
-        })
-        return [(segment, incident_id) for segment, incident_id in out]
-
     def state_size(self) -> int:
         return len(self.speeds) + len(self.incidents)
 
@@ -221,16 +169,6 @@ class IncidentAggregateOperator(OperatorLogic):
         for pair in window.evict_collect(batch_end_time):
             retire_count(pairs, pair)
         incidents = frozenset(incident for _segment, incident in pairs)
-        return [(INCIDENT_RESULT_KEY, incidents)]
-
-    def process_batch_reference(self, task: TaskId, batch_end_time: float,
-                                inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                                ) -> list[KeyedTuple]:
-        for upstream in sorted(inputs):
-            for segment, incident_id in inputs[upstream]:
-                self.window.add(batch_end_time, (segment, incident_id))
-        self.window.evict(batch_end_time)
-        incidents = frozenset(incident for _segment, incident in self.window.items())
         return [(INCIDENT_RESULT_KEY, incidents)]
 
     def state_size(self) -> int:

@@ -51,9 +51,7 @@ class WindowedSelectivityOperator(OperatorLogic):
     Selectivity is applied with a deterministic accumulator (every
     ``1/selectivity``-th tuple is emitted), so replicas and recovered
     incarnations reproduce the exact same output.  The per-batch fast path
-    runs the accumulator through :class:`~repro.engine.kernels.BatchKernel`;
-    :meth:`process_batch_reference` keeps the per-tuple loop as the parity
-    specification.
+    runs the accumulator through :class:`~repro.engine.kernels.BatchKernel`.
     """
 
     def __init__(self, window_seconds: float = 30.0, selectivity: float = 0.5):
@@ -86,30 +84,6 @@ class WindowedSelectivityOperator(OperatorLogic):
         if parts and lazy:
             return KeyCycleRun.concat(parts)
         return list(chain.from_iterable(parts))
-
-    def process_batch_reference(self, task: TaskId, batch_end_time: float,
-                                inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                                ) -> list[KeyedTuple]:
-        out: list[KeyedTuple] = []
-        window = self.window
-        acc = self._accumulator
-        selectivity = self.selectivity
-        for upstream in sorted(inputs):
-            batch = inputs[upstream]
-            window.extend(batch_end_time, batch)
-            if selectivity >= 1.0:
-                # Pass-through: every tuple emits and the accumulator is a
-                # fixed point (acc + 1.0 >= 1.0 always, then -1.0 undoes it).
-                out.extend(batch)
-                continue
-            for item in batch:
-                acc += selectivity
-                if acc >= 1.0:
-                    acc -= 1.0
-                    out.append(item)
-        self._accumulator = acc
-        window.evict(batch_end_time)
-        return out
 
     def state_size(self) -> int:
         return len(self.window)

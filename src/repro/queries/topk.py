@@ -13,8 +13,9 @@ merge correctly; losing an O1/O2 subtree removes those entries' counts and
 degrades the top-k set — which is what the OF metric predicts.
 
 Each operator's ``process_batch`` is a batch kernel (columnar counting,
-incremental window totals); the original per-tuple loops are kept as
-``process_batch_reference`` and pinned by the randomized parity tests.
+incremental window totals).  The randomized parity tests hold each kernel to
+a per-tuple reference subclass that lives with the tests
+(``tests/reference_ops.py``).
 """
 
 from __future__ import annotations
@@ -45,15 +46,6 @@ class SliceAggregateOperator(OperatorLogic):
             counts.update(map(first, inputs[upstream]))
         return sorted(counts.items())
 
-    def process_batch_reference(self, task: TaskId, batch_end_time: float,
-                                inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                                ) -> list[KeyedTuple]:
-        counts: Counter[str] = Counter()
-        for upstream in sorted(inputs):
-            for key, _value in inputs[upstream]:
-                counts[key] += 1
-        return [(key, count) for key, count in sorted(counts.items())]
-
     def state_size(self) -> int:
         return 0  # slice state lives within a single batch
 
@@ -65,7 +57,7 @@ class MergeAggregateOperator(OperatorLogic):
     leave the window, instead of re-summing the whole window every batch —
     O(batch + evicted) per batch rather than O(window).  Integer counts make
     the increments exact; the first non-int count permanently drops the
-    instance back to the reference recompute so results never drift.
+    instance back to re-summing the window so results never drift.
     """
 
     def __init__(self, window_seconds: float = 60.0):
@@ -112,18 +104,6 @@ class MergeAggregateOperator(OperatorLogic):
                 del entries[key]
                 del totals[key]
         return sorted(totals.items())
-
-    def process_batch_reference(self, task: TaskId, batch_end_time: float,
-                                inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                                ) -> list[KeyedTuple]:
-        for upstream in sorted(inputs):
-            for key, count in inputs[upstream]:
-                self.window.add(batch_end_time, (key, count))
-        self.window.evict(batch_end_time)
-        totals: Counter[str] = Counter()
-        for key, count in self.window.items():
-            totals[key] += count
-        return [(key, total) for key, total in sorted(totals.items())]
 
     def state_size(self) -> int:
         return len(self.window)
@@ -174,31 +154,6 @@ class GlobalTopKOperator(OperatorLogic):
         ranked = heapq.nsmallest(self.k, totals.items(),
                                  key=lambda item: (-item[1], item[0]))
         top = tuple(key for key, _total in ranked)
-        return [(TOPK_RESULT_KEY, top)]
-
-    def process_batch_reference(self, task: TaskId, batch_end_time: float,
-                                inputs: Mapping[TaskId, Sequence[KeyedTuple]]
-                                ) -> list[KeyedTuple]:
-        for upstream in sorted(inputs):
-            for key, total in inputs[upstream]:
-                self._partials.setdefault(key, {})[upstream] = (
-                    batch_end_time, total
-                )
-        horizon = batch_end_time - self.window_seconds
-        totals: dict[str, int] = {}
-        for key, per_upstream in list(self._partials.items()):
-            fresh = {
-                up: (ts, total)
-                for up, (ts, total) in per_upstream.items()
-                if ts > horizon
-            }
-            if not fresh:
-                del self._partials[key]
-                continue
-            self._partials[key] = fresh
-            totals[key] = sum(total for _ts, total in fresh.values())
-        ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
-        top = tuple(key for key, _total in ranked[: self.k])
         return [(TOPK_RESULT_KEY, top)]
 
     def state_size(self) -> int:

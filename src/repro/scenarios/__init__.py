@@ -24,8 +24,8 @@ in with a ``register()`` decorator without touching the core:
 * :data:`PLANNERS`, :data:`WORKLOADS`, :data:`FAILURE_MODELS` — what to
   plan, run and break;
 * :data:`RECOVERY_SCHEMES` — how the engine tolerates the failures
-  (``"ppa"``, ``"checkpoint-replay"``, ``"source-replay"``,
-  ``"active-standby"``), selected per scenario via the ``recovery`` field;
+  (``RECOVERY_SCHEMES.names()`` lists the built-ins, ``"ppa"`` the
+  default), selected per scenario via the ``recovery`` field;
 * :data:`EXECUTION_BACKENDS` — how grids execute (``"serial"``,
   ``"processes"`` with work stealing, per-scenario timeouts and
   retry-on-worker-death, ``"cluster"`` across worker agents on many hosts

@@ -147,13 +147,21 @@ def generic_bundle(name: str, topology: Topology, source_rates: SourceRates, *,
                    tuple_scale: float = 8.0) -> QueryBundle:
     """A runnable bundle for an arbitrary topology with generic logic.
 
-    Source operators emit uniform-rate tuples (each task at its operator's
-    mean configured rate); every other operator runs a windowed-selectivity
-    aggregate with the selectivity of its spec.  The rate model used for
-    planning still comes from :func:`propagate_rates` on the real topology,
-    so plans and fidelity predictions are exact even though the logic is
-    generic.  That logic keeps a fraction of its input, so a selectivity
-    above 1 (which the rate model allows) is rejected here, before any run.
+    Source operators emit uniform-rate tuples; every other operator runs a
+    windowed-selectivity aggregate with the selectivity of its spec.  The
+    rate model used for planning comes from :func:`propagate_rates` on the
+    real topology, but the run does not realise that model, so measured
+    output quality can stray from the fidelity the plan predicts:
+
+    * only the first sink task (``sink_tasks()[0]``) is scored, although a
+      generated topology often has several;
+    * every source task runs at its operator's mean rate, not at its own
+      rate from ``source_rates`` (e.g. :func:`generate_source_rates`);
+    * tuples are routed by the CRC32 hash of their key, not split by the
+      Zipf-skewed substream weights the rate model assumes.
+
+    The logic keeps a fraction of its input, so a selectivity above 1
+    (which the rate model allows) is rejected here, before any run.
     """
     for spec in topology.operators():
         if not spec.is_source and spec.selectivity > 1.0:

@@ -314,7 +314,10 @@ class ScenarioRunner:
         to any recovery scheme: every sink batch inside the measurement
         window is compared against the same batch of a clean run with the
         bundle's accuracy function, and the scores are averaged.  Batches
-        the failure run never produced score as fully lost.
+        the failure run never produced score as fully lost.  A window that
+        cannot tell a run that output nothing from a perfect one raises:
+        every baseline batch in it is empty, or holds an empty result set
+        (a top-k or incident set), so an empty output would score 1.0.
         """
         scenario = self.scenario
         if bundle.sink_task is None or bundle.accuracy_fn is None:
@@ -343,19 +346,27 @@ class ScenarioRunner:
             for record in engine.metrics.sink_records
             if record.task == bundle.sink_task
         }
-        measured = []
-        for index, accurate in sorted(baseline.items()):
-            batch_time = (index + 1) * interval
-            if measure_from <= batch_time <= measure_until:
-                measured.append(
-                    bundle.accuracy_fn(produced.get(index, ()), accurate)
-                )
-        if not measured:
+        in_window = [
+            (index, accurate) for index, accurate in sorted(baseline.items())
+            if measure_from <= (index + 1) * interval <= measure_until
+        ]
+        if not in_window:
             raise ScenarioError(
                 f"no sink batches fall inside the quality window "
                 f"[{measure_from:g}, {measure_until:g}]"
             )
-        return statistics.fmean(measured)
+        score = bundle.accuracy_fn
+        if all(score((), accurate) >= 1.0 for _index, accurate in in_window):
+            raise ScenarioError(
+                f"every failure-free sink batch inside the quality window "
+                f"[{measure_from:g}, {measure_until:g}] is empty or holds an "
+                f"empty result, so output quality would read as perfect "
+                f"whatever the run produced"
+            )
+        return statistics.fmean(
+            score(produced.get(index, ()), accurate)
+            for index, accurate in in_window
+        )
 
     def _sink_baseline(self, bundle: QueryBundle, config: EngineConfig
                        ) -> dict[int, tuple]:

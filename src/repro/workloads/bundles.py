@@ -62,7 +62,8 @@ def calibrated_costs(tuple_scale: float = 1.0) -> CostModel:
 
     Calibrated so absolute latencies land in the paper's range (active
     replicas in ~1–3 s, checkpoint restores in seconds-to-tens-of-seconds,
-    Storm source replay slowest for long windows); see DESIGN.md §2.
+    Storm source replay slowest for long windows).  Per-tuple costs grow
+    with ``tuple_scale`` as the module docstring describes.
     """
     return CostModel(
         per_tuple_process=1.0e-4 * tuple_scale,

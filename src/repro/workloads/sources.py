@@ -11,8 +11,8 @@ shared ``Batch.tuples`` contract (source memo, output history, inboxes,
 window blocks) without being built.  A periodic selectivity filter keeps a
 strided run of it, so on the Fig. 6 merge chain tuples become objects only
 where they leave the engine: at the sink and in hash-partitioned buckets.
-``tuples_for_batch_reference`` builds the same batch as a full list: it is
-the parity oracle the tests hold the run to.
+``tests/test_properties.py`` holds each run to the full key-cycle list it
+stands for.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 
 from repro.engine.logic import SourceFunction
-from repro.engine.tuples import KeyCycleRun, KeyedTuple
+from repro.engine.tuples import KeyCycleRun
 from repro.errors import WorkloadError
 from repro.topology.operators import TaskId
 
@@ -52,15 +52,6 @@ class _KeyCycleSource(SourceFunction):
     def tuples_for_batch(self, task: TaskId, batch_index: int) -> KeyCycleRun:
         base, count = self._span(batch_index)
         return KeyCycleRun(self._keys, task.index, base, count)
-
-    def tuples_for_batch_reference(self, task: TaskId,
-                                   batch_index: int) -> list[KeyedTuple]:
-        """The same batch built in full: the parity oracle of the run."""
-        base, count = self._span(batch_index)
-        keys, space, owner = self._keys, self.key_space, task.index
-        return [
-            (keys[(base + i) % space], (owner, base + i)) for i in range(count)
-        ]
 
 
 class UniformRateSource(_KeyCycleSource):

@@ -1,4 +1,4 @@
-"""Synthetic WorldCup'98-like access log for Q1 (substitution, DESIGN.md §2).
+"""Synthetic WorldCup'98-like access log for Q1 (a stand-in for the trace).
 
 The paper replays the WorldCup'98 web-server access log (73.3M records, one
 full day, replayed 48× faster).  That trace is not redistributable here, so

@@ -85,7 +85,8 @@ class TestApiSurface:
                    "TaskCriticality", "criticality_report", "explain_plan",
                    "fidelity_under_failures", "marginal_gains", "SshFleet",
                    "DEFAULT_SSH_CMD", "ParquetSink", "ThreadBackend",
-                   "CircuitBreaker", "RecoveryContext", "PassiveStrategy"}
+                   "CircuitBreaker", "RecoveryContext", "PassiveStrategy",
+                   "propagate_information_loss_reference"}
         for package in (repro, repro.core, repro.cluster, repro.engine,
                         repro.scenarios):
             assert deleted.isdisjoint(package.__all__), package.__name__
@@ -295,6 +296,29 @@ class TestOneFabricCore:
         for name in ("dump_message", "parse_message",
                      "outcome_to_wire", "outcome_from_wire"):
             assert callable(resolve(f"repro.service.protocol:{name}")[2])
+
+
+class TestOraclesLiveWithTheTests:
+    """Structure guard: each operator, router, source and loss program is
+    implemented once in ``src/``; their per-tuple oracles are test code."""
+
+    def test_no_reference_implementation_under_src(self):
+        import ast
+
+        source_root = Path(repro.__file__).resolve().parent
+        found = [
+            f"{path.relative_to(source_root)}:{node.lineno} {node.name}"
+            for path in sorted(source_root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.endswith("_reference")
+        ]
+        assert found == []
+
+    def test_operator_logic_has_no_reference_hook(self):
+        from repro.engine.logic import OperatorLogic
+
+        assert not hasattr(OperatorLogic, "process_batch_reference")
 
 
 class TestOneExperimentRunPath:

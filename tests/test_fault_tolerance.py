@@ -627,6 +627,45 @@ class TestQualityAxis:
             recovery="active-standby", quality={"measure_from": 12.0}))
         assert result.output_quality == pytest.approx(1.0)
 
+    def test_empty_baseline_window_is_rejected_not_perfect(self):
+        # A selectivity-0 sink emits nothing even without failures: every
+        # accurate batch is empty, and an empty accurate batch scores any
+        # tentative batch as 1.0.
+        scenario = _tiny_scenario(
+            topology={
+                "operators": [
+                    {"name": "S", "parallelism": 2, "kind": "source"},
+                    {"name": "A", "parallelism": 2, "selectivity": 0.0},
+                ],
+                "edges": [{"upstream": "S", "downstream": "A",
+                           "pattern": "one-to-one"}],
+            },
+            failures=[{"model": "correlated", "at": 10.0}],
+            duration=30.0, quality={"measure_from": 12.0},
+        )
+        with pytest.raises(ScenarioError,
+                           match=r"sink batch .* is empty"):
+            run_scenario(scenario)
+
+    def test_empty_result_sets_are_rejected_not_perfect(self):
+        # No incident starts after the 10 s horizon, and each lasts 4 s and
+        # leaves the 8 s window, so every accurate Q2 batch from 25 s on is
+        # an empty jam-incident set: an empty output would score 1.0.
+        scenario = Scenario.from_dict({
+            "workload": "traffic",
+            "workload_params": {"location_rate": 2000.0, "tuple_scale": 40.0,
+                                "window_seconds": 8.0, "horizon": 10.0},
+            "planner": "none",
+            "engine": {"checkpoint_interval": None,
+                       "tentative_outputs": True, "recovery_enabled": False},
+            "failures": [{"model": "unreplicated", "at": 20.0,
+                          "params": {"include_sources": True}}],
+            "quality": {"measure_from": 25.0},
+            "duration": 40.0,
+        })
+        with pytest.raises(ScenarioError, match="holds an empty result"):
+            run_scenario(scenario)
+
     def test_default_window_starts_at_first_failure(self):
         explicit = run_scenario(_tiny_scenario(
             quality={"measure_from": 12.0, "measure_until": 22.0}))

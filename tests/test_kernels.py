@@ -2,9 +2,10 @@
 
 The operator compute plane (``repro.engine.kernels`` plus the kernelized
 ``process_batch`` implementations in ``repro.queries``) must be byte
-identical to the per-tuple ``process_batch_reference`` implementations —
-the same contract the routing fast path has with ``distribute_reference``.
-These tests pin it down with randomized batch sequences:
+identical to the per-tuple reference operators of ``tests/reference_ops.py``
+— the same contract the routing fast path has with the reference router of
+``tests/test_fast_path.py``.  These tests pin it down with randomized batch
+sequences:
 
 * the selectivity kernel matches the reference loop bit-for-bit (emitted
   items *and* the float accumulator) for periodic-dyadic, non-periodic
@@ -14,7 +15,7 @@ These tests pin it down with randomized batch sequences:
   randomized multi-upstream batch sequences, including across a mid-run
   snapshot/restore;
 * whole engine runs (synthetic, Q1, Q2 — with failures) are fingerprint
-  identical when every operator is forced onto its reference path;
+  identical when every operator is registered as its reference subclass;
 * the zero-copy emit contract and MemoizedSource eviction order hold.
 """
 
@@ -30,7 +31,7 @@ from hypothesis import given, settings
 from repro.engine import KeyCycleRun, Router, StreamEngine
 from repro.engine.config import EngineConfig
 from repro.engine.kernels import KERNEL, _Q
-from repro.engine.logic import LogicFactory, MemoizedSource, OperatorLogic
+from repro.engine.logic import MemoizedSource
 from repro.queries import (
     GlobalTopKOperator,
     IncidentAggregateOperator,
@@ -47,24 +48,23 @@ from repro.workloads import UniformRateSource
 from repro.workloads.bundles import QueryBundle, fig6_bundle, q1_bundle, q2_bundle
 
 from tests.engine_helpers import metrics_fingerprint
+from tests.reference_ops import (
+    REFERENCE_OF,
+    GlobalTopKReference,
+    IncidentAggregateReference,
+    IncidentCombineReference,
+    MergeAggregateReference,
+    SegmentSpeedReference,
+    SliceAggregateReference,
+    SpeedIncidentJoinReference,
+    WindowedSelectivityReference,
+    reference_take,
+)
 
 
 # ---------------------------------------------------------------------------
 # The selectivity accumulator kernel
 # ---------------------------------------------------------------------------
-
-def _reference_take(items, selectivity, acc):
-    """The per-tuple accumulator loop, verbatim from the reference."""
-    out = []
-    if selectivity >= 1.0:
-        return list(items), acc
-    for item in items:
-        acc += selectivity
-        if acc >= 1.0:
-            acc -= 1.0
-            out.append(item)
-    return out, acc
-
 
 def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
@@ -109,7 +109,7 @@ class TestSelectivityKernel:
                     and _on_grid(acc_fast))
             fast, acc_fast = KERNEL.selectivity_take(items, selectivity,
                                                      acc_fast)
-            ref, acc_ref = _reference_take(list(run), selectivity, acc_ref)
+            ref, acc_ref = reference_take(list(run), selectivity, acc_ref)
             assert type(fast) is (KeyCycleRun if lazy else list)
             assert fast is not items
             assert list(fast) == ref and fast == ref
@@ -150,7 +150,7 @@ class TestSelectivityKernel:
             TaskId("S", 1), 2)
         items = {"list": list(run), "tuple": tuple(run), "run": run}[kind]
         out, acc = KERNEL.selectivity_take(items, selectivity, 0.125)
-        ref, acc_ref = _reference_take(list(run), selectivity, 0.125)
+        ref, acc_ref = reference_take(list(run), selectivity, 0.125)
         lazy = kind == "run" and selectivity in PERIODIC
         assert type(out) is (KeyCycleRun if lazy else list) and out == ref
         assert out is not items
@@ -175,31 +175,29 @@ def _segment(rng):
 
 
 def _operator_cases():
-    """(name, factory, value generator) triples for every kernelized operator."""
+    """(name, class, constructor args, value generator) per kernelized operator."""
     return [
-        ("slice-aggregate", SliceAggregateOperator,
+        ("slice-aggregate", SliceAggregateOperator, (),
          lambda rng: (_segment(rng), rng.random())),
-        ("merge-int-counts", lambda: MergeAggregateOperator(3.0),
+        ("merge-int-counts", MergeAggregateOperator, (3.0,),
          lambda rng: (_segment(rng), rng.randrange(1, 5))),
-        ("merge-float-counts", lambda: MergeAggregateOperator(3.0),
+        ("merge-float-counts", MergeAggregateOperator, (3.0,),
          lambda rng: (_segment(rng), rng.choice([1, 2, 0.5, 1.25]))),
-        ("global-topk", lambda: GlobalTopKOperator(k=3, window_seconds=3.0),
+        ("global-topk", GlobalTopKOperator, (3, 3.0),
          lambda rng: (_segment(rng), rng.randrange(0, 50))),
-        ("segment-speed", SegmentSpeedOperator,
+        ("segment-speed", SegmentSpeedOperator, (),
          lambda rng: (_segment(rng), rng.uniform(0.0, 2.0))),
-        ("incident-combine", lambda: IncidentCombineOperator(3.0),
+        ("incident-combine", IncidentCombineOperator, (3.0,),
          lambda rng: (_segment(rng), f"inc{rng.randrange(12)}")),
-        ("speed-incident-join",
-         lambda: SpeedIncidentJoinOperator(3.0, jam_speed=1.0),
+        ("speed-incident-join", SpeedIncidentJoinOperator, (3.0, 1.0),
          lambda rng: (_segment(rng),
                       f"inc{rng.randrange(8)}" if rng.random() < 0.4
                       else rng.uniform(0.0, 2.0))),
-        ("incident-aggregate", lambda: IncidentAggregateOperator(3.0),
+        ("incident-aggregate", IncidentAggregateOperator, (3.0,),
          lambda rng: (_segment(rng), f"inc{rng.randrange(12)}")),
     ] + [
-        (f"selectivity-{selectivity}",
-         lambda selectivity=selectivity: WindowedSelectivityOperator(
-             3.0, selectivity),
+        (f"selectivity-{selectivity}", WindowedSelectivityOperator,
+         (3.0, selectivity),
          lambda rng: (_segment(rng), rng.randrange(100)))
         for selectivity in SELECTIVITIES
     ]
@@ -214,35 +212,40 @@ def _random_inputs(rng, value_fn):
     return inputs
 
 
+def _pair(cls, args):
+    """A kernel instance and its reference instance, built alike."""
+    return cls(*args), REFERENCE_OF[cls](*args)
+
+
 @pytest.mark.parametrize(
-    "name,factory,value_fn",
+    "name,cls,args,value_fn",
     [pytest.param(*case, id=case[0]) for case in _operator_cases()])
 class TestOperatorKernelParity:
-    def test_randomized_batch_sequences(self, name, factory, value_fn):
+    def test_randomized_batch_sequences(self, name, cls, args, value_fn):
         """Kernel and reference instances stay output- and state-identical."""
         rng = random.Random(name)
-        fast, ref = factory(), factory()
+        fast, ref = _pair(cls, args)
         task = TaskId("O", 0)
         for index in range(30):
             batch_end = (index + 1) * 1.0
             inputs = _random_inputs(rng, value_fn)
             ref_inputs = {u: list(batch) for u, batch in inputs.items()}
             out_fast = fast.process_batch(task, batch_end, inputs)
-            out_ref = ref.process_batch_reference(task, batch_end, ref_inputs)
+            out_ref = ref.process_batch(task, batch_end, ref_inputs)
             assert out_fast == out_ref, f"batch {index} diverged"
             assert fast.state_size() == ref.state_size()
 
-    def test_parity_across_snapshot_restore(self, name, factory, value_fn):
+    def test_parity_across_snapshot_restore(self, name, cls, args, value_fn):
         """Mid-run checkpoint restore preserves kernel-vs-reference parity."""
         rng = random.Random(f"{name}/restore")
-        fast, ref = factory(), factory()
+        fast, ref = _pair(cls, args)
         task = TaskId("O", 0)
         for index in range(10):
             inputs = _random_inputs(rng, value_fn)
             fast.process_batch(task, index + 1.0,
                                {u: list(b) for u, b in inputs.items()})
-            ref.process_batch_reference(task, index + 1.0, inputs)
-        fast2, ref2 = factory(), factory()
+            ref.process_batch(task, index + 1.0, inputs)
+        fast2, ref2 = _pair(cls, args)
         fast2.restore(fast.snapshot())
         ref2.restore(ref.snapshot())
         for index in range(10, 22):
@@ -250,7 +253,7 @@ class TestOperatorKernelParity:
             inputs = _random_inputs(rng, value_fn)
             out_fast = fast2.process_batch(
                 task, batch_end, {u: list(b) for u, b in inputs.items()})
-            out_ref = ref2.process_batch_reference(task, batch_end, inputs)
+            out_ref = ref2.process_batch(task, batch_end, inputs)
             assert out_fast == out_ref, f"post-restore batch {index} diverged"
 
 
@@ -265,10 +268,10 @@ def test_restore_of_a_window_holding_source_runs(selectivity):
         return {u: source.tuples_for_batch(u, index) for u in upstreams}
 
     live = WindowedSelectivityOperator(3.0, selectivity)
-    reference = WindowedSelectivityOperator(3.0, selectivity)
+    reference = WindowedSelectivityReference(3.0, selectivity)
     for index in range(5):
         live.process_batch(task, index + 1.0, inputs(index))
-        reference.process_batch_reference(
+        reference.process_batch(
             task, index + 1.0, {u: list(b) for u, b in inputs(index).items()})
     assert all(type(items) is KeyCycleRun
                for _ts, items in live.window._blocks)
@@ -277,7 +280,7 @@ def test_restore_of_a_window_holding_source_runs(selectivity):
     for index in range(5, 12):
         batch_end = index + 1.0
         out = restored.process_batch(task, batch_end, inputs(index))
-        out_ref = reference.process_batch_reference(
+        out_ref = reference.process_batch(
             task, batch_end, {u: list(b) for u, b in inputs(index).items()})
         assert out == out_ref, f"post-restore batch {index} diverged"
         assert list(restored.window.timestamped()) == \
@@ -285,44 +288,18 @@ def test_restore_of_a_window_holding_source_runs(selectivity):
 
 
 # ---------------------------------------------------------------------------
-# Whole-engine parity: kernels forced onto the reference path
+# Whole-engine parity: every operator registered as its reference
 # ---------------------------------------------------------------------------
 
-_REFERENCE_CLASSES: dict[type, type] = {}
-
-
-def _reference_class(cls: type) -> type:
-    sub = _REFERENCE_CLASSES.get(cls)
-    if sub is None:
-        sub = type(cls.__name__ + "Reference", (cls,),
-                   {"process_batch": cls.process_batch_reference})
-        _REFERENCE_CLASSES[cls] = sub
-    return sub
-
-
-def _reference_logic(factory: LogicFactory) -> LogicFactory:
-    """A logic factory whose operators all run their reference path."""
-
-    def wrap(build):
-        def build_reference():
-            logic: OperatorLogic = build()
-            logic.__class__ = _reference_class(type(logic))
-            return logic
-        return build_reference
-
-    wrapped = LogicFactory()
-    for name, build in factory._operators.items():
-        wrapped.register_operator(name, wrap(build))
-    for name, source in factory._sources.items():
-        wrapped.register_source(name, source)
-    return wrapped
-
-
-def _bundle_fingerprint(bundle: QueryBundle, *, reference: bool,
+def _bundle_fingerprint(bundle: QueryBundle, operators=None, *,
                         duration: float) -> str:
+    """The failure run's fingerprint; ``operators`` replaces the bundle's."""
     logic = bundle.make_logic()
-    if reference:
-        logic = _reference_logic(logic)
+    for name, build in (operators or {}).items():
+        logic.register_operator(name, build)
+    if operators is not None:
+        assert all(type(logic.logic_for(task)) in REFERENCE_OF.values()
+                   for task in bundle.synthetic_tasks)
     config = EngineConfig(checkpoint_interval=6.0, heartbeat_interval=2.0,
                           costs=bundle.costs)
     engine = StreamEngine(bundle.topology, logic, config)
@@ -332,21 +309,35 @@ def _bundle_fingerprint(bundle: QueryBundle, *, reference: bool,
     return metrics_fingerprint(engine.metrics)
 
 
+#: Each workload's bundle, and its operators built as reference subclasses
+#: with the bundle's parameters.
 _BUNDLES = {
-    "synthetic": lambda: fig6_bundle(200.0, 6.0, tuple_scale=8.0),
-    "q1-topk": lambda: q1_bundle(200.0, tuple_scale=8.0, pages=60,
-                                 window_seconds=8.0, k=10),
-    "q2-incidents": lambda: q2_bundle(2000.0, tuple_scale=40.0,
-                                      window_seconds=8.0, horizon=30.0),
+    "synthetic": (
+        lambda: fig6_bundle(200.0, 6.0, tuple_scale=8.0),
+        {op: lambda: WindowedSelectivityReference(6.0, 0.5)
+         for op in ("O1", "O2", "O3", "O4")}),
+    "q1-topk": (
+        lambda: q1_bundle(200.0, tuple_scale=8.0, pages=60,
+                          window_seconds=8.0, k=10),
+        {"O1": SliceAggregateReference,
+         "O2": lambda: MergeAggregateReference(8.0),
+         "O3": lambda: GlobalTopKReference(10, 8.0)}),
+    "q2-incidents": (
+        lambda: q2_bundle(2000.0, tuple_scale=40.0, window_seconds=8.0,
+                          horizon=30.0),
+        {"O1": SegmentSpeedReference,
+         "O2": lambda: IncidentCombineReference(8.0),
+         "O3": lambda: SpeedIncidentJoinReference(8.0, 20.0),
+         "O4": lambda: IncidentAggregateReference(8.0)}),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(_BUNDLES))
 def test_engine_runs_match_reference_path(workload):
     """Kernelized and reference-only engine runs are fingerprint identical."""
-    make = _BUNDLES[workload]
-    fast = _bundle_fingerprint(make(), reference=False, duration=20.0)
-    ref = _bundle_fingerprint(make(), reference=True, duration=20.0)
+    make, operators = _BUNDLES[workload]
+    fast = _bundle_fingerprint(make(), duration=20.0)
+    ref = _bundle_fingerprint(make(), operators, duration=20.0)
     assert fast == ref
 
 

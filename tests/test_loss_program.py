@@ -2,10 +2,10 @@
 
 :mod:`repro.core.loss` compiles ``(topology, rates)`` once into a flat program
 and evaluates every failed set on it; ``propagate_information_loss_reference``
-is the original loop, kept as the oracle.  The contract is bit-identity, so
-every comparison here is ``==``, never ``approx``.  OF and IC are compared
-with the pre-program bodies of ``output_fidelity`` / ``internal_completeness``
-rebuilt on top of the reference propagation.
+below is the original loop, kept here as the oracle.  The contract is
+bit-identity, so every comparison here is ``==``, never ``approx``.  OF and
+IC are compared with the pre-program bodies of ``output_fidelity`` /
+``internal_completeness`` rebuilt on top of the reference propagation.
 
 Pure Python on purpose (no numpy): the loss program itself is pure Python,
 and on Python 3.12 ``sum()`` of floats is compensated, which is exactly the
@@ -30,12 +30,10 @@ from repro.core import (
     internal_completeness,
     output_fidelity,
     propagate_information_loss,
-    propagate_information_loss_reference,
     worst_case_completeness,
     worst_case_fidelity,
 )
 from repro.core import loss as loss_module
-from repro.core.loss import input_stream_loss
 from repro.topology import (
     Partitioning,
     SourceRates,
@@ -50,6 +48,83 @@ from repro.topology import (
     propagate_rates,
     uniform_source_rates,
 )
+
+
+# ---------------------------------------------------------------------------
+# The oracle: Eq. 1–3 walked over dicts, one task at a time
+# ---------------------------------------------------------------------------
+
+def _clamp01(value: float) -> float:
+    if value < 0.0:
+        return 0.0
+    if value > 1.0:
+        return 1.0
+    return value
+
+
+def input_stream_loss(loss_by_task, rates, task, substreams) -> float:
+    """Eq. 1: rate-weighted average loss over the substreams of one input stream.
+
+    An input stream whose total pre-failure rate is zero carries no
+    information; its loss is conservatively reported as 1.
+    """
+    weighted = 0.0
+    total = 0.0
+    for src, _weight in substreams:
+        rate = rates.substream_rate(src, task)
+        weighted += rate * loss_by_task[src]
+        total += rate
+    if total <= 0.0:
+        return 1.0
+    return _clamp01(weighted / total)
+
+
+def _combine_stream_losses(stream_losses, stream_rates, correlated) -> float:
+    """Eq. 2 (correlated) or Eq. 3 (independent) over per-stream losses."""
+    if not stream_losses:
+        # A non-source task with no input stream cannot receive information.
+        return 1.0
+    if correlated:
+        survival = 1.0
+        for il in stream_losses:
+            survival *= 1.0 - il
+        return _clamp01(1.0 - survival)
+    total = sum(stream_rates)
+    if total <= 0.0:
+        return 1.0
+    weighted = sum(r * il for r, il in zip(stream_rates, stream_losses))
+    return _clamp01(weighted / total)
+
+
+def propagate_information_loss_reference(topology, rates, failed, *,
+                                         ignore_correlation=False):
+    """The dict-walking original of ``propagate_information_loss``.
+
+    The compiled program must return ``==`` floats, in the same task order.
+    """
+    loss = {}
+    for name in topology.topological_order():
+        spec = topology.operator(name)
+        correlated = spec.is_correlated and not ignore_correlation
+        for task in spec.tasks():
+            if task in failed:
+                loss[task] = 1.0
+                continue
+            if spec.is_source:
+                loss[task] = 0.0
+                continue
+            stream_losses = []
+            stream_rates = []
+            for stream in topology.input_streams(task):
+                stream_losses.append(
+                    input_stream_loss(loss, rates, task, stream.substreams)
+                )
+                stream_rates.append(
+                    rates.input_stream_rate(task, stream.upstream_operator)
+                )
+            loss[task] = _combine_stream_losses(stream_losses, stream_rates,
+                                                correlated)
+    return loss
 
 
 def reference_fidelity(topology, rates, failed, *, ignore_correlation=False):

@@ -332,6 +332,24 @@ def _batch_in_phase(source, index: int, burst: bool) -> int:
     return start + (index % high if burst else high + index % (period - high))
 
 
+def _key_cycle_list(source, owner: int, index: int) -> list:
+    """Batch ``index`` of task ``owner``, built in full from the source's
+    parameters: tuple ``n`` is ``(k{n % key_space}, (owner, n))`` and each
+    batch's ids follow on from the previous batch's."""
+    if isinstance(source, SquareWaveSource):
+        counts = [round((source.high_rate if source.is_burst(phase)
+                         else source.low_rate) * source.batch_interval)
+                  for phase in range(source.period_batches)]
+        periods, phase = divmod(index, source.period_batches)
+        base = periods * sum(counts) + sum(counts[:phase])
+        count = counts[phase]
+    else:
+        count = round(source.rate_per_task * source.batch_interval)
+        base = index * count
+    return [(f"k{n % source.key_space}", (owner, n))
+            for n in range(base, base + count)]
+
+
 def _assert_behaves_like(run, expected, data):
     """``run`` is indistinguishable from the list ``expected``."""
     assert type(run) is KeyCycleRun and type(expected) is list
@@ -383,7 +401,7 @@ class TestSourceRunParity:
         if isinstance(source, SquareWaveSource):
             assert source.is_burst(index) == burst
         run = source.tuples_for_batch(task, index)
-        expected = source.tuples_for_batch_reference(task, index)
+        expected = _key_cycle_list(source, owner, index)
         _assert_behaves_like(run, expected, data)
 
     @given(_sources, st.integers(0, 15), st.integers(0, 10_000))
