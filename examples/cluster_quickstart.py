@@ -1,7 +1,7 @@
 """Run a parameter grid on the distributed cluster fabric in ~20 lines.
 
-`backend="cluster"` swaps the in-process pool for a coordinator that
-leases cells to worker agents over TCP.  Here the backend auto-spawns a
+`backend="cluster"` runs the grid through a coordinator that leases
+cells to worker agents over TCP.  Here the backend auto-spawns a
 two-worker local fleet on loopback — the full wire path (registration,
 leases, heartbeats, result streaming) with zero infrastructure — and the
 results come back digest-identical to a serial run: same sink bytes,

@@ -8,8 +8,9 @@ vector — the paper's recovery-latency definition.
 Each cell is one declarative scenario: the technique is a registered recovery
 scheme ("active-standby", "checkpoint-replay", "source-replay") plus engine
 overrides, the failure a FailureSpec, and
-`repro.run_scenarios` fans the whole sweep out over a process pool — the
-engine is deterministic, so the results match a serial run exactly.
+`repro.run_scenarios` fans the whole sweep out over local worker processes
+(the "processes" backend) — the engine is deterministic, so the results
+match a serial run exactly.
 
 Run:  python examples/recovery_latency.py
 """

@@ -16,8 +16,8 @@ Three injection surfaces, one seeded decision function:
   the same write-ahead journal).
 * :func:`chaos_runner` — an importable runner wrapper that sleeps or
   deterministically raises *inside worker processes*, configured
-  through ``REPRO_CHAOS_*`` environment variables because workers are
-  subprocesses that only inherit the environment.
+  through ``REPRO_CHAOS_*`` environment variables because the
+  environment reaches a worker process however it was started.
 
 :func:`run_chaos` wires all three around a normal
 :class:`~repro.scenarios.session.GridSession` run and returns the
@@ -258,8 +258,8 @@ def chaos_runner(scenario):
     Reads ``REPRO_CHAOS_SLOW_MS`` (sleep that long before every cell),
     ``REPRO_CHAOS_FAIL_FRACTION`` and ``REPRO_CHAOS_SEED`` (raise for
     that seeded fraction of scenarios) from the environment — worker
-    agents are subprocesses, and the environment is the only config
-    channel that survives the spawn — then delegates to
+    agents are separate processes, and the environment reaches them
+    however they were started — then delegates to
     :func:`~repro.scenarios.runner.run_scenario`.  Injected failures are *deterministic per
     scenario*, so they exhaust retries and surface as ``"error"``
     cells; use them to test error accounting, not zero-error runs.
@@ -305,7 +305,7 @@ def run_chaos(scenarios: Sequence, schedule: ChaosSchedule, *,
     ``journal`` gets a temporary one (a crash without a WAL would
     simply lose the batch).  There is deliberately *no* fallback
     backend: a chaos run must prove the fabric itself finishes the
-    grid, not that an in-process pool can cover for it.
+    grid, not that a fallback backend can cover for it.
     """
     from repro.cluster.backend import ClusterBackend
     from repro.scenarios.session import GridSession

@@ -18,8 +18,9 @@ Layering (mirroring :mod:`repro.service`):
 * :mod:`~repro.cluster.coordinator` — the TCP front end + liveness monitor;
 * :mod:`~repro.cluster.worker` — the agent behind
   ``repro-experiments worker --connect HOST:PORT``;
-* :mod:`~repro.cluster.fleet` — the local subprocess fleet;
-* :mod:`~repro.cluster.backend` — the ``ExecutionBackend`` façade;
+* :mod:`~repro.cluster.fleet` — the local fleet of forked workers;
+* :mod:`~repro.cluster.backend` — the ``ExecutionBackend`` façade and
+  its ``"processes"`` preset;
 * :mod:`~repro.cluster.cli` — the ``worker`` subcommand and the
   ``--cluster-*`` option group.
 

@@ -3,10 +3,11 @@
 Registered as ``"cluster"`` in
 :data:`~repro.scenarios.backends.EXECUTION_BACKENDS`, so
 ``run_grid(..., backend="cluster")``, ``grid --backend cluster`` and
-``serve --backend cluster`` all reach it by name.  It honors the
-``(index, outcome, attempts)`` triple contract exactly like the pool
-backends — :class:`~repro.scenarios.session.GridSession`'s reorder
-buffer then makes cluster output digest-identical to a serial run.
+``serve --backend cluster`` all reach it by name, as ``"processes"``
+reaches its preset :class:`ProcessBackend`.  Both honor the
+``(index, outcome, attempts)`` triple contract —
+:class:`~repro.scenarios.session.GridSession`'s reorder buffer then
+makes their output digest-identical to a serial run.
 
 Lifecycle: the coordinator and worker fleet start lazily on the first
 :meth:`execute` and persist across grids (the sweep service dispatcher
@@ -27,10 +28,10 @@ Topology knobs:
 * ``heartbeat_timeout`` — how long a silent worker survives (its socket
   EOF usually wins the race; heartbeats catch half-open connections).
 
-Failure semantics match the processes backend: every lease charges the
-cell an attempt, worker death requeues while ``retries`` allows and then
-reports a ``"worker-death"`` :class:`~repro.scenarios.backends.CellError`
-whose attempt count surfaces as ``GridReport.retries``.  A cluster with
+Failure semantics: every lease charges the cell an attempt; worker
+death or lease expiry requeues it while ``retries`` allows, then reports
+a ``"worker-death"`` or ``"timeout"``
+:class:`~repro.scenarios.backends.CellError`.  A cluster with
 *zero* reachable workers fails loudly (:class:`ClusterError`) after
 ``startup_timeout`` rather than hanging a grid forever.
 
@@ -50,8 +51,8 @@ Resilience knobs (all optional):
 * ``fallback`` / ``min_workers`` / ``degrade_after`` — graceful
   degradation: when the live fleet sits below ``min_workers`` (or the
   coordinator stays down) for ``degrade_after`` seconds mid-grid, the
-  remaining cells run on the in-process ``fallback`` backend
-  (``"processes"`` by default; ``None`` restores fail-hard) and the
+  remaining cells run on the ``fallback`` backend (``"serial"`` by
+  default; ``None`` restores fail-hard) and the
   affected positions surface as ``GridReport.degraded`` via
   :attr:`ClusterBackend.degraded_positions`.
 """
@@ -59,6 +60,7 @@ Resilience knobs (all optional):
 from __future__ import annotations
 
 import atexit
+import os
 import threading
 import time
 from typing import Iterator, Sequence
@@ -67,15 +69,9 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.fleet import LocalFleet
 from repro.cluster.journal import LedgerJournal
 from repro.cluster.protocol import runner_to_wire
-from repro.errors import ClusterError
-from repro.scenarios.backends import ExecutionBackend, Runner
+from repro.errors import ClusterError, ScenarioError
+from repro.scenarios.backends import ExecutionBackend, Runner, resolve_backend
 from repro.scenarios.spec import Scenario
-
-
-def _default_local_workers() -> int:
-    import os
-
-    return max(1, min(4, os.cpu_count() or 2))
 
 
 class ClusterBackend(ExecutionBackend):
@@ -86,6 +82,9 @@ class ClusterBackend(ExecutionBackend):
     #: How often the result loop wakes to check cluster health (seconds).
     _TICK = 0.25
 
+    #: Run the local fleet like a process pool (see :class:`ProcessBackend`).
+    _pool_like = False
+
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  local_workers: int | None = None,
                  worker_capacity: int = 1,
@@ -95,7 +94,7 @@ class ClusterBackend(ExecutionBackend):
                  journal: "LedgerJournal | str | None" = None,
                  respawn: int = 0,
                  worker_reconnect: float = 0.0,
-                 fallback: str | None = "processes",
+                 fallback: str | None = "serial",
                  min_workers: int = 1,
                  degrade_after: float | None = None,
                  wire_faults=None):
@@ -153,14 +152,10 @@ class ClusterBackend(ExecutionBackend):
         with self._lifecycle_lock:
             if self._coordinator is not None:
                 return self._coordinator
-            coordinator = ClusterCoordinator(
-                self.host, self.port,
-                heartbeat_timeout=self.heartbeat_timeout,
-                journal=self.journal,
-                wire_faults=self.wire_faults).start()
+            coordinator = self._new_coordinator(self.host, self.port)
             n_local = self.local_workers
             if n_local is None:
-                n_local = _default_local_workers()
+                n_local = min(4, os.cpu_count() or 2)
             fleet = None
             try:
                 if n_local:
@@ -168,7 +163,12 @@ class ClusterBackend(ExecutionBackend):
                                        capacity=self.worker_capacity,
                                        respawn=self.respawn,
                                        reconnect=self.worker_reconnect)
+                    # Started before the coordinator accepts, so no worker
+                    # can inherit a sibling's half-registered connection.
                     fleet.start()
+                    if self._pool_like:
+                        coordinator.ledger.reclaim = fleet.reclaim
+                coordinator.start()
             except Exception:
                 if fleet is not None:
                     fleet.terminate()
@@ -178,6 +178,11 @@ class ClusterBackend(ExecutionBackend):
             self._fleet = fleet
             atexit.register(self.close)
             return coordinator
+
+    def _new_coordinator(self, host: str, port: int) -> ClusterCoordinator:
+        return ClusterCoordinator(
+            host, port, heartbeat_timeout=self.heartbeat_timeout,
+            journal=self.journal, wire_faults=self.wire_faults)
 
     def restart_coordinator(self) -> ClusterCoordinator:
         """Crash the coordinator and raise a successor on the same port.
@@ -201,12 +206,9 @@ class ClusterBackend(ExecutionBackend):
                 )
             host, port = old.address
             old.crash()
-            successor = ClusterCoordinator(
-                host, port,
-                heartbeat_timeout=self.heartbeat_timeout,
-                journal=self.journal,
-                wire_faults=self.wire_faults).start()
-            self._coordinator = successor
+            successor = self._new_coordinator(host, port)
+            successor.ledger.reclaim = old.ledger.reclaim
+            self._coordinator = successor.start()
             return successor
 
     def close(self) -> None:
@@ -290,9 +292,7 @@ class ClusterBackend(ExecutionBackend):
                           scenarios: list[Scenario], runner: Runner,
                           seen: set[int], *, timeout: float | None,
                           retries: int) -> Iterator[tuple[int, object, int]]:
-        """Finish the grid's remaining cells on the in-process fallback."""
-        from repro.scenarios.backends import resolve_backend
-
+        """Finish the grid's remaining cells on the fallback backend."""
         try:
             coordinator.ledger.abandon()
         except Exception:  # pragma: no cover - crashed coordinator
@@ -308,9 +308,7 @@ class ClusterBackend(ExecutionBackend):
                     timeout=timeout, retries=retries):
                 yield remaining[sub_index][0], outcome, attempts
         finally:
-            close = getattr(fallback, "close", None)
-            if callable(close):
-                close()
+            fallback.close()
 
     # -- health ----------------------------------------------------------
     def _await_workers(self, coordinator: ClusterCoordinator) -> None:
@@ -320,7 +318,8 @@ class ClusterBackend(ExecutionBackend):
         that *never* had a worker is a misconfiguration, not an outage.
         """
         deadline = time.monotonic() + self.startup_timeout
-        while coordinator.worker_count() == 0:
+        while not coordinator.ledger.await_worker(
+                min(self._TICK, max(0.0, deadline - time.monotonic()))):
             self._check_fleet_alive()
             if time.monotonic() >= deadline:
                 raise ClusterError(
@@ -330,7 +329,6 @@ class ClusterBackend(ExecutionBackend):
                     f"{self.host}:{coordinator.address[1]}' or configure "
                     f"local_workers"
                 )
-            time.sleep(0.05)
 
     def _degrade_window(self) -> float:
         return (self.degrade_after if self.degrade_after is not None
@@ -347,8 +345,15 @@ class ClusterBackend(ExecutionBackend):
         stuck and no fallback is configured.  ``short_since`` threads
         the caller's below-the-floor timer between sweeps.
         """
-        if self._fleet is not None:
-            self._fleet.maintain()
+        fleet = self._fleet
+        if fleet is not None:
+            if self._pool_like:
+                # One replacement per lease lost: the attempt the loss
+                # charged its cell pays for it, so the cells' retries
+                # bound the respawns, and a worker that died idle stays
+                # dead instead of respawning in a loop.
+                fleet.respawns_left += coordinator.ledger.take_lost_leases()
+            fleet.maintain()
         now = time.monotonic()
         alive = coordinator.worker_count()
         coordinator_down = coordinator._stopping.is_set() \
@@ -390,5 +395,29 @@ class ClusterBackend(ExecutionBackend):
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (f"ClusterBackend(local_workers={self.local_workers}, "
+        return (f"{type(self).__name__}(local_workers={self.local_workers}, "
                 f"worker_capacity={self.worker_capacity})")
+
+
+class ProcessBackend(ClusterBackend):
+    """The ``"processes"`` backend: a loopback fleet of forked workers.
+
+    ``max_workers`` workers (default ``min(32, cpu_count)``) on an
+    OS-assigned ``127.0.0.1`` port, and no fallback: no cell ever runs in
+    the caller's process.  Like a process pool, it kills a worker whose
+    cell overran the ``timeout`` (nothing else stops the cell) and
+    replaces every worker lost while holding a lease.
+    """
+
+    name = "processes"
+    _pool_like = True
+
+    def __init__(self, max_workers: int | None = None):
+        if max_workers is not None and max_workers < 1:
+            raise ScenarioError(
+                f"max_workers must be >= 1, got {max_workers}"
+            )
+        self.max_workers = max_workers
+        super().__init__(local_workers=max_workers
+                         or min(32, os.cpu_count() or 2),
+                         fallback=None)

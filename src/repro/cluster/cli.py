@@ -4,8 +4,8 @@ Three pieces, all routed through ``repro-experiments``:
 
 * :func:`worker_main` — the ``worker`` subcommand: one agent process
   that dials a coordinator and serves cells until told to shut down.
-  This is what the local fleet spawns and what you run on every extra
-  host.
+  This is what you run on every extra host; the local fleet forks its
+  workers and starts the same agent directly.
 * :func:`add_cluster_arguments` — the ``--cluster-*`` option group
   shared by ``grid --backend cluster`` and ``serve --backend cluster``.
 * :func:`backend_from_args` — builds the execution backend that
@@ -17,9 +17,8 @@ from __future__ import annotations
 import argparse
 from typing import Sequence
 
-from repro.cluster.worker import ClusterWorkerAgent
+from repro.cluster.worker import run_worker
 from repro.errors import ScenarioError
-from repro.resilience import RetryPolicy
 from repro.scenarios.backends import EXECUTION_BACKENDS, ExecutionBackend
 
 
@@ -49,16 +48,9 @@ def worker_main(argv: Sequence[str]) -> int:
                              "the prior worker id on success; 0 = exit "
                              "immediately (default)")
     args = parser.parse_args(argv)
-
-    reconnect = None
-    if args.reconnect and args.reconnect > 0:
-        reconnect = RetryPolicy(max_attempts=None, base_delay=0.1,
-                                max_delay=2.0, deadline=args.reconnect)
-    agent = ClusterWorkerAgent(args.connect, name=args.name,
-                               capacity=args.capacity,
-                               heartbeat_interval=args.heartbeat,
-                               reconnect=reconnect)
-    return agent.run()
+    return run_worker(args.connect, name=args.name, capacity=args.capacity,
+                      heartbeat_interval=args.heartbeat,
+                      reconnect=args.reconnect)
 
 
 def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
@@ -93,11 +85,11 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
                        help="spawned workers redial a dropped coordinator "
                             "connection for S seconds before giving up "
                             "(default 0 = exit on first drop)")
-    group.add_argument("--cluster-fallback", default="processes",
+    group.add_argument("--cluster-fallback", default="serial",
                        metavar="BACKEND",
-                       help="in-process backend that finishes the grid when "
-                            "the fleet degrades below --cluster-min-workers "
-                            "(default: processes; 'none' disables fallback "
+                       help="backend that finishes the grid when the fleet "
+                            "degrades below --cluster-min-workers "
+                            "(default: serial; 'none' disables fallback "
                             "and fails loudly instead)")
     group.add_argument("--cluster-min-workers", type=int, default=1,
                        metavar="N",
@@ -113,8 +105,8 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
 def backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
     """The backend ``--backend``, ``--max-workers`` and the cluster flags name.
 
-    For the cluster backend ``--max-workers`` (the generic pool-width
-    flag) doubles as the local fleet size when ``--cluster-local`` was
+    For the cluster backend ``--max-workers`` (the processes backend's
+    worker count) doubles as the local fleet size when ``--cluster-local`` was
     not given, so ``--backend cluster --max-workers 3`` does the obvious
     thing.
     """

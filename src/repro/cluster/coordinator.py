@@ -24,7 +24,7 @@ exactly three things:
 from __future__ import annotations
 
 import threading
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.cluster.journal import LedgerJournal
 from repro.cluster.ledger import CellLedger
@@ -135,9 +135,6 @@ class ClusterCoordinator(PeerServer):
 
     def worker_count(self) -> int:
         return self.ledger.worker_count()
-
-    def status(self) -> dict[str, Any]:
-        return self.ledger.status()
 
     # -- internals -------------------------------------------------------
     def _monitor_loop(self) -> None:

@@ -15,10 +15,10 @@ one batch of grid cells at a time through a small state machine:
   with leases outstanding) requeues the worker's leased cells while the
   retry budget lasts, then emits a ``"worker-death"``
   :class:`~repro.scenarios.backends.CellError` whose ``attempts`` count
-  surfaces as ``GridReport.retries`` — exactly the processes backend's
-  semantics, stretched across hosts.
+  surfaces as ``GridReport.retries``.
 * **Lease expiry** (a hung-but-heartbeating worker) requeues the same
-  way with kind ``"timeout"`` once the budget runs out.
+  way with kind ``"timeout"`` once the budget runs out; a worker that
+  :attr:`CellLedger.reclaim` kills is dropped with it.
 * **Late results** for a cell that was already requeued still retire it
   (first completion wins); results for unknown cells — a prior batch, a
   double send — are ignored, so duplicated effort is never double
@@ -61,7 +61,6 @@ class WorkerInfo:
     worker_id: str
     capacity: int
     inflight: int = 0
-    completed: int = 0
     last_seen: float = field(default_factory=time.monotonic)
 
 
@@ -101,6 +100,12 @@ class CellLedger:
         #: matching :meth:`submit` may adopt; ``None`` otherwise.
         self._adoptable: dict[int, dict] | None = None
         self._lock = threading.Lock()
+        self._registered = threading.Condition(self._lock)
+        #: ``reclaim(worker_id)``, called under the lock when a lease of
+        #: that worker expires, returns whether it killed the worker's
+        #: process; ``None``: hung workers live on.
+        self.reclaim: Callable[[str], bool] | None = None
+        self._lost_leases = 0
         self._workers: dict[str, WorkerInfo] = {}
         self._rotation: deque[str] = deque()
         self._cells: dict[int, _TrackedCell] = {}
@@ -139,6 +144,7 @@ class CellLedger:
             else:
                 self._workers[worker_id] = WorkerInfo(worker_id, capacity)
                 self._rotation.append(worker_id)
+            self._registered.notify_all()
             self._assign()
 
     def heartbeat(self, worker_id: str) -> None:
@@ -158,6 +164,18 @@ class CellLedger:
     def worker_count(self) -> int:
         with self._lock:
             return len(self._workers)
+
+    def await_worker(self, timeout: float) -> bool:
+        """Block until a worker is registered; ``False`` if ``timeout`` passed."""
+        with self._registered:
+            return bool(self._registered.wait_for(lambda: self._workers,
+                                                  timeout))
+
+    def take_lost_leases(self) -> int:
+        """Leases lost to a worker death or an expiry since the last call."""
+        with self._lock:
+            lost, self._lost_leases = self._lost_leases, 0
+            return lost
 
     # -- batches ---------------------------------------------------------
     def restore_from_journal(self) -> int:
@@ -290,7 +308,6 @@ class CellLedger:
                 worker = self._workers.get(cell.worker)
                 if worker is not None:
                     worker.inflight = max(0, worker.inflight - 1)
-                    worker.completed += 1
             if isinstance(outcome, CellError) \
                     and outcome.attempts != cell.attempts:
                 # Workers report attempts=1 (they only see their own try);
@@ -344,30 +361,22 @@ class CellLedger:
             for cell in list(self._cells.values()):
                 if cell.state == "leased" and cell.deadline is not None \
                         and now >= cell.deadline:
-                    worker = self._workers.get(cell.worker or "")
+                    holder = cell.worker or ""
+                    worker = self._workers.get(holder)
                     if worker is not None:
                         worker.inflight = max(0, worker.inflight - 1)
                     self._fail_or_requeue_locked(
                         cell, kind="timeout",
-                        reason=f"lease expired after "
-                               f"{self._timeout:g}s on worker "
-                               f"{cell.worker!r}")
+                        reason=f"cell exceeded the {self._timeout:g}s "
+                               f"timeout on worker {holder!r}")
+                    if worker is not None and self.reclaim is not None \
+                            and self.reclaim(holder):
+                        dead.append(holder)
+                        self._remove_worker_locked(
+                            holder, kind="worker-death",
+                            reason="killed when a lease expired")
             self._assign()
         return dead
-
-    def status(self) -> dict[str, Any]:
-        """Counters for logging and tests."""
-        with self._lock:
-            return {
-                "workers": {w.worker_id: {"capacity": w.capacity,
-                                          "inflight": w.inflight,
-                                          "completed": w.completed}
-                            for w in self._workers.values()},
-                "queued": len(self._queue),
-                "leased": sum(1 for c in self._cells.values()
-                              if c.state == "leased"),
-                "outstanding": self._outstanding,
-            }
 
     # -- internals (all hold self._lock) ---------------------------------
     def _assign(self) -> None:
@@ -419,6 +428,7 @@ class CellLedger:
     def _fail_or_requeue_locked(self, cell: _TrackedCell, *, kind: str,
                                 reason: str) -> None:
         """A charged failure: retry while the budget lasts, then report."""
+        self._lost_leases += 1
         if cell.attempts <= self._retries:
             cell.state = "queued"
             cell.worker = None

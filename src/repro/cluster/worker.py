@@ -1,8 +1,9 @@
 """The worker agent: dial a coordinator, run leased cells, stream results.
 
 :class:`ClusterWorkerAgent` is the whole client side of the fabric —
-what ``repro-experiments worker --connect HOST:PORT`` runs, and what the
-local fleet spawns as subprocesses.  It connects, registers with a
+what ``repro-experiments worker --connect HOST:PORT`` runs, and what
+every local fleet worker runs (both start it through
+:func:`run_worker`).  It connects, registers with a
 capacity, then loops reading coordinator messages:
 
 * ``cell`` leases run on a small thread pool (``capacity`` wide — engine
@@ -11,8 +12,7 @@ capacity, then loops reading coordinator messages:
   the runner is resolved from its ``"module:qualname"`` wire spec once
   and memoized, with ``None`` meaning the default
   :func:`~repro.scenarios.runner.run_scenario`, whose per-workload memo
-  makes repeated cells of one grid cheap exactly like the process-pool
-  workers;
+  makes repeated cells of one grid cheap;
 * a daemon heartbeat thread beacons liveness every
   ``heartbeat_interval`` seconds (the coordinator declares silent
   workers dead at its own ``heartbeat_timeout``);
@@ -54,6 +54,15 @@ def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
     return transport.parse_address(address, ClusterError)
 
 
+def run_worker(address: "str | tuple[str, int]", *, reconnect: float = 0.0,
+               **options) -> int:
+    """Serve one agent until it exits; ``reconnect`` is the redial window
+    in seconds after an unexpected drop (0 = exit on the first drop)."""
+    policy = None if reconnect <= 0 else RetryPolicy(
+        max_attempts=None, base_delay=0.1, max_delay=2.0, deadline=reconnect)
+    return ClusterWorkerAgent(address, reconnect=policy, **options).run()
+
+
 class ClusterWorkerAgent:
     """One worker process's connection to a cluster coordinator."""
 
@@ -81,8 +90,6 @@ class ClusterWorkerAgent:
         self.rng = rng
         #: The coordinator-assigned id (set after the welcome handshake).
         self.worker_id: str | None = None
-        #: Cells this agent finished (successes and errors).
-        self.completed = 0
         #: Successful (re)connections, for tests and log lines.
         self.sessions = 0
         self._runners: dict[str | None, Callable] = {}
@@ -205,7 +212,6 @@ class ClusterWorkerAgent:
                 outcome_to_wire(outcome)  # probe serialisability early
         except Exception as exc:
             outcome = _error_outcome(scenario, exc, 1)
-        self.completed += 1
         try:
             self._send({"op": "result", "cell": message.get("cell"),
                         "outcome": outcome_to_wire(outcome)})

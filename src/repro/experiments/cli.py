@@ -345,7 +345,7 @@ def grid_main(argv: Sequence[str]) -> int:
                              "add a scheme axis to the grid (registered: "
                              f"{', '.join(RECOVERY_SCHEMES.names())})")
     parser.add_argument("--max-workers", type=int, default=None,
-                        help="pool width for the processes backend (the "
+                        help="worker count for the processes backend (the "
                              "local fleet size for --backend cluster)")
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="stream outcomes into a .jsonl or .sqlite file "
@@ -358,8 +358,9 @@ def grid_main(argv: Sequence[str]) -> int:
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="per-scenario wall-clock budget in seconds")
     parser.add_argument("--retries", type=int, default=1,
-                        help="retries per cell after a worker death "
-                             "(processes backend; default 1)")
+                        help="retries per cell after a worker death or "
+                             "an expired timeout (parallel backends; "
+                             "default 1)")
     parser.add_argument("--progress", action="store_true",
                         help="print one progress line per completed cell "
                              "to stderr")
@@ -400,11 +401,9 @@ def grid_main(argv: Sequence[str]) -> int:
     try:
         report = session.run(scenarios)
     finally:
-        # The cluster backend owns subprocesses and a listening port;
+        # A parallel backend owns worker processes and a listening port;
         # release them as soon as the grid is done.
-        close = getattr(backend, "close", None)
-        if callable(close):
-            close()
+        backend.close()
 
     emit(json.dumps([outcome_row(o) for o in report.outcomes], indent=2)
          if args.as_json else _grid_rows(report.results()))

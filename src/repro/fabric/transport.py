@@ -34,10 +34,13 @@ fabric keeps raising its own exceptions.
 from __future__ import annotations
 
 import json
+import os
 import queue
+import selectors
 import socket
 import socketserver
 import threading
+import weakref
 from typing import Any, Mapping
 
 from repro.errors import ReproError, ServiceError
@@ -78,6 +81,23 @@ def parse_address(address: "str | tuple[str, int]",
             )
         return host, int(port_text)
     return str(address[0]), int(address[1])
+
+
+#: Every open socket this module made (listeners, wake-up pairs, peers).
+_OPEN: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+
+
+def close_inherited_sockets() -> None:
+    """In a forked child: close its copy of every socket made here.
+
+    A copied listener keeps its port from being bound again, and a
+    copied connection keeps the peer from reading EOF.  ``detach``
+    first, so an inherited socket object never closes a reused number.
+    """
+    for sock in list(_OPEN):
+        descriptor = sock.detach()
+        if descriptor >= 0:
+            os.close(descriptor)
 
 
 # -- accepting side --------------------------------------------------------
@@ -158,7 +178,14 @@ class _Handler(socketserver.StreamRequestHandler):
 class _Listener(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
+    request_queue_size = socket.SOMAXCONN  # a whole fleet dials at once
     peers: "PeerServer"
+
+    def get_request(self) -> tuple[socket.socket, Any]:
+        connection, address = self.socket.accept()
+        connection.setblocking(True)  # BSDs inherit the listener's mode
+        _OPEN.add(connection)
+        return connection, address
 
 
 class PeerServer:
@@ -179,7 +206,10 @@ class PeerServer:
         self._tcp = _Listener((host, port), _Handler,
                                bind_and_activate=True)
         self._tcp.peers = self
+        self._tcp.socket.setblocking(False)
+        _OPEN.add(self._tcp.socket)
         self._acceptor: threading.Thread | None = None
+        self._wake: tuple[socket.socket, socket.socket] | None = None
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -191,17 +221,36 @@ class PeerServer:
     def listen(self) -> None:
         """Start accepting peers on a background thread (idempotent)."""
         if self._acceptor is None:
+            self._wake = socket.socketpair()
+            _OPEN.update(self._wake)
             self._acceptor = threading.Thread(
-                target=self._tcp.serve_forever,
-                name=f"{self.name}-acceptor",
-                kwargs={"poll_interval": 0.1}, daemon=True)
+                target=self._accept_loop, args=(self._wake[0],),
+                name=f"{self.name}-acceptor", daemon=True)
             self._acceptor.start()
 
     def unlisten(self) -> None:
-        """Stop accepting and close the listening socket."""
-        if self._acceptor is not None:
-            self._tcp.shutdown()
+        """Stop accepting and close the listening socket (idempotent)."""
+        acceptor, wake = self._acceptor, self._wake
+        self._acceptor = self._wake = None
+        if acceptor is not None and wake is not None:
+            wake[1].send(b"\0")
+            acceptor.join()
+            for sock in wake:
+                sock.close()
         self._tcp.server_close()
+
+    def _accept_loop(self, stop: socket.socket) -> None:
+        """Accept peers until :meth:`unlisten` writes to ``stop``.
+
+        No polling: the thread sleeps in ``select``.  The listener is
+        non-blocking, so a peer gone before ``accept`` cannot stall it.
+        """
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._tcp, selectors.EVENT_READ)
+            selector.register(stop, selectors.EVENT_READ)
+            while not any(key.fileobj is stop
+                          for key, _events in selector.select()):
+                self._tcp.handle_request()
 
     # -- registry --------------------------------------------------------
     def streams(self) -> list[PeerStream]:
@@ -336,6 +385,7 @@ class Connection:
             self.sock = socket.create_connection(address, timeout=timeout)
         except OSError as exc:
             raise error(f"cannot connect to {self.peer}: {exc}") from None
+        _OPEN.add(self.sock)
         self.sock.settimeout(None)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self.sock.makefile("r", encoding="utf-8")

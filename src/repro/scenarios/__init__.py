@@ -26,10 +26,10 @@ in with a ``register()`` decorator without touching the core:
 * :data:`RECOVERY_SCHEMES` — how the engine tolerates the failures
   (``RECOVERY_SCHEMES.names()`` lists the built-ins, ``"ppa"`` the
   default), selected per scenario via the ``recovery`` field;
-* :data:`EXECUTION_BACKENDS` — how grids execute (``"serial"``,
-  ``"processes"`` with work stealing, per-scenario timeouts and
-  retry-on-worker-death, ``"cluster"`` across worker agents on many hosts
-  — see :mod:`repro.cluster`);
+* :data:`EXECUTION_BACKENDS` — how grids execute (``"serial"``
+  in-process; ``"processes"``, a loopback fleet of forked workers, and
+  ``"cluster"``, worker agents on many hosts, both on the fabric of
+  :mod:`repro.cluster` with per-scenario timeouts and retries);
 * :data:`RESULT_SINKS` — where outcomes go (``"memory"``, ``"jsonl"``,
   ``"sqlite"``), streamed incrementally so huge grids never materialise
   one giant list.
@@ -74,7 +74,7 @@ _EXPORTS = {
     "NullPlanner": "repro.scenarios.catalog",
     "OperatorDef": "repro.scenarios.spec",
     "PLANNERS": "repro.scenarios.registry",
-    "ProcessBackend": "repro.scenarios.backends",
+    "ProcessBackend": "repro.cluster.backend",
     "ProgressEvent": "repro.scenarios.session",
     "RECOVERY_SCHEMES": "repro.engine.recovery",
     "RESULT_SINKS": "repro.scenarios.sinks",

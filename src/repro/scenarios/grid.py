@@ -132,11 +132,12 @@ def run_scenarios(scenarios: Sequence[Scenario], *,
     """Execute ``scenarios`` in order; outcomes line up with the input.
 
     ``backend`` selects the execution strategy (``"serial"`` by default,
-    ``"processes"`` for a work-stealing process pool with per-scenario
-    ``timeout`` and ``retries``-on-worker-death, or ``"cluster"``); ``sink``
-    streams outcomes incrementally (memory, JSONL, SQLite) and ``cache``
-    skips already-simulated cells by content digest.  Because runs are
-    deterministic, the results do not depend on the backend.
+    ``"processes"`` for local worker processes with a per-scenario
+    ``timeout`` and ``retries`` after a worker death or timeout, or
+    ``"cluster"``; one named here is shut down before this returns);
+    ``sink`` streams outcomes incrementally (memory, JSONL, SQLite) and
+    ``cache`` skips already-simulated cells by content digest.  Because
+    runs are deterministic, the results do not depend on the backend.
 
     With ``strict=True`` (the default) the first failed cell raises
     :class:`ScenarioError` once the grid has finished and the sink holds
@@ -144,12 +145,11 @@ def run_scenarios(scenarios: Sequence[Scenario], *,
     returned list as structured
     :class:`~repro.scenarios.backends.CellError`\\ s.
 
-    Worker processes see the built-in registries automatically.  Custom
-    ``register()`` entries must live in an importable module for the
-    processes backend to be portable: on platforms whose multiprocessing
-    start method is ``spawn`` (macOS, Windows), workers re-import modules
-    rather than inheriting the parent's memory, so registrations made only
-    in a ``__main__`` script are not visible there.
+    Custom ``register()`` entries and runners must live in an importable
+    module to be portable: outside Linux, and on remote cluster hosts,
+    workers import modules afresh rather than inheriting this process's
+    memory, so registrations made only in a ``__main__`` script are not
+    visible there.
     """
     session = GridSession(backend=backend, sink=sink, cache=cache,
                           timeout=timeout, retries=retries, progress=progress,

@@ -20,8 +20,9 @@ memo for memory-sensitive callers.
 
 A process fills its memo lazily: the first cell of a workload builds it,
 and every later cell of that workload in the same process is a hit.  This
-holds alike for the serial backend, process-pool workers and cluster
-workers.  A workload that fails to build raises inside the cell that asked
+holds alike for the serial backend and every cluster or ``processes``
+worker; a worker forked from a process whose memo is already warm starts
+with a copy of it.  A workload that fails to build raises inside the cell that asked
 for it, so only its own cells fail.
 
 Reusing a bundle across runs is sound because bundles are pure functions of

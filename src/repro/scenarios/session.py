@@ -151,7 +151,10 @@ class GridSession:
     backend:
         Execution strategy — a registry name (``"serial"``,
         ``"processes"``, ``"cluster"``) or an :class:`ExecutionBackend`
-        instance.
+        instance.  A backend resolved from a name belongs to the session
+        and is closed when :meth:`run` returns (a parallel backend's
+        workers would otherwise outlive the grid); an instance belongs
+        to the caller.
     sink:
         Where outcomes go — a :class:`ResultSink` instance, ``"memory"``,
         or ``None`` for a fresh in-memory sink.
@@ -162,8 +165,8 @@ class GridSession:
         Per-scenario wall-clock budget in seconds; overruns become
         ``"timeout"`` :class:`CellError`\\ s.
     retries:
-        How many extra attempts a cell gets when a worker process dies
-        (processes backend; default one retry).
+        How many extra attempts a cell gets when its worker dies or its
+        timeout expires (parallel backends; default one retry).
     progress:
         Callback receiving a :class:`ProgressEvent` per completed cell, in
         completion order.
@@ -177,8 +180,9 @@ class GridSession:
         Keep outcomes in memory for :attr:`GridReport.outcomes`.  Turn off
         for huge grids where the sink is the only consumer.
     runner:
-        The per-scenario runner; must be picklable for the processes
-        backend.  The default, :func:`~repro.scenarios.runner.run_scenario`,
+        The per-scenario runner; a module-level importable callable for
+        the parallel backends, which send it to their workers by name.
+        The default, :func:`~repro.scenarios.runner.run_scenario`,
         resolves workloads through the per-process memo of
         :mod:`repro.scenarios.prebuilt`, building each distinct
         topology/router/bundle, plan and quality baseline on its first use
@@ -197,6 +201,7 @@ class GridSession:
                  collect: bool = True,
                  runner: Runner = run_scenario):
         self.backend = resolve_backend(backend)
+        self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.sink = resolve_sink(sink)
         self.cache = ScenarioCache(cache) if isinstance(cache, (str, bytes)) \
             else cache
@@ -308,6 +313,8 @@ class GridSession:
                     f"cells {missing}"
                 )
         finally:
+            if self._owns_backend:
+                self.backend.close()
             self.sink.finish()
 
         report = GridReport(

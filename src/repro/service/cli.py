@@ -55,7 +55,7 @@ def serve_main(argv: Sequence[str]) -> int:
                         choices=sorted(EXECUTION_BACKENDS.names()),
                         help="shared execution backend (default: serial)")
     parser.add_argument("--max-workers", type=int, default=None,
-                        help="pool width for the processes backend (the "
+                        help="worker count for the processes backend (the "
                              "local fleet size for --backend cluster)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="shared content-addressed scenario cache; "
@@ -67,8 +67,9 @@ def serve_main(argv: Sequence[str]) -> int:
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="per-scenario wall-clock budget in seconds")
     parser.add_argument("--retries", type=int, default=1,
-                        help="retries per cell after a worker death "
-                             "(processes backend; default 1)")
+                        help="retries per cell after a worker death or "
+                             "an expired timeout (parallel backends; "
+                             "default 1)")
     parser.add_argument("--batch-cells", type=int, default=8,
                         help="cells per dispatcher batch (smaller = fairer "
                              "interleaving and faster drain; default 8)")

@@ -10,7 +10,7 @@
 * one **dispatcher** thread pulling fair-scheduled batches out of the
   :class:`~repro.service.broker.SweepBroker` and running them through a
   single shared :class:`~repro.scenarios.backends.ExecutionBackend`
-  (serial, the process pool, or the cluster), streaming
+  (serial, the local ``processes`` fleet, or the cluster), streaming
   completions — with their retry counts — back into the broker;
 * graceful drain: :meth:`drain` (wired to SIGTERM by the CLI) lets
   in-flight cells finish, refuses new submissions, broadcasts
@@ -46,7 +46,7 @@ class SweepServer(PeerServer):
         Bind address; ``port=0`` lets the OS pick (read :attr:`address`).
     backend:
         Shared :class:`ExecutionBackend` (name or instance); every
-        client's cells run through this one pool, scheduled fairly.
+        client's cells run through this one backend, scheduled fairly.
     cache:
         Shared :class:`ScenarioCache` (or a directory path).  Strongly
         recommended: it is what makes cross-restart dedup and journal
@@ -59,7 +59,7 @@ class SweepServer(PeerServer):
     batch_cells:
         How many cells each dispatcher batch pulls from the broker.
         Smaller batches mean fairer interleaving and faster drains;
-        larger ones amortise pool startup on the processes backend.
+        larger ones amortise the per-batch dispatch.
     """
 
     name = "sweep"
@@ -137,11 +137,9 @@ class SweepServer(PeerServer):
         if self.journal is not None:
             self.journal.compact(self.broker.pending_scenarios())
             self.journal.close()
-        # Backends that own real resources (the cluster backend runs a
+        # Backends that own real resources (a parallel backend runs a
         # coordinator port and a worker fleet) release them with the server.
-        close = getattr(self.backend, "close", None)
-        if callable(close):
-            close()
+        self.backend.close()
         # Last, so clients have read every event they are owed: EOF is
         # what tells one still blocked in wait() that no more will come.
         self.hang_up()

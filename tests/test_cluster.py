@@ -11,7 +11,9 @@ byte-identical to a serial run, including when a worker dies mid-cell.
 
 import dataclasses
 import os
+import signal
 import socket
+import sys
 import threading
 import time
 
@@ -44,6 +46,7 @@ from repro.scenarios import (
     resolve_backend,
     run_scenario,
 )
+from repro.service import SweepServer
 from repro.topology import TaskId, linear_chain
 
 
@@ -153,8 +156,8 @@ def kill_once_cluster_runner(scenario):
     """Take the whole worker process down on first sight of the marked cell.
 
     Importable by name (``test_cluster:kill_once_cluster_runner``) on the
-    fleet's workers because :class:`LocalFleet` exports the parent's
-    ``sys.path`` as ``PYTHONPATH``.
+    fleet's workers, which are forked from this process or, where
+    workers start in a fresh interpreter, get its ``sys.path``.
     """
     if scenario.seed == KILL_SEED:
         flag = os.environ["REPRO_TEST_CLUSTER_KILL_FLAG"]
@@ -469,6 +472,47 @@ class TestClusterEndToEnd:
 
 def always_raises(scenario):
     raise ValueError("boom")
+
+
+def socket_count(pid: int) -> int:
+    """How many sockets process ``pid`` holds open."""
+    fds = f"/proc/{pid}/fd"
+    return sum(1 for fd in os.listdir(fds)
+               if os.readlink(f"{fds}/{fd}").startswith("socket:"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="forked workers and /proc are Linux-only")
+class TestForkedWorkerHygiene:
+    """A worker forked from a busy process keeps none of its state."""
+
+    def test_each_worker_holds_only_its_own_connection(self):
+        server = SweepServer().start()  # one more listener to inherit
+        backend = ClusterBackend(local_workers=2)
+        try:
+            with backend:
+                ledger = backend._coordinator.ledger
+                deadline = time.monotonic() + 10.0
+                while ledger.worker_count() < 2 \
+                        and time.monotonic() < deadline:
+                    ledger.await_worker(0.05)
+                assert ledger.worker_count() == 2
+                pids = [p.pid for p in backend._fleet.processes]
+                assert [socket_count(pid) for pid in pids] == [1, 1]
+        finally:
+            server.stop()
+
+    def test_worker_exits_on_sigterm_despite_the_parents_handler(self):
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            with ClusterBackend(local_workers=1) as backend:
+                assert backend._coordinator.ledger.await_worker(10.0)
+                worker = backend._fleet.processes[0]
+                worker.terminate()
+                worker.join(10.0)
+                assert worker.exitcode == -signal.SIGTERM
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class TestClusterBackend:

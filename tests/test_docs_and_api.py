@@ -298,6 +298,40 @@ class TestOneFabricCore:
             assert callable(resolve(f"repro.service.protocol:{name}")[2])
 
 
+class TestOneParallelBackend:
+    """Structure guard: both parallel backends are the worker fabric."""
+
+    @staticmethod
+    def imported_modules(relative: str) -> set[str]:
+        import ast
+
+        path = Path(repro.__file__).resolve().parent / relative
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module)
+        return names
+
+    def test_no_process_pool_and_no_subprocess_fleet(self):
+        backends = self.imported_modules("scenarios/backends.py")
+        assert not {name for name in backends
+                    if name.split(".")[0] in ("multiprocessing",
+                                              "concurrent")}
+        assert "subprocess" not in self.imported_modules("cluster/fleet.py")
+
+    def test_processes_is_a_cluster_backend(self):
+        from repro.cluster.backend import ClusterBackend
+        from repro.scenarios import EXECUTION_BACKENDS
+
+        backend = EXECUTION_BACKENDS.get("processes")(max_workers=1)
+        try:
+            assert isinstance(backend, ClusterBackend)
+        finally:
+            backend.close()
+
+
 class TestOraclesLiveWithTheTests:
     """Structure guard: each operator, router, source and loss program is
     implemented once in ``src/``; their per-tuple oracles are test code."""

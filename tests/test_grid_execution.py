@@ -81,8 +81,8 @@ def tiny_grid() -> list[Scenario]:
 
 
 # ----------------------------------------------------------------------
-# Module-level runners: picklable for the processes backend (fork start
-# method inherits this module; pickling resolves them by qualified name).
+# Module-level runners: the parallel backends send a runner to their
+# workers by its importable name.
 # ----------------------------------------------------------------------
 
 _CALLS = {"count": 0}
@@ -110,6 +110,21 @@ def killer_runner(scenario):
 
 def failing_runner(scenario):
     raise ValueError("boom")
+
+
+@pytest.fixture
+def processes():
+    """``ProcessBackend(max_workers=n)``, closed after the test: a backend
+    instance belongs to its caller, so no session closes its fleet."""
+    backends = []
+
+    def make(max_workers):
+        backends.append(ProcessBackend(max_workers=max_workers))
+        return backends[-1]
+
+    yield make
+    for backend in backends:
+        backend.close()
 
 
 # ----------------------------------------------------------------------
@@ -333,24 +348,28 @@ class TestPrebuiltWorkloads:
             prebuilt.clear()
 
     @pytest.mark.parametrize("start_method", ["fork", "forkserver"])
-    def test_prebuilt_pool_matches_serial(self, start_method, monkeypatch):
+    def test_prebuilt_pool_matches_serial(self, start_method, monkeypatch,
+                                          processes):
+        """Forked workers and fresh interpreters (the start method
+        macOS and Windows get) both match a serial run."""
         import multiprocessing
+
+        from repro.cluster.fleet import LocalFleet
 
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable on this platform")
-        monkeypatch.setattr(ProcessBackend, "_method",
+        monkeypatch.setattr(LocalFleet, "_method",
                             staticmethod(lambda: start_method))
         grid = tiny_grid()
         baseline = [r.to_dict() for r in run_scenarios(grid, backend="serial")]
-        backend = ProcessBackend(max_workers=2)
-        results = run_scenarios(grid, backend=backend)
+        results = run_scenarios(grid, backend=processes(2))
         assert [r.to_dict() for r in results] == baseline
 
-    def test_unbuildable_workload_fails_only_its_cells(self):
+    def test_unbuildable_workload_fails_only_its_cells(self, processes):
         """Each worker builds lazily, so the failed build raises in its cell."""
         bad = tiny_scenario(name="bad", workload_params={"no_such_knob": 1})
         grid = [tiny_scenario(), bad, tiny_scenario(budget=0)]
-        report = GridSession(backend=ProcessBackend(max_workers=2)).run(grid)
+        report = GridSession(backend=processes(2)).run(grid)
         good, error, also_good = report.outcomes
         assert isinstance(good, ScenarioResult)
         assert isinstance(also_good, ScenarioResult)
@@ -587,9 +606,9 @@ class TestStructuredErrors:
         with pytest.raises(ScenarioError, match="timeout must be positive"):
             GridSession(timeout=timeout)
 
-    def test_timeout_surfaces_as_cell_error(self):
+    def test_timeout_surfaces_as_cell_error(self, processes):
         cells = self.scenarios()
-        report = GridSession(ProcessBackend(max_workers=2), timeout=0.75,
+        report = GridSession(processes(2), timeout=0.75,
                              runner=sleepy_runner).run(cells)
         kinds = [getattr(o, "kind", "ok") for o in report.outcomes]
         assert kinds == ["ok", "timeout", "ok", "ok"]
@@ -598,11 +617,12 @@ class TestStructuredErrors:
         assert error.scenario.name == "marked"
         assert "timeout" in error.message
 
-    def test_timeout_does_not_cascade(self):
+    def test_timeout_does_not_cascade(self, processes):
         # One hung cell must not consume the only worker slot for good:
-        # the pool is replaced, so later fast cells still finish in time.
+        # its worker is killed and replaced, so later fast cells still
+        # finish in time.
         cells = self.scenarios()
-        report = GridSession(ProcessBackend(max_workers=1), timeout=0.75,
+        report = GridSession(processes(1), timeout=0.75,
                              runner=sleepy_runner).run(cells)
         kinds = [getattr(o, "kind", "ok") for o in report.outcomes]
         assert kinds == ["ok", "timeout", "ok", "ok"]
@@ -614,9 +634,9 @@ class TestStructuredErrors:
         assert report.errors == 1
         assert report.cell_errors()[0].kind == "timeout"
 
-    def test_worker_death_retries_once_then_reports(self):
+    def test_worker_death_retries_once_then_reports(self, processes):
         cells = self.scenarios()
-        report = GridSession(ProcessBackend(max_workers=1), retries=1,
+        report = GridSession(processes(1), retries=1,
                              runner=killer_runner).run(cells)
         kinds = [getattr(o, "kind", "ok") for o in report.outcomes]
         assert kinds == ["ok", "worker-death", "ok", "ok"]
@@ -659,6 +679,30 @@ class TestStructuredErrors:
     def test_cell_error_round_trips(self):
         error = CellError(tiny_scenario(), "timeout", "too slow", attempts=2)
         assert CellError.from_dict(error.to_dict()) == error
+
+
+# ----------------------------------------------------------------------
+class TestOwnedBackends:
+    def test_named_processes_backend_is_closed_when_the_grid_ends(
+            self, monkeypatch):
+        import multiprocessing
+        import socket
+
+        from repro.cluster.coordinator import ClusterCoordinator
+
+        addresses = []
+        start = ClusterCoordinator.start
+
+        def recording_start(coordinator):
+            addresses.append(coordinator.address)
+            return start(coordinator)
+
+        monkeypatch.setattr(ClusterCoordinator, "start", recording_start)
+        results = run_scenarios(tiny_grid()[:2], backend="processes")
+        assert len(results) == 2 and len(addresses) == 1
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(addresses[0], timeout=5.0).close()
 
 
 # ----------------------------------------------------------------------
@@ -830,11 +874,12 @@ class TestCacheEviction:
 class TestRetriesSurfacing:
     """Worker-death retries flow through events and the report."""
 
-    def test_worker_death_retry_counts_in_report_and_events(self):
+    def test_worker_death_retry_counts_in_report_and_events(self,
+                                                             processes):
         events = []
         cells = [tiny_scenario(name="ok-cell", seed=1),
                  tiny_scenario(name="marked", seed=MARKED_SEED)]
-        report = GridSession(ProcessBackend(max_workers=1), retries=1,
+        report = GridSession(processes(1), retries=1,
                              runner=killer_runner,
                              progress=events.append).run(cells)
         assert report.retries == 1  # one restart before giving up
@@ -845,11 +890,12 @@ class TestRetriesSurfacing:
         assert "1 retries" in progress_line(by_name["marked"].to_dict())
         assert "retries" not in progress_line(by_name["ok-cell"].to_dict())
 
-    def test_duplicates_report_the_representative_retry_count(self):
+    def test_duplicates_report_the_representative_retry_count(self,
+                                                              processes):
         events = []
         cells = [tiny_scenario(name="twin-a", seed=MARKED_SEED),
                  tiny_scenario(name="twin-b", seed=MARKED_SEED)]
-        report = GridSession(ProcessBackend(max_workers=1), retries=1,
+        report = GridSession(processes(1), retries=1,
                              runner=killer_runner,
                              progress=events.append).run(cells)
         # Charged once in the report, surfaced on every duplicate's event.
