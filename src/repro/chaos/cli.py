@@ -92,7 +92,7 @@ def chaos_main(argv: Sequence[str]) -> int:
     parser.add_argument("--drop-fraction", type=float, default=0.0,
                         metavar="F",
                         help="fraction of cell leases dropped (needs "
-                             "--lease-timeout to requeue them)")
+                             "--timeout to requeue them)")
     parser.add_argument("--duplicate-fraction", type=float, default=0.0,
                         metavar="F",
                         help="fraction of wire messages delivered twice")
@@ -108,12 +108,9 @@ def chaos_main(argv: Sequence[str]) -> int:
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="coordinator WAL path (default: a temporary "
                              "file when --crash is scheduled)")
-    parser.add_argument("--lease-timeout", type=float, default=None,
-                        metavar="S",
-                        help="per-cell lease deadline (required with "
-                             "--drop-fraction)")
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-scenario wall-clock budget in seconds")
+                        help="per-scenario wall-clock budget in seconds "
+                             "(the lease deadline on a worker fleet)")
     parser.add_argument("--retries", type=int, default=2,
                         help="retries per cell after a worker death "
                              "(default 2 — chaos runs expect deaths)")
@@ -134,7 +131,6 @@ def chaos_main(argv: Sequence[str]) -> int:
         local_workers=args.workers,
         sink=sink,
         journal=args.journal,
-        lease_timeout=args.lease_timeout,
         timeout=args.timeout,
         retries=args.retries,
         collect=not args.output,

@@ -285,10 +285,8 @@ def run_chaos(scenarios: Sequence, schedule: ChaosSchedule, *,
               local_workers: int = 2,
               sink=None,
               journal: str | None = None,
-              lease_timeout: float | None = None,
               timeout: float | None = None,
               retries: int = 2,
-              respawn: int | None = None,
               worker_reconnect: float | None = None,
               heartbeat_timeout: float = 3.0,
               startup_timeout: float = 30.0,
@@ -298,23 +296,22 @@ def run_chaos(scenarios: Sequence, schedule: ChaosSchedule, *,
 
     Returns ``(report, log)`` — the grid's
     :class:`~repro.scenarios.session.GridReport` and the
-    :class:`FaultLog` of everything injected.  Self-healing defaults
-    are derived from the schedule: the fleet gets a respawn budget
-    matching the scheduled kills, workers get a reconnect window when a
-    coordinator crash is scheduled, and a crash schedule without a
-    ``journal`` gets a temporary one (a crash without a WAL would
-    simply lose the batch).  There is deliberately *no* fallback
-    backend: a chaos run must prove the fabric itself finishes the
-    grid, not that a fallback backend can cover for it.
+    :class:`FaultLog` of everything injected.  A scheduled kill is a
+    worker death like any other, and ``timeout`` is the lease deadline (a
+    dropped lease costs its holder one kill and one replacement).  Workers
+    get a reconnect window when a coordinator crash is scheduled, and a
+    crash schedule without a ``journal`` gets a temporary one (a crash
+    without a WAL would simply lose the batch).  There is deliberately
+    *no* fallback backend: a chaos run must prove the fabric itself
+    finishes the grid, not that a fallback backend can cover for it.
     """
     from repro.cluster.backend import ClusterBackend
     from repro.scenarios.session import GridSession
 
-    if schedule.drop_fraction > 0 and lease_timeout is None \
-            and timeout is None:
+    if schedule.drop_fraction > 0 and timeout is None:
         raise ChaosError(
-            "drop_fraction needs a lease_timeout (or timeout): a dropped "
-            "lease is only re-run when its lease expires"
+            "drop_fraction needs a timeout: a dropped lease is only re-run "
+            "when its lease expires"
         )
     runner_faults = schedule.slow_runner_ms > 0 or schedule.fail_fraction > 0
     if runner is not None and runner_faults:
@@ -324,8 +321,6 @@ def run_chaos(scenarios: Sequence, schedule: ChaosSchedule, *,
         )
     if runner is None:
         runner = chaos_runner if runner_faults else None
-    if respawn is None:
-        respawn = schedule.kills()
     if worker_reconnect is None:
         worker_reconnect = 15.0 if schedule.crashes() else 0.0
 
@@ -345,11 +340,9 @@ def run_chaos(scenarios: Sequence, schedule: ChaosSchedule, *,
             os.environ[ENV_SEED] = str(schedule.seed)
         backend = ClusterBackend(
             local_workers=local_workers,
-            lease_timeout=lease_timeout,
             heartbeat_timeout=heartbeat_timeout,
             startup_timeout=startup_timeout,
             journal=journal,
-            respawn=respawn,
             worker_reconnect=worker_reconnect,
             fallback=None,
             wire_faults=WireFaults(schedule, log),

@@ -22,18 +22,18 @@ Topology knobs:
   ``local_workers=0`` means *externally launched workers only* (start
   them with ``repro-experiments worker --connect HOST:PORT`` on each
   host, against a coordinator bound with ``host="0.0.0.0"``).
-* ``lease_timeout`` — per-cell lease deadline when ``execute`` gets no
-  ``timeout``; hung-but-heartbeating workers forfeit the cell when it
-  expires.
 * ``heartbeat_timeout`` — how long a silent worker survives (its socket
   EOF usually wins the race; heartbeats catch half-open connections).
 
-Failure semantics: every lease charges the cell an attempt; worker
-death or lease expiry requeues it while ``retries`` allows, then reports
-a ``"worker-death"`` or ``"timeout"``
-:class:`~repro.scenarios.backends.CellError`.  A cluster with
-*zero* reachable workers fails loudly (:class:`ClusterError`) after
-``startup_timeout`` rather than hanging a grid forever.
+Failure semantics: every lease charges the cell an attempt and arms the
+``timeout`` deadline; worker death or lease expiry requeues the cell
+while ``retries`` allows, then reports a ``"worker-death"`` or
+``"timeout"`` :class:`~repro.scenarios.backends.CellError`.  A local
+worker whose lease expired is killed, and one local worker is replaced
+per lease lost, so ``retries`` bounds the replacements; remote agents
+are never killed.  A cluster with *zero* reachable workers fails loudly
+(:class:`ClusterError`) after ``startup_timeout`` rather than hanging a
+grid forever.
 
 Resilience knobs (all optional):
 
@@ -44,10 +44,9 @@ Resilience knobs (all optional):
   re-submitting the identical grid adopts the journal's remnant instead
   of recomputing it.  :meth:`restart_coordinator` is the in-process
   crash-restart (used by the chaos harness).
-* ``respawn`` / ``worker_reconnect`` — the fleet's self-healing: replace
-  up to N dead workers, and spawn workers that redial a restarted
-  coordinator for ``worker_reconnect`` seconds (resuming their prior
-  worker id) instead of dying with the connection.
+* ``worker_reconnect`` — spawn workers that redial a restarted
+  coordinator for that many seconds (resuming their prior worker id)
+  instead of dying with the connection.
 * ``fallback`` / ``min_workers`` / ``degrade_after`` — graceful
   degradation: when the live fleet sits below ``min_workers`` (or the
   coordinator stays down) for ``degrade_after`` seconds mid-grid, the
@@ -82,17 +81,11 @@ class ClusterBackend(ExecutionBackend):
     #: How often the result loop wakes to check cluster health (seconds).
     _TICK = 0.25
 
-    #: Run the local fleet like a process pool (see :class:`ProcessBackend`).
-    _pool_like = False
-
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  local_workers: int | None = None,
-                 worker_capacity: int = 1,
-                 lease_timeout: float | None = None,
                  heartbeat_timeout: float = 10.0,
                  startup_timeout: float = 30.0,
                  journal: "LedgerJournal | str | None" = None,
-                 respawn: int = 0,
                  worker_reconnect: float = 0.0,
                  fallback: str | None = "serial",
                  min_workers: int = 1,
@@ -101,14 +94,6 @@ class ClusterBackend(ExecutionBackend):
         if local_workers is not None and local_workers < 0:
             raise ClusterError(
                 f"local_workers must be >= 0, got {local_workers}"
-            )
-        if worker_capacity < 1:
-            raise ClusterError(
-                f"worker_capacity must be >= 1, got {worker_capacity}"
-            )
-        if lease_timeout is not None and lease_timeout <= 0:
-            raise ClusterError(
-                f"lease_timeout must be > 0, got {lease_timeout}"
             )
         if min_workers < 1:
             raise ClusterError(f"min_workers must be >= 1, got {min_workers}")
@@ -119,14 +104,11 @@ class ClusterBackend(ExecutionBackend):
         self.host = host
         self.port = port
         self.local_workers = local_workers
-        self.worker_capacity = worker_capacity
-        self.lease_timeout = lease_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.startup_timeout = startup_timeout
         if isinstance(journal, (str, bytes)) or hasattr(journal, "__fspath__"):
             journal = LedgerJournal(journal)
         self.journal = journal
-        self.respawn = respawn
         self.worker_reconnect = worker_reconnect
         self.fallback = fallback
         self.min_workers = min_workers
@@ -160,14 +142,11 @@ class ClusterBackend(ExecutionBackend):
             try:
                 if n_local:
                     fleet = LocalFleet(coordinator.address, n_local,
-                                       capacity=self.worker_capacity,
-                                       respawn=self.respawn,
                                        reconnect=self.worker_reconnect)
                     # Started before the coordinator accepts, so no worker
                     # can inherit a sibling's half-registered connection.
                     fleet.start()
-                    if self._pool_like:
-                        coordinator.ledger.reclaim = fleet.reclaim
+                    coordinator.ledger.reclaim = fleet.reclaim
                 coordinator.start()
             except Exception:
                 if fleet is not None:
@@ -255,25 +234,27 @@ class ClusterBackend(ExecutionBackend):
             self.degraded_positions = ()
             coordinator = self._ensure_started()
             self._await_workers(coordinator)
-            lease = timeout if timeout is not None else self.lease_timeout
             coordinator.submit(scenarios, runner=runner_spec,
-                               timeout=lease, retries=retries)
+                               timeout=timeout, retries=retries)
             seen: set[int] = set()
             degraded = False
             short_since: float | None = None
+            next_check = time.monotonic() + self._TICK
             try:
                 while len(seen) < len(scenarios):
                     # Follow a chaos/ops restart to the live coordinator.
                     coordinator = self._coordinator or coordinator
                     item = coordinator.ledger.next_outcome(timeout=self._TICK)
-                    if item is None:
+                    # Every tick, busy or not: a lost worker is replaced
+                    # while the rest of the fleet keeps finishing cells.
+                    if item is None or time.monotonic() >= next_check:
+                        next_check = time.monotonic() + self._TICK
                         verdict, short_since = self._check_health(
                             coordinator, short_since)
                         if verdict == "degrade":
                             degraded = True
                             break
-                        continue
-                    if item[0] in seen:
+                    if item is None or item[0] in seen:
                         continue  # journal replay re-emitted it; first won
                     seen.add(item[0])
                     yield item
@@ -345,17 +326,17 @@ class ClusterBackend(ExecutionBackend):
         stuck and no fallback is configured.  ``short_since`` threads
         the caller's below-the-floor timer between sweeps.
         """
-        fleet = self._fleet
-        if fleet is not None:
-            if self._pool_like:
-                # One replacement per lease lost: the attempt the loss
-                # charged its cell pays for it, so the cells' retries
-                # bound the respawns, and a worker that died idle stays
-                # dead instead of respawning in a loop.
-                fleet.respawns_left += coordinator.ledger.take_lost_leases()
-            fleet.maintain()
         now = time.monotonic()
+        # Counted before the losses are taken: a worker that drops out
+        # in between is then still counted, and its loss pays for its
+        # replacement below.
         alive = coordinator.worker_count()
+        if self._fleet is not None:
+            # One replacement per lease lost: the attempt the loss
+            # charged its cell pays for it, so the cells' retries bound
+            # the replacements, and a worker that died idle stays dead
+            # instead of respawning in a loop.
+            self._fleet.maintain(coordinator.ledger.take_lost_leases())
         coordinator_down = coordinator._stopping.is_set() \
             and self._coordinator is coordinator
         if alive >= self.min_workers and not coordinator_down:
@@ -395,8 +376,7 @@ class ClusterBackend(ExecutionBackend):
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (f"{type(self).__name__}(local_workers={self.local_workers}, "
-                f"worker_capacity={self.worker_capacity})")
+        return f"{type(self).__name__}(local_workers={self.local_workers})"
 
 
 class ProcessBackend(ClusterBackend):
@@ -404,13 +384,12 @@ class ProcessBackend(ClusterBackend):
 
     ``max_workers`` workers (default ``min(32, cpu_count)``) on an
     OS-assigned ``127.0.0.1`` port, and no fallback: no cell ever runs in
-    the caller's process.  Like a process pool, it kills a worker whose
-    cell overran the ``timeout`` (nothing else stops the cell) and
-    replaces every worker lost while holding a lease.
+    the caller's process.  Its failure policy is the cluster's: a worker
+    whose cell overran the ``timeout`` is killed, and one worker is
+    replaced per lease lost.
     """
 
     name = "processes"
-    _pool_like = True
 
     def __init__(self, max_workers: int | None = None):
         if max_workers is not None and max_workers < 1:

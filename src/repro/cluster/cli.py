@@ -66,20 +66,10 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
                             "use 0.0.0.0 to accept remote workers)")
     group.add_argument("--cluster-port", type=int, default=0, metavar="PORT",
                        help="coordinator port (default 0 = OS-assigned)")
-    group.add_argument("--worker-capacity", type=int, default=1, metavar="N",
-                       help="concurrent cells per spawned worker (default 1)")
-    group.add_argument("--lease-timeout", type=float, default=None,
-                       metavar="S",
-                       help="per-cell lease deadline; a hung worker "
-                            "forfeits the cell when it expires (default: "
-                            "none — rely on heartbeats)")
     group.add_argument("--cluster-journal", default=None, metavar="PATH",
                        help="coordinator write-ahead ledger; a coordinator "
                             "restarted on the same journal replays it and "
                             "finishes the interrupted grid (default: none)")
-    group.add_argument("--cluster-respawn", type=int, default=0, metavar="N",
-                       help="replace up to N crashed fleet workers over the "
-                            "run (default 0 = never respawn)")
     group.add_argument("--worker-reconnect", type=float, default=0.0,
                        metavar="S",
                        help="spawned workers redial a dropped coordinator "
@@ -131,10 +121,7 @@ def backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
         fallback = None
     return ClusterBackend(host=args.cluster_host, port=args.cluster_port,
                           local_workers=local,
-                          worker_capacity=args.worker_capacity,
-                          lease_timeout=args.lease_timeout,
                           journal=args.cluster_journal,
-                          respawn=args.cluster_respawn,
                           worker_reconnect=args.worker_reconnect,
                           fallback=fallback,
                           min_workers=args.cluster_min_workers,

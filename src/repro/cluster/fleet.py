@@ -9,13 +9,10 @@ forked, so they start with the parent's engine and workload memo
 imported.  Workers on other hosts are launched by hand
 (``repro-experiments worker --connect HOST:PORT``).
 
-By default the fleet never restarts dead workers: a worker death is a
-*signal* the coordinator handles by requeueing leases, and silently
-respawning would mask systematic crashes (an OOM-looping cell would
-thrash forever).  The ``respawn=N`` budget relaxes that for deployments
-that expect attrition (and for the chaos harness, which kills workers
-on purpose): :meth:`LocalFleet.maintain` replaces dead slots while the
-budget lasts, and the owner may top the budget up.  A *paused* slot
+The fleet never restarts a worker on its own: blind respawning would
+mask systematic crashes (an OOM-looping cell would thrash forever).
+Its owner pays for each replacement instead; the cluster backend passes
+:meth:`LocalFleet.maintain` one per lease lost.  A *paused* slot
 (``SIGSTOP``, via :meth:`LocalFleet.pause`) is alive, not dead —
 maintain never replaces it, so a later :meth:`LocalFleet.resume`
 cannot produce a duplicate worker.
@@ -35,7 +32,7 @@ from repro.errors import ClusterError
 from repro.fabric.transport import close_inherited_sockets
 
 
-def _worker_process(address: tuple[str, int], name: str, capacity: int,
+def _worker_process(address: tuple[str, int], name: str,
                     reconnect: float) -> None:
     """One fleet worker, from fork to exit.
 
@@ -50,8 +47,7 @@ def _worker_process(address: tuple[str, int], name: str, capacity: int,
         signal.signal(signal.SIGINT, signal.default_int_handler)
         sys.stdout = open(os.devnull, "w")  # multiprocessing did stdin
         os.dup2(sys.stdout.fileno(), 1)
-        code = run_worker(address, name=name, capacity=capacity,
-                          reconnect=reconnect)
+        code = run_worker(address, name=name, reconnect=reconnect)
     except Exception:
         traceback.print_exc()
     finally:
@@ -60,28 +56,21 @@ def _worker_process(address: tuple[str, int], name: str, capacity: int,
 
 
 class LocalFleet:
-    """``count`` worker processes connected to ``address`` over loopback.
-
-    ``respawn`` is the fleet-wide replacement budget: how many dead
-    workers :meth:`maintain` may replace (0 = never, the default).
-    """
+    """``count`` single-slot worker processes connected to ``address``
+    over loopback."""
 
     def __init__(self, address: tuple[str, int], count: int, *,
-                 capacity: int = 1,
-                 respawn: int = 0,
                  reconnect: float = 0.0):
         if count < 1:
             raise ClusterError(f"a local fleet needs count >= 1, got {count}")
-        if respawn < 0:
-            raise ClusterError(f"respawn must be >= 0, got {respawn}")
         self.processes: list[BaseProcess] = []
-        #: How much of the respawn budget is left.
-        self.respawns_left = respawn
+        #: Replacements paid for but not yet made (their slot had not
+        #: died yet, or was paused).
+        self.respawns_left = 0
         #: Slot indices currently paused with SIGSTOP.
         self._paused: set[int] = set()
         self.address = address
         self.count = count
-        self.capacity = capacity
         #: The workers' reconnect window (seconds; 0 = workers die with
         #: their connection, the default).
         self.reconnect = reconnect
@@ -106,7 +95,7 @@ class LocalFleet:
         context = multiprocessing.get_context(self._method())
         process = context.Process(
             target=_worker_process, name=name, daemon=True,
-            args=(self.address, name, self.capacity, self.reconnect))
+            args=(self.address, name, self.reconnect))
         process.start()
         return process
 
@@ -120,15 +109,15 @@ class LocalFleet:
         """How many fleet processes are still running."""
         return sum(1 for p in self.processes if p.is_alive())
 
-    def maintain(self) -> int:
-        """Replace dead workers while the respawn budget lasts.
+    def maintain(self, paid: int) -> None:
+        """Add ``paid`` replacements to the budget, then replace dead
+        workers while it lasts.
 
-        Returns how many were respawned on this sweep.  Paused slots
-        are skipped — SIGSTOP makes a process unresponsive, not dead.
-        Call this periodically (the cluster backend's health check
-        does) or after a chaos :meth:`kill`.
+        Paused slots are skipped — SIGSTOP makes a process unresponsive,
+        not dead.  The cluster backend's health check calls this
+        periodically.
         """
-        respawned = 0
+        self.respawns_left += paid
         for slot, process in enumerate(self.processes):
             if self.respawns_left <= 0:
                 break
@@ -136,8 +125,6 @@ class LocalFleet:
                 continue
             self.processes[slot] = self._spawn(slot)
             self.respawns_left -= 1
-            respawned += 1
-        return respawned
 
     def reclaim(self, worker: str) -> bool:
         """SIGKILL the live worker registered as ``worker`` (no wait);

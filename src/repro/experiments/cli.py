@@ -356,7 +356,8 @@ def grid_main(argv: Sequence[str]) -> int:
                         help="content-addressed scenario cache directory; "
                              "already-simulated cells are loaded, not re-run")
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-scenario wall-clock budget in seconds")
+                        help="per-scenario wall-clock budget in seconds "
+                             "(the lease deadline on a worker fleet)")
     parser.add_argument("--retries", type=int, default=1,
                         help="retries per cell after a worker death or "
                              "an expired timeout (parallel backends; "

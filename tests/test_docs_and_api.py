@@ -332,6 +332,41 @@ class TestOneParallelBackend:
             backend.close()
 
 
+class TestOneFailurePolicy:
+    """Structure guard: every local fleet runs one worker-failure policy,
+    so the knobs that chose or tuned a second one stay deleted."""
+
+    @staticmethod
+    def parameters(function) -> set[str]:
+        return set(inspect.signature(function).parameters) - {"self"}
+
+    def test_backend_and_fleet_take_no_policy_knobs(self):
+        from repro.cluster.backend import ClusterBackend
+        from repro.cluster.fleet import LocalFleet
+
+        assert self.parameters(ClusterBackend.__init__) == {
+            "host", "port", "local_workers", "heartbeat_timeout",
+            "startup_timeout", "journal", "worker_reconnect", "fallback",
+            "min_workers", "degrade_after", "wire_faults"}
+        assert self.parameters(LocalFleet.__init__) == {
+            "address", "count", "reconnect"}
+        assert not hasattr(ClusterBackend, "_pool_like")
+
+    def test_cli_and_chaos_take_no_policy_knobs(self):
+        import argparse
+
+        from repro.chaos.inject import run_chaos
+        from repro.cluster.cli import add_cluster_arguments
+
+        parser = argparse.ArgumentParser()
+        add_cluster_arguments(parser)
+        flags = {flag for action in parser._actions
+                 for flag in action.option_strings}
+        assert not flags & {"--cluster-respawn", "--lease-timeout",
+                            "--worker-capacity"}
+        assert not self.parameters(run_chaos) & {"respawn", "lease_timeout"}
+
+
 class TestOraclesLiveWithTheTests:
     """Structure guard: each operator, router, source and loss program is
     implemented once in ``src/``; their per-tuple oracles are test code."""

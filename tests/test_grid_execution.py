@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.cluster import ClusterBackend
 from repro.errors import ScenarioError
 from repro.experiments.cli import progress_line
 from repro.scenarios import (
@@ -120,6 +121,25 @@ def processes():
 
     def make(max_workers):
         backends.append(ProcessBackend(max_workers=max_workers))
+        return backends[-1]
+
+    yield make
+    for backend in backends:
+        backend.close()
+
+
+@pytest.fixture(params=["processes", "cluster"])
+def fleet(request):
+    """A backend of ``n`` local workers, closed after the test: either
+    ``ProcessBackend(max_workers=n)`` or ``ClusterBackend(local_workers=n)``
+    with its default fallback.  Both must fail cells the same way."""
+    backends = []
+
+    def make(workers):
+        if request.param == "processes":
+            backends.append(ProcessBackend(max_workers=workers))
+        else:
+            backends.append(ClusterBackend(local_workers=workers))
         return backends[-1]
 
     yield make
@@ -606,9 +626,9 @@ class TestStructuredErrors:
         with pytest.raises(ScenarioError, match="timeout must be positive"):
             GridSession(timeout=timeout)
 
-    def test_timeout_surfaces_as_cell_error(self, processes):
+    def test_timeout_surfaces_as_cell_error(self, fleet):
         cells = self.scenarios()
-        report = GridSession(processes(2), timeout=0.75,
+        report = GridSession(fleet(2), timeout=0.75,
                              runner=sleepy_runner).run(cells)
         kinds = [getattr(o, "kind", "ok") for o in report.outcomes]
         assert kinds == ["ok", "timeout", "ok", "ok"]
@@ -617,12 +637,12 @@ class TestStructuredErrors:
         assert error.scenario.name == "marked"
         assert "timeout" in error.message
 
-    def test_timeout_does_not_cascade(self, processes):
+    def test_timeout_does_not_cascade(self, fleet):
         # One hung cell must not consume the only worker slot for good:
         # its worker is killed and replaced, so later fast cells still
         # finish in time.
         cells = self.scenarios()
-        report = GridSession(processes(1), timeout=0.75,
+        report = GridSession(fleet(1), timeout=0.75,
                              runner=sleepy_runner).run(cells)
         kinds = [getattr(o, "kind", "ok") for o in report.outcomes]
         assert kinds == ["ok", "timeout", "ok", "ok"]
@@ -634,9 +654,9 @@ class TestStructuredErrors:
         assert report.errors == 1
         assert report.cell_errors()[0].kind == "timeout"
 
-    def test_worker_death_retries_once_then_reports(self, processes):
+    def test_worker_death_retries_once_then_reports(self, fleet):
         cells = self.scenarios()
-        report = GridSession(processes(1), retries=1,
+        report = GridSession(fleet(1), retries=1,
                              runner=killer_runner).run(cells)
         kinds = [getattr(o, "kind", "ok") for o in report.outcomes]
         assert kinds == ["ok", "worker-death", "ok", "ok"]

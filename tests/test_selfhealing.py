@@ -7,16 +7,21 @@ the policies themselves; this file proves the fabric actually uses them:
   non-zero immediately with an actionable message (never retried);
 * the sweep client's retry policy reconnects-and-resends a submit whose
   connection died between jobs;
-* a cluster backend whose fleet dies mid-grid degrades to its
-  in-process fallback, finishes cleanly, and surfaces the degraded
-  cells on the report and in the sweep service's status counters.
+* a cluster backend whose workers all die mid-grid, with nothing left
+  to replace them, degrades to its fallback, finishes cleanly, and
+  surfaces the degraded cells on the report and in the sweep service's
+  status counters.
 """
 
 import dataclasses
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +41,11 @@ from repro.scenarios import (
 from repro.service.broker import SweepBroker
 from repro.service.client import SweepClient
 from repro.service.server import SweepServer
+
+#: ``PYTHONPATH`` for a ``worker --connect`` subprocess that must import
+#: both the package and this directory's test runners.
+AGENT_PATH = os.pathsep.join(str(Path(__file__).resolve().parents[1] / part)
+                             for part in ("src", "tests"))
 
 
 def cell(seed: int) -> Scenario:
@@ -158,15 +168,27 @@ class TestGracefulDegradation:
         grid = [cell(i) for i in range(6)]
         grid[2] = dataclasses.replace(grid[2], seed=KILL_SEED)
 
-        backend = ClusterBackend(local_workers=1, respawn=0,
+        # The only worker is an external agent: the backend never kills
+        # or replaces one, so its death leaves no worker at all.
+        backend = ClusterBackend(local_workers=0,
                                  fallback="processes",
                                  degrade_after=0.5,
                                  heartbeat_timeout=2.0)
+        agent = None
         try:
-            report = GridSession(backend, runner=kill_once_cluster_runner,
-                                 retries=1).run(grid)
+            with backend:
+                host, port = backend.address
+                agent = subprocess.Popen(
+                    [sys.executable, "-m", "repro.experiments", "worker",
+                     "--connect", f"{host}:{port}"],
+                    env={**os.environ, "PYTHONPATH": AGENT_PATH})
+                report = GridSession(backend,
+                                     runner=kill_once_cluster_runner,
+                                     retries=1).run(grid)
         finally:
-            backend.close()
+            if agent is not None:
+                agent.kill()
+                agent.wait(timeout=10.0)
         assert flag.exists()             # the whole fleet really died
         assert report.errors == 0        # and the grid still finished
         assert report.degraded > 0       # on the in-process fallback
