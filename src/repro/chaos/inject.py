@@ -43,6 +43,10 @@ ENV_SLOW_MS = "REPRO_CHAOS_SLOW_MS"
 ENV_FAIL_FRACTION = "REPRO_CHAOS_FAIL_FRACTION"
 ENV_SEED = "REPRO_CHAOS_SEED"
 
+#: Chaos runs detect a silent (paused) worker after this many seconds,
+#: well inside a short grid.
+HEARTBEAT_TIMEOUT = 3.0
+
 
 def _decide(seed: int, fault: str, identity: str, fraction: float) -> bool:
     """The seeded coin every injector flips: pure, clock-free, thread-free.
@@ -287,9 +291,6 @@ def run_chaos(scenarios: Sequence, schedule: ChaosSchedule, *,
               journal: str | None = None,
               timeout: float | None = None,
               retries: int = 2,
-              worker_reconnect: float | None = None,
-              heartbeat_timeout: float = 3.0,
-              startup_timeout: float = 30.0,
               collect: bool = True,
               log: FaultLog | None = None):
     """Run ``scenarios`` on a local cluster while injecting ``schedule``.
@@ -298,10 +299,12 @@ def run_chaos(scenarios: Sequence, schedule: ChaosSchedule, *,
     :class:`~repro.scenarios.session.GridReport` and the
     :class:`FaultLog` of everything injected.  A scheduled kill is a
     worker death like any other, and ``timeout`` is the lease deadline (a
-    dropped lease costs its holder one kill and one replacement).  Workers
-    get a reconnect window when a coordinator crash is scheduled, and a
+    dropped lease costs its holder one kill and one replacement).  A
     crash schedule without a ``journal`` gets a temporary one (a crash
-    without a WAL would simply lose the batch).  There is deliberately
+    without a WAL would simply lose the batch), and with a journal the
+    backend gives its workers a reconnect window.  Silent workers are
+    dropped after :data:`HEARTBEAT_TIMEOUT` seconds; the startup window
+    is the backend's default.  There is deliberately
     *no* fallback backend: a chaos run must prove the fabric itself
     finishes the grid, not that a fallback backend can cover for it.
     """
@@ -321,8 +324,6 @@ def run_chaos(scenarios: Sequence, schedule: ChaosSchedule, *,
         )
     if runner is None:
         runner = chaos_runner if runner_faults else None
-    if worker_reconnect is None:
-        worker_reconnect = 15.0 if schedule.crashes() else 0.0
 
     log = log if log is not None else FaultLog()
     saved_env = {key: os.environ.get(key)
@@ -340,10 +341,8 @@ def run_chaos(scenarios: Sequence, schedule: ChaosSchedule, *,
             os.environ[ENV_SEED] = str(schedule.seed)
         backend = ClusterBackend(
             local_workers=local_workers,
-            heartbeat_timeout=heartbeat_timeout,
-            startup_timeout=startup_timeout,
+            heartbeat_timeout=HEARTBEAT_TIMEOUT,
             journal=journal,
-            worker_reconnect=worker_reconnect,
             fallback=None,
             wire_faults=WireFaults(schedule, log),
         )

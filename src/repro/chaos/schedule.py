@@ -135,10 +135,6 @@ class ChaosSchedule:
             return 1.0
         return self.delay_fraction
 
-    def kills(self) -> int:
-        """How many ``kill`` events the schedule carries."""
-        return sum(1 for e in self.events if e.action == "kill")
-
     def crashes(self) -> int:
         """How many coordinator ``crash`` events the schedule carries."""
         return sum(1 for e in self.events if e.action == "crash")

@@ -35,7 +35,7 @@ are never killed.  A cluster with *zero* reachable workers fails loudly
 (:class:`ClusterError`) after ``startup_timeout`` rather than hanging a
 grid forever.
 
-Resilience knobs (all optional):
+Resilience (the backend works out its own windows):
 
 * ``journal`` — a path (or
   :class:`~repro.cluster.journal.LedgerJournal`) making the ledger
@@ -43,16 +43,15 @@ Resilience knobs (all optional):
   journal, re-admits unfinished cells and finishes the batch;
   re-submitting the identical grid adopts the journal's remnant instead
   of recomputing it.  :meth:`restart_coordinator` is the in-process
-  crash-restart (used by the chaos harness).
-* ``worker_reconnect`` — spawn workers that redial a restarted
-  coordinator for that many seconds (resuming their prior worker id)
-  instead of dying with the connection.
-* ``fallback`` / ``min_workers`` / ``degrade_after`` — graceful
-  degradation: when the live fleet sits below ``min_workers`` (or the
-  coordinator stays down) for ``degrade_after`` seconds mid-grid, the
+  crash-restart (used by the chaos harness).  With a journal, fleet
+  workers redial a dropped coordinator for ``startup_timeout`` seconds
+  (resuming their prior worker id), because only then can a successor
+  adopt them; without one they exit with the connection.
+* ``fallback`` — graceful degradation: when no worker is live (or the
+  coordinator stays down) for ``startup_timeout`` seconds mid-grid, the
   remaining cells run on the ``fallback`` backend (``"serial"`` by
-  default; ``None`` restores fail-hard) and the
-  affected positions surface as ``GridReport.degraded`` via
+  default; ``None`` restores fail-hard) and the affected positions
+  surface as ``GridReport.degraded`` via
   :attr:`ClusterBackend.degraded_positions`.
 """
 
@@ -86,20 +85,11 @@ class ClusterBackend(ExecutionBackend):
                  heartbeat_timeout: float = 10.0,
                  startup_timeout: float = 30.0,
                  journal: "LedgerJournal | str | None" = None,
-                 worker_reconnect: float = 0.0,
                  fallback: str | None = "serial",
-                 min_workers: int = 1,
-                 degrade_after: float | None = None,
                  wire_faults=None):
         if local_workers is not None and local_workers < 0:
             raise ClusterError(
                 f"local_workers must be >= 0, got {local_workers}"
-            )
-        if min_workers < 1:
-            raise ClusterError(f"min_workers must be >= 1, got {min_workers}")
-        if degrade_after is not None and degrade_after <= 0:
-            raise ClusterError(
-                f"degrade_after must be > 0, got {degrade_after}"
             )
         self.host = host
         self.port = port
@@ -109,15 +99,8 @@ class ClusterBackend(ExecutionBackend):
         if isinstance(journal, (str, bytes)) or hasattr(journal, "__fspath__"):
             journal = LedgerJournal(journal)
         self.journal = journal
-        self.worker_reconnect = worker_reconnect
         self.fallback = fallback
-        self.min_workers = min_workers
-        self.degrade_after = degrade_after
         self.wire_faults = wire_faults
-        #: Grid positions of the last ``execute`` that ran on the
-        #: fallback backend after a mid-grid degradation (see
-        #: ``GridReport.degraded``); empty when the cluster did it all.
-        self.degraded_positions: tuple[int, ...] = ()
         self._coordinator: ClusterCoordinator | None = None
         self._fleet: LocalFleet | None = None
         self._grid_lock = threading.Lock()
@@ -141,8 +124,12 @@ class ClusterBackend(ExecutionBackend):
             fleet = None
             try:
                 if n_local:
+                    # Only a journal lets a successor coordinator adopt
+                    # a redialling worker.
+                    reconnect = (self.startup_timeout
+                                 if self.journal is not None else 0.0)
                     fleet = LocalFleet(coordinator.address, n_local,
-                                       reconnect=self.worker_reconnect)
+                                       reconnect=reconnect)
                     # Started before the coordinator accepts, so no worker
                     # can inherit a sibling's half-registered connection.
                     fleet.start()
@@ -171,7 +158,9 @@ class ClusterBackend(ExecutionBackend):
         successor rebinds the same address with the same journal, so it
         replays the WAL and the surviving, self-healing workers redial
         it and resume their ids.  Requires a ``journal``; without one
-        the in-flight batch would silently evaporate.
+        the in-flight batch would silently evaporate.  The successor
+        inherits the leases the old ledger lost but no health check took
+        yet, so each still pays for one replacement.
         """
         with self._lifecycle_lock:
             old = self._coordinator
@@ -187,6 +176,7 @@ class ClusterBackend(ExecutionBackend):
             old.crash()
             successor = self._new_coordinator(host, port)
             successor.ledger.reclaim = old.ledger.reclaim
+            successor.ledger._lost_leases += old.ledger.take_lost_leases()
             self._coordinator = successor.start()
             return successor
 
@@ -311,10 +301,6 @@ class ClusterBackend(ExecutionBackend):
                     f"local_workers"
                 )
 
-    def _degrade_window(self) -> float:
-        return (self.degrade_after if self.degrade_after is not None
-                else self.startup_timeout)
-
     def _check_health(self, coordinator: ClusterCoordinator,
                       short_since: float | None) \
             -> tuple[str, float | None]:
@@ -324,7 +310,7 @@ class ClusterBackend(ExecutionBackend):
         ``("degrade", ...)`` to hand the rest of the batch to the
         fallback backend; raises :class:`ClusterError` when the grid is
         stuck and no fallback is configured.  ``short_since`` threads
-        the caller's below-the-floor timer between sweeps.
+        the caller's no-live-worker timer between sweeps.
         """
         now = time.monotonic()
         # Counted before the losses are taken: a worker that drops out
@@ -339,29 +325,26 @@ class ClusterBackend(ExecutionBackend):
             self._fleet.maintain(coordinator.ledger.take_lost_leases())
         coordinator_down = coordinator._stopping.is_set() \
             and self._coordinator is coordinator
-        if alive >= self.min_workers and not coordinator_down:
+        if alive and not coordinator_down:
             return "ok", None
         if short_since is None:
             short_since = now
         try:
-            if alive == 0 or coordinator_down:
-                self._check_fleet_alive()
+            self._check_fleet_alive()
         except ClusterError:
             # The whole fleet is gone and nothing will respawn it.
             if self.fallback is not None:
                 return "degrade", short_since
             raise
-        if now - short_since <= self._degrade_window():
+        if now - short_since <= self.startup_timeout:
             return "ok", short_since
         if self.fallback is not None:
             return "degrade", short_since
-        if alive == 0:
-            raise ClusterError(
-                f"every cluster worker disconnected and none returned "
-                f"within {self._degrade_window():g}s; "
-                f"{coordinator.ledger.outstanding()} cells are stranded"
-            )
-        return "ok", short_since  # below the floor, but fail-hard mode
+        raise ClusterError(
+            f"no cluster worker was live (or the coordinator stayed "
+            f"down) for {self.startup_timeout:g}s; "
+            f"{coordinator.ledger.outstanding()} cells are stranded"
+        )
 
     def _check_fleet_alive(self) -> None:
         """Fail fast when the backend's own fleet is entirely dead."""

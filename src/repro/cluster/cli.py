@@ -69,27 +69,15 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--cluster-journal", default=None, metavar="PATH",
                        help="coordinator write-ahead ledger; a coordinator "
                             "restarted on the same journal replays it and "
-                            "finishes the interrupted grid (default: none)")
-    group.add_argument("--worker-reconnect", type=float, default=0.0,
-                       metavar="S",
-                       help="spawned workers redial a dropped coordinator "
-                            "connection for S seconds before giving up "
-                            "(default 0 = exit on first drop)")
+                            "finishes the interrupted grid, and local "
+                            "workers redial a restarted coordinator "
+                            "(default: none)")
     group.add_argument("--cluster-fallback", default="serial",
                        metavar="BACKEND",
-                       help="backend that finishes the grid when the fleet "
-                            "degrades below --cluster-min-workers "
-                            "(default: serial; 'none' disables fallback "
-                            "and fails loudly instead)")
-    group.add_argument("--cluster-min-workers", type=int, default=1,
-                       metavar="N",
-                       help="live workers required mid-grid before the "
-                            "backend degrades to the fallback (default 1)")
-    group.add_argument("--cluster-degrade-after", type=float, default=None,
-                       metavar="S",
-                       help="how long the fleet may stay below the floor "
-                            "before degrading (default: the startup "
-                            "timeout)")
+                       help="backend that finishes the grid when no worker "
+                            "is live for the startup window (default: "
+                            "serial; 'none' disables fallback and fails "
+                            "loudly instead)")
 
 
 def backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
@@ -122,7 +110,4 @@ def backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
     return ClusterBackend(host=args.cluster_host, port=args.cluster_port,
                           local_workers=local,
                           journal=args.cluster_journal,
-                          worker_reconnect=args.worker_reconnect,
-                          fallback=fallback,
-                          min_workers=args.cluster_min_workers,
-                          degrade_after=args.cluster_degrade_after)
+                          fallback=fallback)

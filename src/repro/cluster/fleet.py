@@ -64,8 +64,9 @@ class LocalFleet:
         if count < 1:
             raise ClusterError(f"a local fleet needs count >= 1, got {count}")
         self.processes: list[BaseProcess] = []
-        #: Replacements paid for but not yet made (their slot had not
-        #: died yet, or was paused).
+        #: Replacements paid for but not yet made (no slot had died
+        #: yet, or only paused ones).  Credit only ever replaces a dead
+        #: slot, one each, so unused credit never adds a worker.
         self.respawns_left = 0
         #: Slot indices currently paused with SIGSTOP.
         self._paused: set[int] = set()
@@ -137,11 +138,16 @@ class LocalFleet:
 
     # -- chaos controls ---------------------------------------------------
     def kill(self, slot: int) -> int:
-        """SIGKILL one slot's process; returns the pid it had."""
+        """SIGKILL one slot's process; returns the pid it had.
+
+        A killed slot is dead, not paused, so :meth:`maintain` may
+        replace it.
+        """
         process = self._slot(slot)
         if process.is_alive():
             process.kill()
             process.join()
+        self._paused.discard(slot)
         return process.pid
 
     def pause(self, slot: int) -> int:

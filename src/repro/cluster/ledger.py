@@ -172,7 +172,8 @@ class CellLedger:
                                                   timeout))
 
     def take_lost_leases(self) -> int:
-        """Leases lost to a worker death or an expiry since the last call."""
+        """Leases lost to a worker death, an expiry or a coordinator
+        crash (see :meth:`restore_from_journal`) since the last call."""
         with self._lock:
             lost, self._lost_leases = self._lost_leases, 0
             return lost
@@ -185,10 +186,14 @@ class CellLedger:
         results from pre-crash workers still retire them — first
         completion wins across the restart) and their lease-derived
         attempt counts; already-completed outcomes are re-emitted on the
-        outcome queue for the consumer to (re-)drain.  The restored
-        batch stays *adoptable*: a subsequent :meth:`submit` of the same
-        scenarios continues it instead of starting over, while a
-        different batch discards it.
+        outcome queue for the consumer to (re-)drain.  An unfinished
+        cell the journal shows leased counts as one lost lease (see
+        :meth:`take_lost_leases`): the crash voided that attempt, and the
+        cell re-leases at the next one.  It still re-queues at once, so a
+        re-run in a fresh process never waits on the old holders.  The
+        restored batch stays *adoptable*: a subsequent :meth:`submit` of
+        the same scenarios continues it instead of starting over, while
+        a different batch discards it.
         """
         if self.journal is None:
             return 0
@@ -209,6 +214,7 @@ class CellLedger:
                                        cell.scenario, attempts=cell.attempts)
                 self._cells[tracked.cell_id] = tracked
                 self._queue.append(tracked.cell_id)
+                self._lost_leases += cell.attempts > 0
             self._cell_seq = max(self._cell_seq, *replay.cells)
             self._outstanding = len(self._cells)
             self._assign()

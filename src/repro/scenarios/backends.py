@@ -84,6 +84,11 @@ class ExecutionBackend:
     #: Registry key (also used in reprs and CLI flags).
     name = "?"
 
+    #: Grid positions of the last ``execute`` that ran on a fallback
+    #: backend after a mid-grid degradation (see ``GridReport.degraded``);
+    #: empty when the backend did it all.
+    degraded_positions: tuple[int, ...] = ()
+
     def execute(self, scenarios: Sequence[Scenario], runner: Runner, *,
                 timeout: float | None = None,
                 retries: int = 1) -> Iterator[tuple]:

@@ -282,7 +282,7 @@ class GridSession:
                     timeout=self.timeout, retries=self.retries):
                 cell_retries = max(0, attempts - 1)
                 retries += cell_retries
-                if position in getattr(self.backend, "degraded_positions", ()):
+                if position in self.backend.degraded_positions:
                     degraded += 1
                 rep_index = representatives[position]
                 digest = digests[rep_index]

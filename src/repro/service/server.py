@@ -155,8 +155,7 @@ class SweepServer(PeerServer):
                 for position, outcome, attempts in self.backend.execute(
                         scenarios, self.runner,
                         timeout=self.timeout, retries=self.retries):
-                    degraded = position in getattr(
-                        self.backend, "degraded_positions", ())
+                    degraded = position in self.backend.degraded_positions
                     self.broker.complete(batch[position][0], outcome,
                                          attempts, degraded=degraded)
             except Exception:  # pragma: no cover - backend bug guard

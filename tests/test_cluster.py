@@ -31,6 +31,7 @@ from repro.cluster.protocol import (
     runner_to_wire,
 )
 from repro.chaos.inject import chaos_runner
+from repro.cluster.fleet import LocalFleet
 from repro.cluster.worker import parse_address
 from repro.engine import Cluster, NodeKind
 from repro.errors import ClusterError, SimulationError
@@ -522,6 +523,20 @@ class TestForkedWorkerHygiene:
             signal.signal(signal.SIGTERM, previous)
 
 
+class TestLocalFleet:
+    def test_a_killed_paused_slot_is_replaced(self):
+        coordinator = ClusterCoordinator().start()
+        fleet = LocalFleet(coordinator.address, 1).start()
+        try:
+            fleet.pause(0)
+            fleet.kill(0)
+            fleet.maintain(1)
+            assert (fleet.alive(), fleet.respawns_left) == (1, 0)
+        finally:
+            fleet.terminate()
+            coordinator.stop()
+
+
 class TestClusterBackend:
     """The acceptance path: ``backend="cluster"`` over a real local fleet."""
 
@@ -539,6 +554,14 @@ class TestClusterBackend:
     def test_bad_topology_knobs_rejected(self):
         with pytest.raises(ClusterError, match="local_workers"):
             ClusterBackend(local_workers=-1)
+
+    def test_fleet_redials_only_when_a_journal_can_adopt_it(self, tmp_path):
+        journaled = ClusterBackend(local_workers=1, startup_timeout=7.0,
+                                   journal=tmp_path / "wal.jsonl")
+        plain = ClusterBackend(local_workers=1, startup_timeout=7.0)
+        for backend, window in ((journaled, 7.0), (plain, 0.0)):
+            with backend:
+                assert backend._fleet.reconnect == window
 
     def test_lambda_runner_rejected_before_any_spawn(self):
         backend = ClusterBackend(local_workers=1)

@@ -19,7 +19,12 @@ import time
 
 import pytest
 
-from repro.cluster import CellLedger, ClusterCoordinator, ClusterWorkerAgent
+from repro.cluster import (
+    CellLedger,
+    ClusterBackend,
+    ClusterCoordinator,
+    ClusterWorkerAgent,
+)
 from repro.cluster.journal import LedgerJournal
 from repro.errors import ClusterError
 from repro.resilience import RetryPolicy
@@ -195,6 +200,21 @@ class TestLedgerRestore:
         assert new_leases[leased_id] == 2
         assert {new_leases[c] for c in new_leases if c != leased_id} == {1}
 
+    def test_restore_counts_each_leased_cell_as_a_lost_lease(self, tmp_path):
+        """The crash voids every attempt in flight, so each pays for one
+        replacement of a fleet worker lost in the restart gap."""
+        path = tmp_path / "wal.jsonl"
+        led1, _pub1 = self.make(path)
+        led1.register_worker("w1", 2)
+        led1.submit([cell(0), cell(1), cell(2)], retries=1)  # 2 leased
+        assert led1.take_lost_leases() == 0
+        led1.journal.close()
+
+        led2, _pub2 = self.make(path)
+        assert led2.restore_from_journal() == 3   # all re-queued at once
+        assert led2.take_lost_leases() == 2
+        assert led2.take_lost_leases() == 0
+
     def test_identical_resubmit_adopts_the_restored_batch(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         grid = [cell(0), cell(1)]
@@ -328,6 +348,18 @@ def _stuck_report(ledger: CellLedger, grid_size: int, drained,
 
 
 class TestCoordinatorCrashRestart:
+    def test_restart_carries_the_losses_no_health_check_took(self, tmp_path):
+        with ClusterBackend(local_workers=0,
+                            journal=tmp_path / "wal.jsonl") as backend:
+            ledger = backend._coordinator.ledger
+            ledger.register_worker("w1", 1)
+            ledger.submit([cell(0)], retries=0)
+            # The worker dies just before the crash; its cell retires
+            # as an error, so the journal holds no lease to count.
+            ledger.remove_worker("w1", reason="killed")
+            successor = backend.restart_coordinator()
+            assert successor.ledger.take_lost_leases() == 1
+
     def test_sigkilled_coordinator_restarts_and_finishes_the_grid(
             self, tmp_path):
         journal = str(tmp_path / "wal.jsonl")

@@ -346,8 +346,7 @@ class TestOneFailurePolicy:
 
         assert self.parameters(ClusterBackend.__init__) == {
             "host", "port", "local_workers", "heartbeat_timeout",
-            "startup_timeout", "journal", "worker_reconnect", "fallback",
-            "min_workers", "degrade_after", "wire_faults"}
+            "startup_timeout", "journal", "fallback", "wire_faults"}
         assert self.parameters(LocalFleet.__init__) == {
             "address", "count", "reconnect"}
         assert not hasattr(ClusterBackend, "_pool_like")
@@ -363,8 +362,12 @@ class TestOneFailurePolicy:
         flags = {flag for action in parser._actions
                  for flag in action.option_strings}
         assert not flags & {"--cluster-respawn", "--lease-timeout",
-                            "--worker-capacity"}
-        assert not self.parameters(run_chaos) & {"respawn", "lease_timeout"}
+                            "--worker-capacity", "--worker-reconnect",
+                            "--cluster-min-workers",
+                            "--cluster-degrade-after"}
+        assert not self.parameters(run_chaos) & {
+            "respawn", "lease_timeout", "worker_reconnect",
+            "heartbeat_timeout", "startup_timeout"}
 
 
 class TestOraclesLiveWithTheTests:

@@ -170,9 +170,11 @@ class TestGracefulDegradation:
 
         # The only worker is an external agent: the backend never kills
         # or replaces one, so its death leaves no worker at all.
+        # The startup window is also the grace window, so the agent
+        # registers before the grid starts.
         backend = ClusterBackend(local_workers=0,
                                  fallback="processes",
-                                 degrade_after=0.5,
+                                 startup_timeout=0.5,
                                  heartbeat_timeout=2.0)
         agent = None
         try:
@@ -182,6 +184,7 @@ class TestGracefulDegradation:
                     [sys.executable, "-m", "repro.experiments", "worker",
                      "--connect", f"{host}:{port}"],
                     env={**os.environ, "PYTHONPATH": AGENT_PATH})
+                assert backend._coordinator.ledger.await_worker(30.0)
                 report = GridSession(backend,
                                      runner=kill_once_cluster_runner,
                                      retries=1).run(grid)
